@@ -2,7 +2,7 @@
 
 Unlike the figure benchmarks (which regenerate paper *results*), this one
 times the simulator *itself* — the fig11-style shared/private/adaptive
-scenarios that dominate every campaign, under both the event and fast-path
+scenarios that dominate every campaign, under both the event and batch
 execution tiers — and checks the measured events/sec against the committed
 baseline so a hot-path regression fails loudly.
 
@@ -37,7 +37,7 @@ def test_hotpath_throughput(once):
             continue
         assert row["events"] > 0
         assert row["events_per_sec"] > 0
-    # The fast path must actually be fast, not merely installed.
+    # The batch tier must actually be fast, not merely installed.
     assert all(s > 1.0 for s in tier_speedups(data).values())
 
 
@@ -45,7 +45,7 @@ def main() -> None:
     data = run_bench(SCALE)
     print_rows(_rows(data))
     for scenario, speedup in sorted(tier_speedups(data).items()):
-        print(f"{scenario}: fastpath {speedup:.2f}x event tier")
+        print(f"{scenario}: batch {speedup:.2f}x event tier")
     out = os.path.join(os.path.dirname(__file__), os.pardir,
                        "BENCH_hotpath.json")
     write_bench(os.path.normpath(out), data)

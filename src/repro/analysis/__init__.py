@@ -1,7 +1,7 @@
 """``repro.analysis``: the simulator-aware static analysis pass.
 
 The reproduction's guarantees — byte-identical golden captures,
-content-keyed caching, event≡fastpath parity, a zero-allocation hot
+content-keyed caching, event≡batch parity, a zero-allocation hot
 path — are invariants of *how the code is written*, not just what it
 computes.  This package checks them statically: an AST-based rule engine
 (``determinism``, ``hot-path``, ``continuation``, ``serialization``,

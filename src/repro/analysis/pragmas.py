@@ -5,7 +5,7 @@ directives (one directive per comment):
 
 ``# repro: hot-path``
     Marks the whole module as hot-path code; the ``hot-path`` rule only
-    runs on modules carrying this pragma (engine, fastpath, setassoc,
+    runs on modules carrying this pragma (engine, batchpath, setassoc,
     server).  Placement: any line, conventionally right below the module
     docstring.
 

@@ -17,7 +17,7 @@ callbacks, then proves what it can about their returns:
   3-tuples inside ``schedule_batch([...])`` literals/comprehensions;
 * closure: the middle element of any returned 3-tuple — a continuation
   names the next callback, so chains are followed to a fixed point
-  (seeded from every function so cross-module roots, like the fastpath
+  (seeded from every function so cross-module roots, like the batch-tier
   closures installed onto ``GPUSystem``, still get their chains
   checked);
 * verdicts: a ``return`` of a literal tuple with ≠3 elements, or of a
@@ -134,7 +134,7 @@ class ContinuationRule(Rule):
 
         # Fixed point: a continuation triple's middle element names the
         # next callback.  Seed chain discovery from *every* function so
-        # callback families installed from another module (the fastpath
+        # callback families installed from another module (the batch-tier
         # closures) are still followed once any of them returns a triple.
         callbacks = set(collector.roots)
         pending = list(functions)

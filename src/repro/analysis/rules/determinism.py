@@ -1,7 +1,7 @@
 """``determinism``: nondeterminism sources in simulator code.
 
 Everything the reproduction promises — byte-identical golden captures,
-content-keyed caching, event≡fastpath tier parity — assumes the simulator
+content-keyed caching, event≡batch tier parity — assumes the simulator
 is a pure function of its inputs.  This rule flags the classic ways that
 breaks, in files classified as simulator code (see
 :mod:`repro.analysis.config`):

@@ -1,9 +1,9 @@
 """``hot-path``: allocation discipline in ``# repro: hot-path`` modules.
 
-PR 3 bought its 1.5× by removing per-event allocation from the engine and
-the request pipeline; PR 6's fast path holds that line with closure-free
+Removing per-event allocation from the engine and the request pipeline
+bought a 1.5× speedup; the batch tier holds that line with closure-free
 continuations.  This rule keeps rewrites honest in the modules that carry
-the ``# repro: hot-path`` pragma (engine, fastpath, setassoc, server):
+the ``# repro: hot-path`` pragma (engine, batchpath, setassoc, server):
 
 * **runtime closures** — ``lambda`` and nested ``def`` inside a hot
   function allocate a function object per call.

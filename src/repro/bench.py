@@ -20,10 +20,10 @@ Schema of the written file::
     }
 
 Scenario keys are the LLC policy names for the event tier (``"adaptive"``)
-with a ``[<tier>]`` suffix for the other tiers (``"adaptive[fastpath]"``,
-``"adaptive[batch]"``); the ``adaptive+counters`` scenario times the
-adaptive policy with :meth:`GPUSystem.enable_program_counters` on, the
-instrumented path Scenario-API policies pay.  ``_meta`` is advisory;
+with a ``[batch]`` suffix for the batch tier (``"adaptive[batch]"``); the
+``adaptive+counters`` scenario times the adaptive policy with
+:meth:`GPUSystem.enable_program_counters` on, the instrumented path
+Scenario-API policies pay.  ``_meta`` is advisory;
 comparison tooling (:func:`compare_bench`) looks only at
 ``events_per_sec`` in the scenario entries, so records written by older
 schema versions (no ``tier``/``samples`` fields, fewer tiers) still load
@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 MODES = ("shared", "private", "adaptive")
 
-TIERS = ("event", "fastpath", "batch")
+TIERS = ("event", "batch")
 
 #: Scenario table: (key, LLC policy, per-program counters enabled).
 SCENARIOS = (
@@ -62,10 +62,9 @@ SCENARIOS = (
 )
 
 #: Scenarios pinned to the event tier.  Consolidation runs track
-#: per-request latency and admit tenants mid-run, so the accelerated
-#: tiers decline the install — timing them under those tiers would
-#: measure the event tier twice and drag the tier-speedup geomeans
-#: toward 1.0.
+#: per-request latency and admit tenants mid-run, so the batch tier
+#: declines the install — timing it there would measure the event tier
+#: twice and drag the tier-speedup geomean toward 1.0.
 EVENT_ONLY = frozenset({"arrivals"})
 
 #: Default benchmark: VA is a neutral streaming workload whose adaptive run
@@ -216,67 +215,21 @@ def run_bench(scale: float, benchmark_abbr: str = DEFAULT_BENCHMARK,
     return out
 
 
-def tier_speedups(data: dict, num_tier: str = "fastpath",
-                  den_tier: str = "event") -> dict[str, float]:
-    """``num_tier``-over-``den_tier`` speedup per scenario that was timed
-    under both tiers.  Keys are the bare scenario names; empty when the
-    record holds only one of the tiers (e.g. a pre-tier baseline)."""
+def tier_speedups(data: dict) -> dict[str, float]:
+    """Batch-over-event speedup per scenario that was timed under both
+    tiers.  Keys are the bare scenario names; empty when the record holds
+    only one of the tiers (e.g. a pre-tier baseline)."""
     speedups = {}
     for scenario, row in data.items():
         if scenario.startswith("_") or "[" in scenario:
             continue
-        num = data.get(scenario_key(scenario, num_tier))
-        den = data.get(scenario_key(scenario, den_tier))
-        if num is None or den is None:
+        batch = data.get(scenario_key(scenario, "batch"))
+        if batch is None:
             continue
-        den_eps = den["events_per_sec"]
-        if den_eps > 0:
-            speedups[scenario] = num["events_per_sec"] / den_eps
+        if row["events_per_sec"] > 0:
+            speedups[scenario] = \
+                batch["events_per_sec"] / row["events_per_sec"]
     return speedups
-
-
-def parse_speedup_gates(spec: str) -> dict[tuple[str, str], float]:
-    """Parse a ``--min-tier-speedup`` value into ``{(num, den): min}``.
-
-    Two grammars::
-
-        1.3                               # legacy: fastpath/event=1.3
-        batch/event=1.6,fastpath/event=1.3
-
-    A bare float keeps the flag's original meaning (gate the fast path
-    against the event tier); the pair form names each ratio explicitly so
-    any tier combination can be gated.  Raises ``ValueError`` on malformed
-    specs or unknown tier names.
-    """
-    spec = spec.strip()
-    if not spec:
-        return {}
-    try:
-        legacy = float(spec)
-    except ValueError:
-        pass
-    else:
-        return {("fastpath", "event"): legacy} if legacy > 0 else {}
-    gates: dict[tuple[str, str], float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pair, eq, value = part.partition("=")
-        num, slash, den = pair.partition("/")
-        num = num.strip()
-        den = den.strip()
-        if not (eq and slash and num and den):
-            raise ValueError(
-                f"bad speedup gate {part!r}: expected num/den=min "
-                "(e.g. batch/event=1.6)")
-        for tier in (num, den):
-            if tier not in TIERS:
-                raise ValueError(
-                    f"bad speedup gate {part!r}: unknown tier {tier!r} "
-                    f"(choose from {', '.join(TIERS)})")
-        gates[(num, den)] = float(value)
-    return gates
 
 
 def write_bench(path: str, data: dict) -> None:

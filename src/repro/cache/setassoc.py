@@ -217,48 +217,6 @@ class SetAssocCache:
                     self.writebacks += 1
         return dirty
 
-    # ----------------------------------------------------- batched lookup
-    # repro: cold
-    def as_arrays(self):
-        """Dense numpy snapshot of the tag array: ``(tags, dirty)``, each
-        shaped ``(num_sets, assoc)``.  Invalid ways hold -1 in ``tags``
-        (keys are non-negative line addresses, so -1 never collides with a
-        real tag).  The snapshot does not alias the live store: it is the
-        batch tier's install-time capability probe and a test aid, not an
-        incremental mirror (keeping a mirror coherent per fill measured
-        slower than the C-speed list scans at paper associativities).
-        Raises ``ImportError`` when numpy is absent."""
-        import numpy as np
-        tags = np.full((self.num_sets, self.assoc), -1, dtype=np.int64)
-        dirty = np.zeros((self.num_sets, self.assoc), dtype=bool)
-        for set_idx, keys in enumerate(self._keys):
-            dirty_bits = self._dirty[set_idx]
-            for way, k in enumerate(keys):
-                if k is not None:
-                    tags[set_idx, way] = k
-                    dirty[set_idx, way] = dirty_bits[way]
-        return tags, dirty
-
-    # repro: cold
-    def probe_many(self, keys) -> list[bool]:
-        """Batched :meth:`probe`: ``probe_many(keys)[i] == probe(keys[i])``
-        for every ``i``, with the same guarantees — no stats, no recency
-        update, no fill.  One vectorized compare against an
-        :meth:`as_arrays` snapshot when numpy is importable; identical
-        per-key scalar probes when it is not."""
-        keys = list(keys)
-        if not keys:
-            return []
-        try:
-            import numpy as np
-        except ImportError:
-            return [self.probe(k) for k in keys]
-        tags, _ = self.as_arrays()
-        arr = np.asarray(keys, dtype=np.int64)
-        set_idx = (arr >> self.index_shift) % self.num_sets
-        hit = (tags[set_idx] == arr[:, None]).any(axis=1)
-        return [bool(h) for h in hit]
-
     # -------------------------------------------------------------- stats
     @property
     def accesses(self) -> int:

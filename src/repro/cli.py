@@ -56,8 +56,8 @@ from repro.scenario import parse_mix
 from repro.workloads.analysis import characterize, verify_category
 from repro.workloads.catalog import ALL_ABBRS, BENCHMARKS, build
 
-#: The classic triad (aliases into the policy registry), kept for
-#: ``compare`` and as ``run --mode`` back-compat.
+#: The classic triad (aliases into the policy registry), run by
+#: ``compare``.
 MODES = ("shared", "private", "adaptive")
 
 #: Named trace-scale presets accepted anywhere ``--scale`` is.
@@ -162,11 +162,6 @@ def _parse_placement_arg(text: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.policy is not None and args.mode is not None:
-        # Mirror GPUSystem: the same conflict is a hard error there.
-        print("error: pass either --policy or the deprecated --mode, "
-              "not both", file=sys.stderr)
-        return 2
     sources = sum(x is not None
                   for x in (args.benchmark, args.mix, args.tenants))
     if sources != 1:
@@ -174,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "--tenants", file=sys.stderr)
         return 2
     default_policy = args.policy if args.policy is not None \
-        else PolicyConfig.of(args.mode or "adaptive")
+        else PolicyConfig.of("adaptive")
     campaign = _campaign_from(args)
     if args.tenants is not None:
         # Seeded Monte Carlo mix: sample one benchmark per tenant from
@@ -264,16 +259,10 @@ def _run_mix(args: argparse.Namespace, campaign: Campaign,
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (EVENT_ONLY, SCENARIOS, TIERS, compare_bench,
-                             load_bench, parse_speedup_gates,
-                             profile_scenario, run_bench, scenario_key,
-                             tier_speedups, write_bench)
+                             load_bench, profile_scenario, run_bench,
+                             scenario_key, tier_speedups, write_bench)
 
-    tiers = TIERS if args.tier in ("both", "all") else (args.tier,)
-    try:
-        gates = parse_speedup_gates(args.min_tier_speedup)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tiers = TIERS if args.tier == "both" else (args.tier,)
     data = run_bench(args.scale, benchmark_abbr=args.benchmark,
                      repeat=args.repeat, tiers=tiers)
     rows = [{"scenario": key, "tier": row["tier"],
@@ -303,28 +292,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             fh.write("\n".join(sections))
         print(f"[bench] wrote {profile_path}")
     ok = True
-    for (num, den), min_speedup in sorted(gates.items()):
-        speedups = tier_speedups(data, num, den)
-        if not speedups:
-            print(f"error: --min-tier-speedup {num}/{den} needs both "
-                  "tiers timed (use --tier both)", file=sys.stderr)
-            ok = False
-            continue
+    min_speedup = args.min_tier_speedup
+    speedups = tier_speedups(data) if min_speedup > 0 else {}
+    if min_speedup > 0 and not speedups:
+        print("error: --min-tier-speedup needs both tiers timed "
+              "(use --tier both)", file=sys.stderr)
+        ok = False
+    elif speedups:
         # Gate on the geometric mean: per-scenario ratios at small scales
         # swing wildly run to run (each sample is tens of milliseconds),
         # while the mean across scenarios is stable — and a vanished
-        # speedup (a tier silently declining, a pessimized hot loop)
+        # speedup (the tier silently declining, a pessimized hot loop)
         # drags the mean to ~1.0 just the same.
         geomean = statistics.geometric_mean(speedups.values())
         detail = ", ".join(f"{scenario} {speedup:.2f}x"
                            for scenario, speedup in sorted(speedups.items()))
         if geomean < min_speedup:
-            print(f"error: tier speedup — {num} is only {geomean:.2f}x "
-                  f"the {den} tier (geomean over scenarios, gate "
+            print(f"error: tier speedup — batch is only {geomean:.2f}x "
+                  f"the event tier (geomean over scenarios, gate "
                   f"{min_speedup:.2f}x; {detail})", file=sys.stderr)
             ok = False
         else:
-            print(f"[bench] {num} {geomean:.2f}x {den} tier (geomean "
+            print(f"[bench] batch {geomean:.2f}x event tier (geomean "
                   f"over scenarios, gate {min_speedup:.2f}x; {detail})")
     if args.baseline:
         failures = compare_bench(data, load_bench(args.baseline),
@@ -766,9 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME[:k=v,...]",
                        help="any registered LLC policy with parameters "
                             "(see `repro policy list`); default: adaptive")
-    p_run.add_argument("--mode", default=None, choices=list(MODES),
-                       help="deprecated alias for --policy "
-                            "(classic triad only)")
     p_run.add_argument("--scale", type=parse_scale, default=1.0,
                        metavar="S",
                        help="trace scale: float or preset "
@@ -788,18 +774,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timing attempts per scenario (every sample "
                               "recorded; median events/sec reported)")
     p_bench.add_argument("--tier", default="both",
-                         choices=("event", "fastpath", "batch", "both",
-                                  "all"),
-                         help="execution tier(s) to time; both/all time "
-                              "every tier (default: both)")
-    p_bench.add_argument("--min-tier-speedup", default="", metavar="SPEC",
-                         help="speedup gate(s): a bare float X fails "
-                              "unless fastpath's geometric-mean speedup "
-                              "across scenarios is at least X times the "
-                              "event tier; the pair form "
-                              "'batch/event=1.6,fastpath/event=1.3' "
-                              "gates arbitrary tier ratios (needs the "
-                              "named tiers timed; empty disables)")
+                         choices=("event", "batch", "both"),
+                         help="execution tier(s) to time (default: both)")
+    p_bench.add_argument("--min-tier-speedup", type=float, default=0.0,
+                         metavar="X",
+                         help="fail unless the batch tier's geometric-mean "
+                              "speedup across scenarios is at least X "
+                              "times the event tier (needs --tier both; "
+                              "0 disables)")
     p_bench.add_argument("--profile", action="store_true",
                          help="additionally cProfile one run per scenario "
                               "and write the top functions by cumulative "

@@ -293,14 +293,12 @@ class GPUConfig(_SerializableConfig):
     cta_scheduler: str = "two_level_rr"  # "two_level_rr" | "bcs" | "dcs"
 
     # --- execution tier ------------------------------------------------------
-    # "event" schedules one heap event per pipeline stage boundary;
-    # "fastpath" collapses deterministic round trips into closed-form
-    # arithmetic (see repro.gpu.fastpath); "batch" adds struct-of-arrays
-    # request state, numpy-vectorized address decode and a calendar-queue
-    # engine on top of the fastpath closures (see repro.gpu.batchpath),
-    # declining to fastpath when numpy is unavailable or the topology
-    # disqualifies.  Results are byte-identical by contract; the tier only
-    # changes how fast they are computed.
+    # "event" schedules one heap event per pipeline stage boundary; "batch"
+    # swaps the stage methods for closed-form closures with launch-time
+    # route decode and deferred counters (see repro.gpu.batchpath),
+    # declining to "event" when the system's shape disqualifies.  Results
+    # are byte-identical by contract; the tier only changes how fast they
+    # are computed.
     tier: str = "event"
 
     # ------------------------------------------------------------------ api
@@ -399,5 +397,6 @@ class GPUConfig(_SerializableConfig):
             raise ValueError(f"unknown topology {self.noc.topology!r}")
         if self.cta_scheduler not in ("two_level_rr", "bcs", "dcs"):
             raise ValueError(f"unknown CTA scheduler {self.cta_scheduler!r}")
-        if self.tier not in ("event", "fastpath", "batch"):
-            raise ValueError(f"unknown execution tier {self.tier!r}")
+        if self.tier not in ("event", "batch"):
+            raise ValueError(f"unknown execution tier {self.tier!r} "
+                             "(valid tiers: event, batch)")

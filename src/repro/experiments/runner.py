@@ -212,7 +212,7 @@ def run_consolidation(tenants, cfg: Optional[GPUConfig] = None,
 
     Per-request latency tracking is always on — consolidation runs exist
     to report tail latency and fairness — which forces the event
-    execution tier (the accelerated tiers decline).
+    execution tier (the batch tier declines).
     """
     from repro.consolidate.arrivals import arrival_times
     from repro.scenario import ProgramSpec, Scenario

@@ -1,27 +1,27 @@
-"""Batch execution tier: struct-of-arrays request state, deferred tallies.
+"""Batch execution tier: closed-form round trips, deferred tallies.
 
-Builds on the fast path (:mod:`repro.gpu.fastpath`), which already collapses
-every deterministic round trip into closed-form arithmetic.  What remained
-after PR 6 was *per-event bookkeeping*: the binary heap sifts each event
-through ~log2(queue depth) tuple comparisons, every access bumps half a
-dozen statistics attributes, each address re-runs the PAE XOR folds, and
-each primary miss allocates an MSHR entry.  This tier removes those four
-costs without touching the event schedule:
+The event tier (:mod:`repro.gpu.system`) routes every access through
+generic stage methods, server objects and per-access statistics bumps.
+This tier swaps those stage methods for per-SM and per-slice closures that
+keep the event tier's exact schedule but strip its per-event overhead:
 
-* **Struct-of-arrays request state.**  At kernel launch, one numpy sweep
-  decodes the *entire* access stream's routes up front — the
-  memory-controller and LLC-slice folds run as vectorized int64 array
-  expressions over the concatenation of every ``WarpContext.keys`` and
-  land in parallel per-warp columns (``mc_tab``/``sl_tab``/``sg_tab``).
-  The hot loops then read a precomputed column instead of re-deriving
-  hashes per access.  Launch-time is the one point where whole vectors
-  exist to sweep: *per-event* numpy batching was measured and rejected —
-  59% of event timestamps are singletons and the shared-server
-  ``busy_until`` max-chains force exact serial event order, so there is
-  never a same-time cohort big enough to amortize array overhead (see
-  ROADMAP item 2).  A launch-time DRAM bank/row table was likewise
-  measured and rejected: the per-access dict probe costs what the two
-  inline folds cost, while the table build penalizes small kernels.
+* **Closed-form round trips.**  Each request or reply crosses its NoC
+  route, tag/data ports and DRAM bank as inline arithmetic over the same
+  ``busy_until`` serialization points the event tier's servers keep, with
+  every (SM, slice) server chain resolved once into dense route tables.
+
+* **Launch-time route decode.**  At kernel launch one scalar sweep runs
+  the PAE memory-controller and LLC-slice folds over the concatenation of
+  every ``WarpContext.keys`` and lands the results in parallel per-warp
+  columns (``mc_tab``/``sl_tab``/``sg_tab``).  The hot loops then read a
+  precomputed column instead of re-deriving hashes per access.
+  *Per-event* vector batching was measured and rejected — 59% of event
+  timestamps are singletons and the shared-server ``busy_until``
+  max-chains force exact serial event order, so there is never a
+  same-time cohort big enough to amortize array overhead.  A launch-time
+  DRAM bank/row table was likewise measured and rejected: the per-access
+  dict probe costs what the two inline folds cost, while the table build
+  penalizes small kernels.
 
 * **Direct queue access.**  Issue sites build fully-formed heap entries
   and push them into the engine's binary heap themselves, drawing batches
@@ -48,24 +48,24 @@ costs without touching the event schedule:
 
 Byte-identity contract
 ----------------------
-Identical to the fast path's: the same 1:1 event schedule with the same
-FIFO sequence numbers, float expressions mirrored operation for operation,
-and all stateful control flow (MSHR merge/stall, store-buffer credits,
-barriers, reconfiguration flushes, profiling epochs) kept evented and
-scalar.  The tier-parity suite pins ``RunResult.to_dict()`` against the
-golden captures.
+The same 1:1 event schedule with the same FIFO sequence numbers, float
+expressions mirrored operation for operation, and all stateful control
+flow (MSHR merge/stall, store-buffer credits, barriers, reconfiguration
+flushes, profiling epochs) kept evented and scalar.  The tier-parity
+suite pins ``RunResult.to_dict()`` against the golden captures.
 
 Decline contract
 ----------------
-``install_batchpath`` returns False — leaving the system un-mutated — when
-numpy is not importable (optional dependency), the topology is not the
-hierarchical crossbar, any tag store uses non-LRU replacement, a nonzero
-``index_shift`` or non-uniform set counts, the address mapping is not the
-PAE hash (the vectorized folds encode it), the engine is not the stock
-binary-heap ``Engine``, or the install-time self-check (vectorized folds and
-``SetAssocCache.probe_many`` against their scalar twins) fails.
-``GPUSystem`` then falls back to the fast path, and failing that the event
-tier; results are byte-identical either way.
+``install_batchpath`` returns False — leaving the system un-mutated — for
+consolidation runs (mid-run admissions or latency tracking), when the
+topology is not the hierarchical crossbar, any tag store uses non-LRU
+replacement, a nonzero ``index_shift`` or non-uniform set counts, the
+address mapping is not exactly the PAE hash (the inlined folds encode it,
+so subclasses and the Hynix mapping decline), the engine is not the stock
+binary-heap ``Engine``, or the install-time self-check (inlined folds
+against the mapping's own ``mc_of``/``slice_of``/``bank_of``) fails.
+``GPUSystem`` then runs the event tier; results are byte-identical either
+way.
 """
 
 # repro: hot-path
@@ -85,28 +85,13 @@ from repro.sim.engine import Engine
 
 
 # repro: cold
-def _numpy() -> Any:
-    """Return the numpy module, or None when it is not importable.
-
-    Isolated in a helper (rather than a top-level import) so numpy stays an
-    optional dependency and the decline tests can monkeypatch the absence
-    path without uninstalling anything.
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-# repro: cold
 def install_batchpath(system: Any) -> bool:
     """Specialize ``system``'s pipeline stage methods in place.
 
-    Returns True when the batch tier was installed, False when numpy is
-    unavailable or the system's shape is outside the specialized envelope
-    (see module docstring); a False return leaves the system untouched so
-    the caller can fall back to the fast path.
+    Returns True when the batch tier was installed, False when the
+    system's shape is outside the specialized envelope (see module
+    docstring); a False return leaves the system untouched so the caller
+    can keep the event tier.
     """
     from repro.gpu.system import Request
 
@@ -134,37 +119,24 @@ def install_batchpath(system: Any) -> bool:
     engine = system.engine
     if type(engine) is not Engine:
         return False
-    np = _numpy()
-    if np is None:
-        return False
 
     num_mcs = mapping.num_mcs
     map_spm = mapping.slices_per_mc
     num_banks = mapping.num_banks
 
-    # Install-time self-check: the vectorized folds and the batched tag
-    # probe must agree with their scalar twins on a sample before the tier
-    # is allowed to own the run (guards against a broken/partial numpy).
-    try:
-        sample = [0, 1, 17, 4097, (1 << 22) + 5, (1 << 33) + 12345]
-        k = np.asarray(sample, dtype=np.int64)
-        r = k >> 4
-        mc_v = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
-        sl_v = ((k ^ (k >> 11) ^ (k >> 22) ^ (k >> 33)) & 0x7FF) % map_spm
-        rb = k >> 6
-        bk_v = ((rb ^ (rb >> 9) ^ (rb >> 18) ^ (rb >> 27))
-                & 0x1FF) % num_banks
-        ok = all(int(mc_v[i]) == mapping.mc_of(key)
-                 and int(sl_v[i]) == mapping.slice_of(key)
-                 and int(bk_v[i]) == mapping.bank_of(key)
-                 for i, key in enumerate(sample))
-        st0 = slice_stores[0]
-        ok = ok and (st0.probe_many(sample)
-                     == [st0.probe(key) for key in sample])
-    except Exception:
-        return False
-    if not ok:
-        return False
+    # Install-time self-check: the inlined folds must agree with the
+    # mapping's own methods on a sample before the tier is allowed to own
+    # the run.
+    for key in (0, 1, 17, 4097, (1 << 22) + 5, (1 << 33) + 12345):
+        r = key >> 4
+        rb = key >> 6
+        if (((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
+                != mapping.mc_of(key)
+                or ((key ^ (key >> 11) ^ (key >> 22) ^ (key >> 33))
+                    & 0x7FF) % map_spm != mapping.slice_of(key)
+                or ((rb ^ (rb >> 9) ^ (rb >> 18) ^ (rb >> 27))
+                    & 0x1FF) % num_banks != mapping.bank_of(key)):
+            return False
 
     # ---------------------------------------------------------- constants
     programs = system.programs
@@ -262,19 +234,12 @@ def install_batchpath(system: Any) -> bool:
     # ------------------------------------------------------- launch sweep
     # repro: cold
     def precompute_program(prog: Any) -> None:
-        """Vectorized address decode for every warp ``prog`` just loaded:
-        the PAE folds run once per access stream as int64 array expressions
-        and land in the warp's SoA route columns.  ``tolist`` materializes
-        Python ints (mc/slice values are small-int cached), so the hot
-        loop pays plain list indexing.
+        """Address decode for every warp ``prog`` just loaded: the PAE
+        folds run once per access stream and land in the warp's SoA route
+        columns, so the hot loop pays plain list indexing.
 
-        One concatenated sweep per launch: per-warp arrays were measured
-        to spend more in numpy call overhead than in the folds themselves
-        (dozens of tiny arrays per kernel), so every warp's stream is
-        joined, folded once, materialized once, and sliced back per warp
-        with C-speed list slicing.  Launches too small to amortize even
-        one array round trip fold scalar — identical integer arithmetic,
-        so the columns are the same either way.
+        One concatenated sweep per launch: every warp's stream is joined,
+        folded once, and sliced back per warp with C-speed list slicing.
 
         A program in private mode pins every access's slice to the
         requester's cluster, so its slice columns would never be read:
@@ -285,32 +250,18 @@ def install_batchpath(system: Any) -> bool:
                  for warp in system.sms[sm_id].warps]
         if not warps:
             return
-        skip_slices = prog.mode is LLCMode.PRIVATE
         all_keys: list[int] = []
         for warp in warps:
             all_keys.extend(warp.keys)
-        sl_list: list[Any] = []
-        sg_list: list[Any] = []
-        if len(all_keys) >= 512:
-            k = np.asarray(all_keys, dtype=np.int64)
-            r = k >> 4
-            mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
-            mc_list = mc.tolist()
-            if not skip_slices:
-                sl = ((k ^ (k >> 11) ^ (k >> 22) ^ (k >> 33))
-                      & 0x7FF) % map_spm
-                sl_list = sl.tolist()
-                sg_list = (mc * spm + sl).tolist()
-        elif skip_slices:
-            mc_list = []
+        mc_list: list[int] = []
+        sl_list: list[int] = []
+        sg_list: list[int] = []
+        if prog.mode is LLCMode.PRIVATE:
             for key in all_keys:
                 r = key >> 4
                 mc_list.append(((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21))
                                 & 0x7F) % num_mcs)
         else:
-            mc_list = []
-            sl_list = []
-            sg_list = []
             for key in all_keys:
                 r = key >> 4
                 mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21))
@@ -333,17 +284,14 @@ def install_batchpath(system: Any) -> bool:
         """Route + pooled-request acquisition for the out-of-loop issue
         dispatchers (kernel warmup, diagnostics).  The PAE folds run inline
         — batch only installs on PAE mappings."""
+        r = key >> 4
+        mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
         if mode_private[sm.program_id]:
-            r = key >> 4
-            mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
             slice_local = sm.cluster_id
-            slice_global = mc * spm + slice_local
         else:
-            r = key >> 4
-            mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
             slice_local = ((key ^ (key >> 11) ^ (key >> 22)
                             ^ (key >> 33)) & 0x7FF) % map_spm
-            slice_global = mc * spm + slice_local
+        slice_global = mc * spm + slice_local
         if pool:
             req = pool.pop()
             req.sm = sm
@@ -357,7 +305,8 @@ def install_batchpath(system: Any) -> bool:
 
     def request_network(req: Any, when: float, flits_f: float,
                         flits_i: int) -> float:
-        """Closed-form request traversal (identical to the fast path's)."""
+        """Closed-form request traversal: the hierarchical crossbar's
+        ``request_arrival`` as inline arithmetic over the route's servers."""
         (sm_srv, smr, smr_port, longw, mcr, mcr_port, distw) = \
             req_routes[req.sm.sm_id * num_slices + req.slice_global]
         busy: float = sm_srv.busy_until
@@ -445,10 +394,8 @@ def install_batchpath(system: Any) -> bool:
                     rep_longw, rep_smr, rep_smr_port, rep_dist)
 
     # ------------------------------------------------------ slice stages
-    # Specialized per slice exactly like the fast path; the difference is
-    # that every counter with no mid-run reader accumulates in a closure
-    # cell and folds at collect time, and the DRAM bank/row decode reads
-    # the precomputed table.
+    # Specialized per slice: every counter with no mid-run reader
+    # accumulates in a closure cell and folds at collect time.
     # repro: cold
     def make_slice_closures(sg: int) -> tuple[Any, Any, Any, Any]:
         sl = llc_slices[sg]
@@ -479,8 +426,8 @@ def install_batchpath(system: Any) -> bool:
 
         def dram_write(at: float, key: int) -> None:
             """Bank state machine + bus occupancy for a DRAM write
-            (writeback or write-through).  Mirrors the fast path's
-            dram_access(is_write=True) minus the deferred counters."""
+            (writeback or write-through).  Mirrors ``DRAMChannel.access``
+            with ``is_write=True`` minus the deferred counters."""
             r = key >> 6
             bank = ((r ^ (r >> 9) ^ (r >> 18) ^ (r >> 27))
                     & 0x1FF) % num_banks
@@ -822,13 +769,13 @@ def install_batchpath(system: Any) -> bool:
     def make_sm_closures(sm: Any) -> tuple[Any, Any, Any]:
         """Build ``sm``'s private (wake, fill, retired) handler triple.
 
-        Same shape as the fast path's, with three changes: the address
-        folds read the warp's precomputed SoA route columns, issue pushes
-        go straight into the calendar bucket, and the L1/MSHR/issue
-        tallies defer to closure cells folded at collect time.  Control
-        flow (barriers, MSHR merge/stall, store-buffer credits, wake
-        coalescing) stays copied verbatim — those are the stateful points
-        that must not be collapsed."""
+        The event tier's ``_sm_wake``/``_on_fill``/``_on_write_retired``
+        with three changes: the address folds read the warp's precomputed
+        SoA route columns, issue pushes go straight into the engine's
+        heap, and the L1/MSHR/issue tallies defer to closure cells folded
+        at collect time.  Control flow (barriers, MSHR merge/stall,
+        store-buffer credits, wake coalescing) stays copied verbatim —
+        those are the stateful points that must not be collapsed."""
         l1 = sm.l1
         l1_store = l1._store
         smid = sm.sm_id
@@ -1032,12 +979,11 @@ def install_batchpath(system: Any) -> bool:
                 # Route lookup from the SoA columns (the launch sweep
                 # decoded every access already); private mode pins the
                 # slice to the requester's cluster.
+                mc = warp.mc_tab[acc_i]
                 if mode_private[program_id]:
-                    mc = warp.mc_tab[acc_i]
                     slice_local = cluster_id
                     slice_global = mc * spm + cluster_id
                 else:
-                    mc = warp.mc_tab[acc_i]
                     slice_local = warp.sl_tab[acc_i]
                     slice_global = warp.sg_tab[acc_i]
                 if pool:
@@ -1241,7 +1187,7 @@ def install_batchpath(system: Any) -> bool:
 
     # repro: cold
     def launch_kernel(prog: Any, now: float) -> None:
-        """Launch, then vector-decode the fresh warps' SoA route columns.
+        """Launch, then decode the fresh warps' SoA route columns.
         ``original_launch`` may recurse through _finish_kernel (zero-access
         kernels); re-sweeping the warps the inner call already decoded is
         idempotent."""

@@ -58,10 +58,10 @@ class WarpContext:
     """One warp's in-order stream position.
 
     ``mc_tab``/``sl_tab``/``sg_tab`` are the struct-of-arrays route columns
-    the batch execution tier precomputes per kernel launch (one numpy sweep
-    over ``keys`` decodes every access's memory controller and LLC slice up
+    the batch execution tier precomputes per kernel launch (one sweep over
+    ``keys`` decodes every access's memory controller and LLC slice up
     front — see :mod:`repro.gpu.batchpath`); they stay ``None`` under the
-    event and fastpath tiers, which decode addresses per access.
+    event tier, which decodes addresses per access.
     """
 
     __slots__ = ("keys", "writes", "cursor", "waiting_on", "group",

@@ -21,7 +21,6 @@ servers, one engine event per L1 miss):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -320,8 +319,6 @@ class GPUSystem:
             policies itself.
         policy_params: parameter overrides for a name/config ``policy``
             (rejected alongside an instance, which carries its own).
-        mode: deprecated alias for ``policy`` (the historical kwarg name);
-            passing both raises.
     """
 
     def __init__(self, cfg: GPUConfig,
@@ -330,21 +327,12 @@ class GPUSystem:
                  collect_locality: bool = False,
                  locality_window: float = 1000.0,
                  *,
-                 policy_params: Optional[dict] = None,
-                 mode: Optional[str] = None):
-        if mode is not None:
-            if policy is not None:
-                raise ValueError(
-                    "pass either policy= or the deprecated mode=, not both")
-            warnings.warn(
-                "GPUSystem(mode=...) is deprecated; use policy=",
-                DeprecationWarning, stacklevel=2)
-            policy = mode
+                 policy_params: Optional[dict] = None):
         if isinstance(workload, Scenario):
             if policy is not None or policy_params:
                 raise ValueError(
                     "a Scenario carries per-program policies; the global "
-                    "policy=/policy_params=/mode= kwargs must be omitted")
+                    "policy=/policy_params= kwargs must be omitted")
             self.scenario = workload
             self._explicit_scenario = True
             # One policy instance per program, scoped to it at bind time.
@@ -457,15 +445,14 @@ class GPUSystem:
             pol.bind(self, scope)
         for pol, _scope in self._policy_bindings:
             pol.setup()
-        # Execution tier: installed last so the fast path specializes on the
-        # post-setup state (policies may have set modes, bypass, or enabled
-        # per-program counters).  Installation swaps the pipeline stage
-        # methods for closed-form closures; results are byte-identical by
-        # contract (see repro.gpu.fastpath), pinned by the tier-parity suite.
-        # Consolidation runs (mid-run admissions, per-request latency
-        # tracking) are outside what the accelerated tiers specialize on,
-        # so they decline down the existing batch -> fastpath -> event
-        # chain and the event tier runs them.
+        # Execution tier: installed last so the batch tier specializes on
+        # the post-setup state (policies may have set modes, bypass, or
+        # enabled per-program counters).  Installation swaps the pipeline
+        # stage methods for closed-form closures; results are byte-identical
+        # by contract (see repro.gpu.batchpath), pinned by the tier-parity
+        # suite.  Consolidation runs (mid-run admissions, per-request
+        # latency tracking) are outside what the batch tier specializes on,
+        # so it declines and the event tier runs them.
         self._tier_ineligible = (
             self._track_latency
             or (self._admission_times is not None
@@ -474,18 +461,8 @@ class GPUSystem:
         self._tier_flush = None
         if cfg.tier == "batch":
             from repro.gpu.batchpath import install_batchpath
-            from repro.gpu.fastpath import install_fastpath
             if install_batchpath(self):
                 self.tier = "batch"
-            elif install_fastpath(self):
-                # Decline chain: batch -> fastpath -> event.  A declined
-                # batch system behaves byte-identically to one configured
-                # with the tier it fell back to.
-                self.tier = "fastpath"
-        elif cfg.tier == "fastpath":
-            from repro.gpu.fastpath import install_fastpath
-            if install_fastpath(self):
-                self.tier = "fastpath"
 
     # ------------------------------------------------------------ assembly
     def _build_programs(self, workload) -> list[_ProgramContext]:

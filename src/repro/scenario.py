@@ -92,7 +92,7 @@ class Scenario:
             admission event that re-derives LLC routing.
         track_latency: record per-request round-trip latencies per tenant
             and report p50/p95/p99 in the program stats.  Forces the
-            event execution tier (accelerated tiers decline).
+            event execution tier (the batch tier declines).
     """
 
     programs: list[ProgramSpec] = field(default_factory=list)

@@ -32,8 +32,8 @@ a pop + push).  This is safe because a firing callback can only schedule at
 remains the heap minimum while it runs — the loop peeks, dispatches, then
 pops or replaces.  Crucially the continuation receives exactly the seq it
 would have drawn from a trailing ``schedule_call``, so the two styles are
-interchangeable without perturbing FIFO order; the fast-path execution tier
-(:mod:`repro.gpu.fastpath`) relies on this to stay byte-identical with the
+interchangeable without perturbing FIFO order; the batch execution tier
+(:mod:`repro.gpu.batchpath`) relies on this to stay byte-identical with the
 event tier while halving heap traffic.
 """
 

@@ -10,8 +10,8 @@ without scheduling intermediate events.
 
 This "enqueue returns completion time" style is the core trick that makes an
 80-SM GPU simulatable in pure Python: one heap event per request round trip,
-O(1) arithmetic per hop.  The fast-path execution tier
-(:mod:`repro.gpu.fastpath`) leans on it even harder, inlining the
+O(1) arithmetic per hop.  The batch execution tier
+(:mod:`repro.gpu.batchpath`) leans on it even harder, inlining the
 ``enqueue`` arithmetic into straight-line stage handlers — which is why the
 method body below is kept branch-minimal: one validity check, three state
 updates, no window bookkeeping (windows are derived lazily from
@@ -63,13 +63,6 @@ class BandwidthServer:
         self.jobs += 1
         return done
 
-    def peek(self, now: float, occupancy: float) -> float:
-        """Completion time :meth:`enqueue` *would* return, without claiming
-        the resource.  The fast-path tier uses this to price a round trip
-        before committing to it."""
-        busy = self.busy_until
-        return (busy if busy > now else now) + occupancy
-
     def queue_delay(self, now: float) -> float:
         """Cycles a job arriving now would wait before starting service."""
         return max(0.0, self.busy_until - now)
@@ -102,23 +95,6 @@ class BandwidthServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BandwidthServer({self.name!r}, busy_until={self.busy_until:.1f}, jobs={self.jobs})"
-
-
-def enqueue_chain(servers, now: float, occupancies, latencies) -> float:
-    """Thread one job through a chain of servers in closed form.
-
-    ``servers``, ``occupancies`` and ``latencies`` are parallel sequences:
-    the job enters server *i* when it exits server *i-1* plus that hop's
-    extra pipeline ``latencies[i-1]``.  Returns the tail exit time after the
-    last hop's latency — the whole multi-hop traversal as one arithmetic
-    expression, no events.  This is the reference semantics the fast-path
-    tier's inlined stage handlers reproduce (and the generic helper for
-    chains built at runtime, e.g. in tests and ad-hoc tools).
-    """
-    t = now
-    for server, occupancy, latency in zip(servers, occupancies, latencies):
-        t = server.enqueue(t, occupancy) + latency
-    return t
 
 
 class LatencyLink:

@@ -1,37 +1,36 @@
 """The batch-tier install-decline matrix: refuse politely, change nothing.
 
 :func:`~repro.gpu.batchpath.install_batchpath` specializes a system only
-when its shape is inside the vectorized envelope; outside it, the install
+when its shape is inside the closed-form envelope; outside it, the install
 must *decline* — return False, leave the event tier active, and leave the
 system so untouched that its run is byte-identical to a twin system that
 never saw the installer.  One test per documented decline reason:
 
-* numpy not importable (it is an *optional* dependency — pinned by
-  monkeypatching the tier's ``_numpy`` probe, not by uninstalling),
 * non-``HierarchicalCrossbar`` topology,
 * non-LRU replacement anywhere in the L1/LLC tag stores,
 * a nonzero tag-store ``index_shift``,
 * non-uniform set counts across slices (or across L1s),
-* a non-PAE address mapping (the vectorized folds encode the PAE hash),
+* a non-PAE address mapping (the inlined folds encode the PAE hash), be
+  it the Hynix mapping or a ``PAEMapping`` subclass,
 * an engine that is not the stock binary-heap ``Engine`` (the tier pushes
   fully-formed entries into ``engine._heap`` directly).
 
-The numpy and topology cases are reachable without mutating tag stores,
-so they also pin the end-to-end fallback chain: a ``tier="batch"`` config
-silently falls back (to the fast path, then to the event tier) and
-produces byte-identical results.  The other shapes cannot be configured
-today, so they are created by mutating *two identical systems the same
-way* and attempting the install on only one — any state the declined
-installer perturbed would show up as a result divergence between the
-twins.
+The topology and Hynix cases are reachable from configuration alone, so
+they also pin the end-to-end contract: a ``tier="batch"`` config silently
+falls back to the event tier and produces byte-identical results.  The
+other shapes cannot be configured today, so they are created by mutating
+*two identical systems the same way* and attempting the install on only
+one — any state the declined installer perturbed would show up as a
+result divergence between the twins.
 """
 
 import dataclasses
 
+import pytest
+
 from repro.cache.replacement import FIFOPolicy
 from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import experiment_config
-from repro.gpu import batchpath
 from repro.gpu.batchpath import install_batchpath
 from repro.gpu.system import GPUSystem
 from repro.mem.address_map import PAEMapping
@@ -60,49 +59,35 @@ def _assert_declined_and_untouched(declined: GPUSystem,
         "that never attempted installation")
 
 
-# ---------------------------------------------------- numpy-absent reason
-def test_decline_without_numpy(monkeypatch):
-    """With numpy unavailable the installer declines before touching the
-    system; the declined twin matches one never offered the tier."""
-    monkeypatch.setattr(batchpath, "_numpy", lambda: None)
-    declined, untouched = _twin_systems()
-    _assert_declined_and_untouched(declined, untouched)
-
-
-def test_numpy_absence_falls_back_to_fastpath_end_to_end(monkeypatch):
-    """A ``tier="batch"`` config on a numpy-less interpreter behaves
-    exactly like a ``tier="fastpath"`` config: the decline chain installs
-    the fast path, and the results are byte-identical to a twin that asked
-    for the fast path outright (which is itself parity-pinned against the
-    event tier)."""
-    monkeypatch.setattr(batchpath, "_numpy", lambda: None)
-    workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
-    batch_sys = GPUSystem(experiment_config().replace(tier="batch"),
-                          workload, policy="shared")
-    assert batch_sys.tier == "fastpath", \
-        "batch without numpy must fall back to the fast path"
-    fast_sys = GPUSystem(experiment_config().replace(tier="fastpath"),
-                         workload, policy="shared")
-    assert batch_sys.run().to_dict() == fast_sys.run().to_dict()
-
-
-# ------------------------------------------------- config-reachable reason
-def test_decline_non_hierarchical_crossbar_topology():
-    """A full-crossbar config with tier="batch" falls back all the way to
-    the event tier (the fast path declines off-hxbar too): same spec,
-    same results, tier honest."""
-    noc_full = dataclasses.replace(experiment_config().noc, topology="full")
-    cfg_batch = experiment_config().replace(noc=noc_full, tier="batch")
-    cfg_event = experiment_config().replace(noc=noc_full)
-
+def _assert_config_falls_back(cfg_event) -> None:
+    """``cfg_event`` with tier="batch" installs the event tier and runs
+    byte-identically to ``cfg_event`` itself."""
+    cfg_batch = cfg_event.replace(tier="batch")
     workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
     system = GPUSystem(cfg_batch, workload, policy="shared")
-    assert system.tier == "event", "batch must decline off-hxbar"
+    assert system.tier == "event"
 
     batch_spec = RunSpec.single("VA", "shared", cfg_batch, scale=TINY)
     event_spec = RunSpec.single("VA", "shared", cfg_event, scale=TINY)
     assert execute_spec(batch_spec).to_dict() == \
         execute_spec(event_spec).to_dict()
+
+
+# ------------------------------------------------ config-reachable reasons
+def test_decline_non_hierarchical_crossbar_topology():
+    noc_full = dataclasses.replace(experiment_config().noc, topology="full")
+    _assert_config_falls_back(experiment_config().replace(noc=noc_full))
+
+
+def test_decline_hynix_mapping():
+    _assert_config_falls_back(
+        experiment_config().replace(address_mapping="hynix"))
+
+
+def test_fastpath_tier_is_rejected():
+    with pytest.raises(ValueError, match="unknown execution tier") as exc:
+        experiment_config().replace(tier="fastpath").validate()
+    assert "event, batch" in str(exc.value)
 
 
 # ------------------------------------------------- mutation-only reasons
@@ -140,9 +125,16 @@ def test_decline_non_uniform_set_counts():
     _assert_declined_and_untouched(declined, untouched)
 
 
+def test_decline_non_uniform_l1_set_counts():
+    declined, untouched = _twin_systems()
+    for system in (declined, untouched):
+        system.sms[0].l1._store.num_sets //= 2
+    _assert_declined_and_untouched(declined, untouched)
+
+
 class _TracingMapping(PAEMapping):
     """Behaviourally identical subclass: the exact-type guard must decline
-    it anyway, because the vectorized folds encode PAEMapping's hash and a
+    it anyway, because the inlined folds encode PAEMapping's hash and a
     subclass may override any of the fold methods."""
 
 
@@ -171,8 +163,6 @@ def test_decline_non_stock_engine_subclass():
 # ----------------------------------------------------------------- control
 def test_unmutated_twin_installs():
     """The mutation harness itself must not be why installs decline: an
-    untouched twin accepts the batch tier (when numpy is importable)."""
-    import pytest
-    pytest.importorskip("numpy")
+    untouched twin accepts the batch tier."""
     system, _ = _twin_systems()
     assert install_batchpath(system) is True

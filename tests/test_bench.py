@@ -42,9 +42,9 @@ def test_run_bench_tiers_agree_on_simulation():
     # The tier changes how results are computed, never what they are.
     data = run_bench(TINY, modes=("adaptive",))
     event = data["adaptive"]
-    fast = data["adaptive[fastpath]"]
-    assert event["events"] == fast["events"]
-    assert event["cycles"] == fast["cycles"]
+    batch = data["adaptive[batch]"]
+    assert event["events"] == batch["events"]
+    assert event["cycles"] == batch["cycles"]
 
 
 def test_run_bench_includes_counters_scenario():
@@ -61,8 +61,8 @@ def test_bench_scenario_records_median_of_samples():
 
 def test_tier_speedups_pairs_scenarios():
     data = {"adaptive": _payload(100.0),
-            "adaptive[fastpath]": _payload(250.0),
-            "shared": _payload(100.0),  # no fastpath twin
+            "adaptive[batch]": _payload(250.0),
+            "shared": _payload(100.0),  # no batch twin
             "_meta": {}}
     assert tier_speedups(data) == {"adaptive": 2.5}
 
@@ -121,12 +121,12 @@ def test_cli_bench_single_tier(tmp_path):
     assert rc == 0
     record = load_bench(out)
     assert "adaptive" in record
-    assert "adaptive[fastpath]" not in record
+    assert "adaptive[batch]" not in record
 
 
 def test_cli_bench_tier_speedup_gate(tmp_path, capsys):
     out = str(tmp_path / "bench.json")
-    # An impossible floor must fail; any real fastpath run is < 1000x.
+    # An impossible floor must fail; any real batch run is < 1000x.
     rc = main(["bench", "--scale", "smoke", "--out", out,
                "--min-tier-speedup", "1000"])
     assert rc == 1

@@ -154,60 +154,3 @@ def test_resident_keys_consistent_with_probe(keys):
     resident = c.resident_keys()
     assert len(resident) == c.occupancy()
     assert all(c.probe(k) for k in resident)
-
-
-# ----------------------------------------------------- batched tag lookup
-@settings(max_examples=30)
-@given(st.lists(st.integers(0, 1023), min_size=0, max_size=300),
-       st.lists(st.integers(0, 1023), min_size=0, max_size=50))
-def test_probe_many_matches_scalar_probe(fills, queries):
-    """probe_many(keys)[i] == probe(keys[i]) for any fill history, with no
-    state mutation (same guarantees as probe)."""
-    c = SetAssocCache(num_sets=6, assoc=3, index_shift=1)
-    for k in fills:
-        c.access(k, is_write=bool(k & 1))
-    before = (c.hits, c.misses, c.evictions, c.writebacks,
-              c.resident_keys())
-    assert c.probe_many(queries) == [c.probe(k) for k in queries]
-    assert (c.hits, c.misses, c.evictions, c.writebacks,
-            c.resident_keys()) == before
-
-
-def test_probe_many_scalar_fallback_without_numpy(monkeypatch):
-    """When numpy is not importable, probe_many degrades to per-key scalar
-    probes with identical results (numpy is an optional dependency)."""
-    import builtins
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy":
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    c = SetAssocCache(num_sets=4, assoc=2)
-    for k in range(10):
-        c.access(k)
-    queries = list(range(16))
-    expected = [c.probe(k) for k in queries]
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    assert c.probe_many(queries) == expected
-
-
-def test_as_arrays_snapshot_matches_tag_state():
-    np = pytest.importorskip("numpy")
-    c = SetAssocCache(num_sets=4, assoc=2)
-    c.access(0)
-    c.access(4, is_write=True)
-    c.access(5, is_write=True)
-    tags, dirty = c.as_arrays()
-    assert tags.shape == dirty.shape == (4, 2)
-    resident = sorted(int(t) for t in tags.ravel() if t != -1)
-    assert resident == sorted(c.resident_keys())
-    # Dirty bits line up with the write-allocated keys.
-    for key in (4, 5):
-        pos = np.argwhere(tags == key)
-        assert len(pos) == 1 and bool(dirty[tuple(pos[0])])
-    assert not dirty[tuple(np.argwhere(tags == 0)[0])]
-    # The snapshot does not alias the live store.
-    tags[0, 0] = 999
-    assert not c.probe(999)

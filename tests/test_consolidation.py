@@ -5,7 +5,7 @@ The two load-bearing pins live at the bottom: a two-tenant closed
 consolidation run is *the same simulation* as the legacy pair path
 (core counters equal), and an open-system run is a pure function of
 ``(spec, seed)`` — byte-identical ``to_dict()`` across repeats, and
-across execution-tier configs (the accelerated tiers decline).
+across execution-tier configs (the batch tier declines).
 """
 
 import json
@@ -223,16 +223,15 @@ def test_open_system_run_is_byte_identical_across_repeats():
 
 def test_accelerated_tier_configs_decline_and_match_the_event_tier():
     """Latency tracking forces the event tier: a consolidation run under
-    a fastpath/batch config must produce the event tier's exact bytes
-    (the installers decline rather than mis-simulate)."""
+    a batch config must produce the event tier's exact bytes (the
+    installer declines rather than mis-simulate)."""
     kwargs = dict(scale=TINY, max_kernels=1,
                   arrivals="poisson:gap=1500", seed=4)
     event = run_consolidation(TENANTS_3, cfg=experiment_config(), **kwargs)
-    for tier in ("fastpath", "batch"):
-        cfg = experiment_config().replace(tier=tier)
-        twin = run_consolidation(TENANTS_3, cfg=cfg, **kwargs)
-        assert json.dumps(twin.to_dict(), sort_keys=True) == \
-            json.dumps(event.to_dict(), sort_keys=True), tier
+    cfg = experiment_config().replace(tier="batch")
+    twin = run_consolidation(TENANTS_3, cfg=cfg, **kwargs)
+    assert json.dumps(twin.to_dict(), sort_keys=True) == \
+        json.dumps(event.to_dict(), sort_keys=True)
 
 
 def test_per_tenant_counters_are_isolated_at_n3():

@@ -76,7 +76,7 @@ def test_rows_to_html_escapes():
 # --------------------------------------------------------------------- CLI
 def test_parser_commands():
     parser = build_parser()
-    args = parser.parse_args(["run", "VA", "--mode", "shared"])
+    args = parser.parse_args(["run", "VA", "--policy", "shared"])
     assert args.benchmark == "VA"
     args = parser.parse_args(["figure", "13", "--scale", "0.5"])
     assert args.number == "13"
@@ -107,6 +107,6 @@ def test_cli_analyze(capsys):
 
 
 def test_cli_run_small(capsys):
-    assert main(["run", "VA", "--mode", "shared", "--scale", "0.05"]) == 0
+    assert main(["run", "VA", "--policy", "shared", "--scale", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "IPC" in out

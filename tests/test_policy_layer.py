@@ -96,14 +96,13 @@ def test_canonical_names_match_legacy_alias_results():
         assert {**new.to_dict(), "mode": legacy} == old.to_dict()
 
 
-def test_mode_kwarg_is_deprecated_alias():
+def test_policy_kwarg_names_the_run_and_mode_kwarg_is_gone():
     cfg = small_cfg()
     w = build("VA", total_accesses=2000, num_ctas=80, max_kernels=1)
-    with pytest.deprecated_call():
-        system = GPUSystem(cfg, w, mode="shared")
+    system = GPUSystem(cfg, w, policy="shared")
     assert system.mode_name == "shared"
-    with pytest.raises(ValueError, match="not both"):
-        GPUSystem(cfg, w, policy="shared", mode="shared")
+    with pytest.raises(TypeError):
+        GPUSystem(cfg, w, mode="shared")
 
 
 def test_policy_instance_and_config_accepted():
@@ -300,10 +299,11 @@ def test_cli_run_rejects_bad_policy_spec():
 def test_cli_run_rejects_policy_plus_mode(capsys):
     from repro.cli import main
 
-    # Same conflict GPUSystem hard-errors on: never silently prefer one.
-    assert main(["run", "VA", "--policy", "hysteresis",
-                 "--mode", "shared"]) == 2
-    assert "not both" in capsys.readouterr().err
+    # --policy is the only spelling: the removed --mode alias is an
+    # unknown argument, alone or beside --policy.
+    with pytest.raises(SystemExit):
+        main(["run", "VA", "--policy", "hysteresis", "--mode", "shared"])
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_cli_sweep_accepts_repeatable_policies(capsys):

@@ -51,7 +51,7 @@ def gpu_config_variants() -> dict[str, GPUConfig]:
     special = {
         "address_mapping": "hynix",
         "cta_scheduler": "bcs",
-        "tier": "fastpath",
+        "tier": "batch",
         "dram_timing": bump_first_numeric(base.dram_timing),
         "noc": bump_first_numeric(base.noc),
         "adaptive": bump_first_numeric(base.adaptive),
@@ -99,7 +99,7 @@ def test_gpu_config_tier_elided_at_default():
     # pre-tier serialized configs keep hashing identically.
     base = GPUConfig.baseline()
     assert "tier" not in base.to_dict()
-    assert "tier" in base.replace(tier="fastpath").to_dict()
+    assert "tier" in base.replace(tier="batch").to_dict()
 
 
 # ---------------------------------------------------------------- RunSpec

@@ -1,11 +1,10 @@
-"""Tier-parity suite: the accelerated tiers must change nothing but speed.
+"""Tier-parity suite: the batch tier must change nothing but speed.
 
-The fast-path execution tier (:mod:`repro.gpu.fastpath`) recomputes the
-event tier's deterministic round trips as closed-form arithmetic, and the
-batch tier (:mod:`repro.gpu.batchpath`) adds struct-of-arrays request
-state with numpy-vectorized launch sweeps on top — but both share the
-same strict contract: byte-identical ``RunResult.to_dict()`` for the
-same spec, down to float bit patterns, because campaign cache keys elide
+The batch execution tier (:mod:`repro.gpu.batchpath`) recomputes the
+event tier's deterministic round trips as closed-form arithmetic over
+launch-decoded route columns and deferred counters — under a strict
+contract: byte-identical ``RunResult.to_dict()`` for the same spec, down
+to float bit patterns, because campaign cache keys elide
 the tier (``GPUConfig.to_dict``) and a cached event-tier result must be
 interchangeable with a fresh accelerated run.
 
@@ -37,26 +36,14 @@ with open(GOLDEN_PATH, encoding="utf-8") as _fh:
 
 TINY = 0.02
 
-#: The accelerated tiers under parity test.  The batch tier needs numpy
-#: for its install probe (it declines cleanly without it — covered by
-#: tests/test_batchpath_decline.py), so its cases skip when numpy is
-#: absent rather than vacuously comparing event vs event.
-ACCEL_TIERS = ("fastpath", "batch")
-
-
-def _needs_numpy(tier: str) -> None:
-    if tier == "batch":
-        pytest.importorskip("numpy")
+#: The accelerated tiers under parity test.
+ACCEL_TIERS = ("batch",)
 
 
 def _tier_spec(spec: RunSpec, tier: str) -> RunSpec:
     if tier == "event":
         return spec
     return dataclasses.replace(spec, cfg=spec.cfg.replace(tier=tier))
-
-
-def _fastpath_spec(spec: RunSpec) -> RunSpec:
-    return _tier_spec(spec, "fastpath")
 
 
 @pytest.mark.parametrize("tier", ACCEL_TIERS)
@@ -68,7 +55,6 @@ def test_accel_tier_installs_on_experiment_config(tier):
     from repro.gpu.system import GPUSystem
     from repro.workloads.catalog import build
 
-    _needs_numpy(tier)
     cfg = experiment_config().replace(tier=tier)
     workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
     system = GPUSystem(cfg, workload, policy="shared")
@@ -94,7 +80,6 @@ def test_event_tier_is_the_default_and_keys_predate_the_tier():
 @pytest.mark.parametrize("key", sorted(GOLDEN),
                          ids=[GOLDEN[k]["label"] for k in sorted(GOLDEN)])
 def test_accel_tier_reproduces_golden_captures(key, tier):
-    _needs_numpy(tier)
     entry = GOLDEN[key]
     spec = _tier_spec(RunSpec.from_dict(entry["spec"]), tier)
     result = execute_spec(spec).to_dict()
@@ -120,7 +105,6 @@ def test_accel_tier_matches_event_on_transitioning_hetero_mix(tier):
     """Mode transitions flush the tier mid-run (per-program private/shared
     routing flips under the accelerated tier's feet); a heterogeneous mix
     where *both* interval controllers fire pins that boundary."""
-    _needs_numpy(tier)
     event = execute_spec(_hetero_spec("event"))
     accel = execute_spec(_hetero_spec(tier))
     assert event.transitions >= 2, (
@@ -128,3 +112,48 @@ def test_accel_tier_matches_event_on_transitioning_hetero_mix(tier):
         "or the flush path is untested")
     assert all(p.transitions >= 1 for p in event.programs)
     assert accel.to_dict() == event.to_dict()
+
+
+_NO_NUMPY_PROBE = """
+import hashlib, json, sys
+from repro.experiments.runner import experiment_config
+from repro.gpu.system import GPUSystem
+from repro.workloads.catalog import build
+
+workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
+system = GPUSystem(experiment_config().replace(tier="batch"), workload,
+                   policy="adaptive")
+result = json.dumps(system.run().to_dict(), sort_keys=True)
+print(json.dumps({"tier": system.tier,
+                  "numpy": "numpy" in sys.modules,
+                  "digest": hashlib.sha256(result.encode()).hexdigest()}))
+"""
+
+
+def test_batch_tier_runs_without_importing_numpy():
+    """The batch tier is pure Python: a fresh interpreter that builds and
+    runs a batch system never imports numpy, and still reproduces the
+    event tier's bytes."""
+    import hashlib
+    import subprocess
+    import sys
+
+    from repro.experiments.runner import experiment_config
+    from repro.gpu.system import GPUSystem
+    from repro.workloads.catalog import build
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["tier"] == "batch"
+    assert probe["numpy"] is False
+
+    workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
+    event = GPUSystem(experiment_config(), workload, policy="adaptive")
+    digest = hashlib.sha256(json.dumps(event.run().to_dict(),
+                                       sort_keys=True).encode()).hexdigest()
+    assert probe["digest"] == digest

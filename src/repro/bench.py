@@ -23,11 +23,12 @@ Scenario keys are the LLC policy names for the event tier (``"adaptive"``)
 with a ``[batch]`` suffix for the batch tier (``"adaptive[batch]"``); the
 ``adaptive+counters`` scenario times the adaptive policy with
 :meth:`GPUSystem.enable_program_counters` on, the instrumented path
-Scenario-API policies pay.  ``_meta`` is advisory;
-comparison tooling (:func:`compare_bench`) looks only at
-``events_per_sec`` in the scenario entries, so records written by older
-schema versions (no ``tier``/``samples`` fields, fewer tiers) still load
-and compare.
+Scenario-API policies pay, and ``arrivals`` times a three-tenant
+consolidation run with Poisson admissions and latency tracking.
+``_meta`` is advisory; comparison tooling (:func:`compare_bench`) looks
+only at ``events_per_sec`` in the scenario entries, so records written by
+older schema versions (no ``tier``/``samples`` fields, fewer tiers) still
+load and compare.
 
 Timing methodology: each scenario builds the workload and system outside
 the timed region (trace generation is setup, not simulation) and times
@@ -61,12 +62,6 @@ SCENARIOS = (
     ("arrivals", "adaptive", False),
 )
 
-#: Scenarios pinned to the event tier.  Consolidation runs track
-#: per-request latency and admit tenants mid-run, so the batch tier
-#: declines the install — timing it there would measure the event tier
-#: twice and drag the tier-speedup geomean toward 1.0.
-EVENT_ONLY = frozenset({"arrivals"})
-
 #: Default benchmark: VA is a neutral streaming workload whose adaptive run
 #: exercises profiling epochs, transitions, and both organizations.
 DEFAULT_BENCHMARK = "VA"
@@ -87,7 +82,7 @@ def _system_factory(abbr: str, mode: str, scale: float, tier: str,
 
     ``arrivals`` builds the consolidation scenario instead: three tenants
     running ``abbr`` with staggered Poisson admissions and per-request
-    latency tracking — the event-tier-only serving path.
+    latency tracking — the open-system serving path.
     """
     from repro.experiments.runner import _accesses_for, experiment_config
     from repro.gpu.system import GPUSystem
@@ -198,13 +193,11 @@ def run_bench(scale: float, benchmark_abbr: str = DEFAULT_BENCHMARK,
     for name, mode, counters in SCENARIOS:
         if modes is not None and mode not in modes:
             continue
-        scenario_tiers = tuple(t for t in tiers if t == "event") \
-            if name in EVENT_ONLY else tiers
-        for tier in scenario_tiers:
+        for tier in tiers:
             out[scenario_key(name, tier)] = bench_scenario(
                 benchmark_abbr, mode, scale, repeat,
                 tier=tier, counters=counters,
-                arrivals=name in EVENT_ONLY)
+                arrivals=name == "arrivals")
     out["_meta"] = {
         "benchmark": benchmark_abbr,
         "scale": scale,

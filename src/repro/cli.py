@@ -258,9 +258,9 @@ def _run_mix(args: argparse.Namespace, campaign: Campaign,
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (EVENT_ONLY, SCENARIOS, TIERS, compare_bench,
-                             load_bench, profile_scenario, run_bench,
-                             scenario_key, tier_speedups, write_bench)
+    from repro.bench import (SCENARIOS, TIERS, compare_bench, load_bench,
+                             profile_scenario, run_bench, scenario_key,
+                             tier_speedups, write_bench)
 
     tiers = TIERS if args.tier == "both" else (args.tier,)
     data = run_bench(args.scale, benchmark_abbr=args.benchmark,
@@ -279,13 +279,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         profile_path += ".profile.txt"
         sections = []
         for name, mode, counters in SCENARIOS:
-            scenario_tiers = tuple(t for t in tiers if t == "event") \
-                if name in EVENT_ONLY else tiers
-            for tier in scenario_tiers:
+            for tier in tiers:
                 key = scenario_key(name, tier)
                 table = profile_scenario(args.benchmark, mode, args.scale,
                                          tier=tier, counters=counters,
-                                         arrivals=name in EVENT_ONLY,
+                                         arrivals=name == "arrivals",
                                          top=args.profile_top)
                 sections.append(f"==== {key} ====\n{table}")
         with open(profile_path, "w", encoding="utf-8") as fh:

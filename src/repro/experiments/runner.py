@@ -200,7 +200,27 @@ def run_consolidation(tenants, cfg: Optional[GPUConfig] = None,
                       placement: Optional[str] = None, seed: int = 0,
                       collect_locality: bool = False,
                       with_energy: bool = False) -> RunResult:
-    """Run an N-tenant consolidation mix with open-system arrivals.
+    """Run an N-tenant consolidation mix (see
+    :func:`consolidation_system`); ``with_energy`` attaches the power
+    model's report."""
+    system = consolidation_system(tenants, cfg, scale=scale,
+                                  max_kernels=max_kernels, num_ctas=num_ctas,
+                                  arrivals=arrivals, placement=placement,
+                                  seed=seed,
+                                  collect_locality=collect_locality)
+    result = system.run()
+    if with_energy:
+        result.energy = GPUPowerModel().report(system, result)
+    return result
+
+
+def consolidation_system(tenants, cfg: Optional[GPUConfig] = None,
+                         scale: float = 1.0, max_kernels: int = 1,
+                         num_ctas: Optional[int] = None,
+                         arrivals: Optional[str] = None,
+                         placement: Optional[str] = None, seed: int = 0,
+                         collect_locality: bool = False) -> GPUSystem:
+    """Build an N-tenant consolidation mix with open-system arrivals.
 
     ``tenants`` is a sequence of ``(benchmark, policy, params_dict)``
     triples, one per tenant in admission order.  The workloads share the
@@ -211,8 +231,8 @@ def run_consolidation(tenants, cfg: Optional[GPUConfig] = None,
     (default: the generalized Figure 9 cluster-split).
 
     Per-request latency tracking is always on — consolidation runs exist
-    to report tail latency and fairness — which forces the event
-    execution tier (the batch tier declines).
+    to report tail latency and fairness.  A ``cfg`` with ``tier="batch"``
+    runs the mix on the batch tier, byte-identical to the event tier.
     """
     from repro.consolidate.arrivals import arrival_times
     from repro.scenario import ProgramSpec, Scenario
@@ -231,11 +251,7 @@ def run_consolidation(tenants, cfg: Optional[GPUConfig] = None,
         [ProgramSpec(wl, mode, params)
          for wl, (_, mode, params) in zip(mp.programs, tenants)],
         placement=placement, arrival_times=times, track_latency=True)
-    system = GPUSystem(cfg, scenario, collect_locality=collect_locality)
-    result = system.run()
-    if with_energy:
-        result.energy = GPUPowerModel().report(system, result)
-    return result
+    return GPUSystem(cfg, scenario, collect_locality=collect_locality)
 
 
 def print_rows(rows: list[dict], columns: Optional[list[str]] = None) -> None:

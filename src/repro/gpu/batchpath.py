@@ -56,16 +56,18 @@ suite pins ``RunResult.to_dict()`` against the golden captures.
 
 Decline contract
 ----------------
-``install_batchpath`` returns False — leaving the system un-mutated — for
-consolidation runs (mid-run admissions or latency tracking), when the
-topology is not the hierarchical crossbar, any tag store uses non-LRU
+``install_batchpath`` returns False — leaving the system un-mutated — when
+the topology is not the hierarchical crossbar, any tag store uses non-LRU
 replacement, a nonzero ``index_shift`` or non-uniform set counts, the
 address mapping is not exactly the PAE hash (the inlined folds encode it,
 so subclasses and the Hynix mapping decline), the engine is not the stock
 binary-heap ``Engine``, or the install-time self-check (inlined folds
 against the mapping's own ``mc_of``/``slice_of``/``bank_of``) fails.
 ``GPUSystem`` then runs the event tier; results are byte-identical either
-way.
+way.  Consolidation runs install: per-request latency is stamped at issue
+and recorded at fill with the event tier's float expression, and a
+mid-run admission reaches the tier through ``update_bypass`` (mode flags)
+and ``_launch_kernel`` (route columns) before any of its wakes fire.
 """
 
 # repro: hot-path
@@ -95,10 +97,6 @@ def install_batchpath(system: Any) -> bool:
     """
     from repro.gpu.system import Request
 
-    if getattr(system, "_tier_ineligible", False):
-        # Consolidation runs: mid-run tenant admissions and per-request
-        # latency tracking are outside the specialized envelope.
-        return False
     topo = system.topology
     if not isinstance(topo, HierarchicalCrossbar):
         return False
@@ -279,92 +277,6 @@ def install_batchpath(system: Any) -> bool:
             warp.sg_tab = sg_list[base:end]
             base = end
 
-    # ------------------------------------------------------------- issue
-    def acquire(sm: Any, key: int) -> Any:
-        """Route + pooled-request acquisition for the out-of-loop issue
-        dispatchers (kernel warmup, diagnostics).  The PAE folds run inline
-        — batch only installs on PAE mappings."""
-        r = key >> 4
-        mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21)) & 0x7F) % num_mcs
-        if mode_private[sm.program_id]:
-            slice_local = sm.cluster_id
-        else:
-            slice_local = ((key ^ (key >> 11) ^ (key >> 22)
-                            ^ (key >> 33)) & 0x7FF) % map_spm
-        slice_global = mc * spm + slice_local
-        if pool:
-            req = pool.pop()
-            req.sm = sm
-            req.key = key
-            req.mc = mc
-            req.slice_local = slice_local
-            req.slice_global = slice_global
-        else:
-            req = Request(sm, key, mc, slice_local, slice_global)
-        return req
-
-    def request_network(req: Any, when: float, flits_f: float,
-                        flits_i: int) -> float:
-        """Closed-form request traversal: the hierarchical crossbar's
-        ``request_arrival`` as inline arithmetic over the route's servers."""
-        (sm_srv, smr, smr_port, longw, mcr, mcr_port, distw) = \
-            req_routes[req.sm.sm_id * num_slices + req.slice_global]
-        busy: float = sm_srv.busy_until
-        t = (busy if busy > when else when) + flits_f
-        sm_srv.busy_until = t
-        sm_srv.busy_cycles += flits_f
-        sm_srv.jobs += 1
-        t = t + SHORT
-        busy = smr_port.busy_until
-        done = (busy if busy > t else t) + flits_f
-        smr_port.busy_until = done
-        smr_port.busy_cycles += flits_f
-        smr_port.jobs += 1
-        smr.buffer_flits += flits_i
-        smr.xbar_flits += flits_i
-        smr.packets += 1
-        t = done + pipeline
-        longw.flits += flits_i
-        t = t + LONG
-        if topo.bypass:
-            if req.slice_local != req.sm.cluster_id:
-                raise ValueError(
-                    "bypassed MC-router can only reach the requester's own "
-                    f"private slice (cluster {req.sm.cluster_id}, asked "
-                    f"{req.slice_local})")
-            return t + BYPASS
-        busy = mcr_port.busy_until
-        done = (busy if busy > t else t) + flits_f
-        mcr_port.busy_until = done
-        mcr_port.busy_cycles += flits_f
-        mcr_port.jobs += 1
-        mcr.buffer_flits += flits_i
-        mcr.xbar_flits += flits_i
-        mcr.packets += 1
-        t = done + pipeline
-        distw.flits += flits_i
-        return t + SHORT
-
-    def issue_read(sm: Any, key: int, when: float) -> None:
-        req = acquire(sm, key)
-        if loc_note is not None:
-            loc_note(key, sm.cluster_id, when)
-        arrive = request_network(req, when, req_r_f, req_r_i)
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine.push_entry((arrive, seq, None,
-                           read_by_sg[req.slice_global], req))
-
-    def issue_write(sm: Any, key: int, when: float) -> None:
-        req = acquire(sm, key)
-        if loc_note is not None:
-            loc_note(key, sm.cluster_id, when)
-        arrive = request_network(req, when, req_w_f, req_w_i)
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine.push_entry((arrive, seq, None,
-                           write_by_sg[req.slice_global], req))
-
     # Routes: every (sm, slice) pair's server chain, resolved once into
     # dense tables indexed by ``sm_id * num_slices + slice_global``.
     req_routes: list[Any] = [None] * (system.cfg.num_sms * num_slices)
@@ -397,7 +309,7 @@ def install_batchpath(system: Any) -> bool:
     # Specialized per slice: every counter with no mid-run reader
     # accumulates in a closure cell and folds at collect time.
     # repro: cold
-    def make_slice_closures(sg: int) -> tuple[Any, Any, Any, Any]:
+    def make_slice_closures(sg: int) -> tuple[Any, Any]:
         sl = llc_slices[sg]
         tag = tag_ports[sg]
         data = data_ports[sg]
@@ -740,29 +652,14 @@ def install_batchpath(system: Any) -> bool:
             a_fill = a_rep = 0
 
         fold_fns.append(fold)
-        return read_s, fill_s, reply_s, write_s
+        return read_s, write_s
 
+    # Slice entry points, indexed by slice_global; the fill and reply
+    # stages are reached only through the continuations these return.
     read_by_sg: list[Any] = [None] * num_slices
-    fill_by_sg: list[Any] = [None] * num_slices
-    reply_by_sg: list[Any] = [None] * num_slices
     write_by_sg: list[Any] = [None] * num_slices
     for _sg in range(num_slices):
-        (read_by_sg[_sg], fill_by_sg[_sg], reply_by_sg[_sg],
-         write_by_sg[_sg]) = make_slice_closures(_sg)
-
-    # Dispatchers with the event-tier signatures, for callers outside the
-    # per-request path.
-    def read_at_slice(req: Any) -> Any:
-        return read_by_sg[req.slice_global](req)
-
-    def fill_at_slice(req: Any) -> Any:
-        return fill_by_sg[req.slice_global](req)
-
-    def launch_reply(req: Any) -> Any:
-        return reply_by_sg[req.slice_global](req)
-
-    def write_at_slice(req: Any) -> Any:
-        return write_by_sg[req.slice_global](req)
+        read_by_sg[_sg], write_by_sg[_sg] = make_slice_closures(_sg)
 
     # ------------------------------------------------------------ SM loop
     # repro: cold
@@ -787,6 +684,8 @@ def install_batchpath(system: Any) -> bool:
         mshr_capacity = mshr.num_entries
         cluster_id = sm.cluster_id
         program_id = sm.program_id        # fixed in _build_programs
+        # Per-request latency samples (None unless the run tracks them).
+        lat = programs[program_id].latencies
         sm_srv = topo.sm_links[smid].server
         req_smr = topo.req_sm_routers[cluster_id]
         # This SM's request-route row, indexed by slice_global.
@@ -995,6 +894,7 @@ def install_batchpath(system: Any) -> bool:
                     req.slice_global = slice_global
                 else:
                     req = Request(sm, key, mc, slice_local, slice_global)
+                req.t0 = issue_at
                 if loc_note is not None:
                     loc_note(key, cluster_id, issue_at)
                 (_srv, smr, smr_port, longw, mcr, mcr_port,
@@ -1056,6 +956,8 @@ def install_batchpath(system: Any) -> bool:
         def fill(req: Any) -> None:
             nonlocal b_l1ev, b_l1wb
             key = req.key
+            if lat is not None:
+                lat.append(engine.now - req.t0)
             req.sm = None
             pool.append(req)
             entry_m = mshr_entries.pop(key)
@@ -1167,13 +1069,9 @@ def install_batchpath(system: Any) -> bool:
         (sm_obj._bp_wake, sm_obj._bp_fill,
          sm_obj._bp_retired) = make_sm_closures(sm_obj)
 
-    # Dispatchers with the event-tier signatures, for the callers outside
-    # the per-request path (kernel-launch batches, diagnostics).
+    # Event-tier signature for the kernel-launch wake batch.
     def sm_wake(sm: Any) -> None:
         return sm._bp_wake(sm)
-
-    def on_fill(req: Any) -> None:
-        return req.sm._bp_fill(req)
 
     # ------------------------------------------------------------ install
     original_update_bypass = system.update_bypass
@@ -1204,13 +1102,6 @@ def install_batchpath(system: Any) -> bool:
 
     tier_flush()
     system._sm_wake = sm_wake
-    system._issue_read = issue_read
-    system._issue_write = issue_write
-    system._read_at_slice = read_at_slice
-    system._fill_at_slice = fill_at_slice
-    system._launch_reply = launch_reply
-    system._write_at_slice = write_at_slice
-    system._on_fill = on_fill
     system.update_bypass = update_bypass
     system._launch_kernel = launch_kernel
     system._collect = collect

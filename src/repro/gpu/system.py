@@ -214,8 +214,9 @@ class Request:
         self.mc = mc
         self.slice_local = slice_local
         self.slice_global = slice_global
-        # Issue timestamp, maintained only when the system tracks
-        # per-tenant request latency (consolidation runs).
+        # Issue timestamp, read only when the system tracks per-tenant
+        # request latency (consolidation runs).  The event tier stamps it
+        # in those runs only; the batch tier stamps every request.
         self.t0 = 0.0
 
 
@@ -450,13 +451,10 @@ class GPUSystem:
         # enabled per-program counters).  Installation swaps the pipeline
         # stage methods for closed-form closures; results are byte-identical
         # by contract (see repro.gpu.batchpath), pinned by the tier-parity
-        # suite.  Consolidation runs (mid-run admissions, per-request
-        # latency tracking) are outside what the batch tier specializes on,
-        # so it declines and the event tier runs them.
-        self._tier_ineligible = (
-            self._track_latency
-            or (self._admission_times is not None
-                and any(t > 0.0 for t in self._admission_times)))
+        # suite.  Consolidation runs are inside that contract: the batch
+        # tier records per-request latency itself, and an admission reaches
+        # it through the update_bypass/tier_flush/_launch_kernel path a
+        # mode transition takes.
         self.tier = "event"
         self._tier_flush = None
         if cfg.tier == "batch":

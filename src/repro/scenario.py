@@ -91,8 +91,8 @@ class Scenario:
             present at time zero.  Tenants admitted later launch via an
             admission event that re-derives LLC routing.
         track_latency: record per-request round-trip latencies per tenant
-            and report p50/p95/p99 in the program stats.  Forces the
-            event execution tier (the batch tier declines).
+            and report p50/p95/p99 in the program stats.  Both execution
+            tiers record them.
     """
 
     programs: list[ProgramSpec] = field(default_factory=list)

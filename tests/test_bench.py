@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import (EVENT_ONLY, MODES, SCENARIOS, TIERS,
+from repro.bench import (MODES, SCENARIOS, TIERS,
                          bench_scenario, compare_bench, load_bench,
                          run_bench, scenario_key, tier_speedups,
                          write_bench)
@@ -20,8 +20,7 @@ def _payload(eps: float) -> dict:
 
 def _all_keys():
     return [scenario_key(name, tier)
-            for name, _, _ in SCENARIOS
-            for tier in (("event",) if name in EVENT_ONLY else TIERS)]
+            for name, _, _ in SCENARIOS for tier in TIERS]
 
 
 def test_run_bench_schema_and_positive_throughput():
@@ -41,10 +40,11 @@ def test_run_bench_schema_and_positive_throughput():
 def test_run_bench_tiers_agree_on_simulation():
     # The tier changes how results are computed, never what they are.
     data = run_bench(TINY, modes=("adaptive",))
-    event = data["adaptive"]
-    batch = data["adaptive[batch]"]
-    assert event["events"] == batch["events"]
-    assert event["cycles"] == batch["cycles"]
+    for name in ("adaptive", "arrivals"):
+        event = data[name]
+        batch = data[scenario_key(name, "batch")]
+        assert event["events"] == batch["events"], name
+        assert event["cycles"] == batch["cycles"], name
 
 
 def test_run_bench_includes_counters_scenario():

@@ -1,14 +1,17 @@
 """Consolidation subsystem: placements, arrivals, mix sampling, metrics,
 and the run-level contracts the campaign layer builds on.
 
-The two load-bearing pins live at the bottom: a two-tenant closed
+The load-bearing pins live at the bottom: a two-tenant closed
 consolidation run is *the same simulation* as the legacy pair path
-(core counters equal), and an open-system run is a pure function of
-``(spec, seed)`` — byte-identical ``to_dict()`` across repeats, and
-across execution-tier configs (the batch tier declines).
+(core counters equal), an open-system run is a pure function of
+``(spec, seed)`` — byte-identical ``to_dict()`` across repeats — and the
+batch tier installs on consolidation runs and reproduces the event
+tier's bytes, on pinned scenarios and on a seeded differential fuzz.
 """
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -23,8 +26,10 @@ from repro.consolidate.placement import (available_placements,
                                          cluster_split_boundaries,
                                          create_placement)
 from repro.experiments.campaign import spec_from_mix
-from repro.experiments.runner import (experiment_config, run_consolidation,
+from repro.experiments.runner import (consolidation_system,
+                                      experiment_config, run_consolidation,
                                       run_pair)
+from repro.policy import available_policies
 from repro.workloads.catalog import ALL_ABBRS, CATEGORIES
 
 TINY = 0.02
@@ -221,17 +226,79 @@ def test_open_system_run_is_byte_identical_across_repeats():
         "the seed must actually steer admissions"
 
 
-def test_accelerated_tier_configs_decline_and_match_the_event_tier():
-    """Latency tracking forces the event tier: a consolidation run under
-    a batch config must produce the event tier's exact bytes (the
-    installer declines rather than mis-simulate)."""
-    kwargs = dict(scale=TINY, max_kernels=1,
-                  arrivals="poisson:gap=1500", seed=4)
-    event = run_consolidation(TENANTS_3, cfg=experiment_config(), **kwargs)
-    cfg = experiment_config().replace(tier="batch")
-    twin = run_consolidation(TENANTS_3, cfg=cfg, **kwargs)
-    assert json.dumps(twin.to_dict(), sort_keys=True) == \
-        json.dumps(event.to_dict(), sort_keys=True)
+def _tier_twins(tenants, **kwargs):
+    """Run one consolidation spec on both tiers; returns the batch run's
+    result and both runs' canonical bytes.  The batch twin must really
+    install, or the comparison would diff the event tier with itself."""
+    out = []
+    for tier in ("event", "batch"):
+        cfg = experiment_config().replace(tier=tier)
+        system = consolidation_system(tenants, cfg=cfg, scale=TINY,
+                                      max_kernels=1, **kwargs)
+        assert system.tier == tier
+        result = system.run()
+        out.append((result, json.dumps(result.to_dict(), sort_keys=True)))
+    (_, event), (result, batch) = out
+    return result, event, batch
+
+
+TENANTS_MIXED = (("VA", "adaptive", None), ("GEMM", "hysteresis", None),
+                 ("SN", "private", None))
+
+#: Two private tenants run with the MC-routers bypassed until the shared
+#: third tenant's admission flips the bypass off mid-run.
+TENANTS_PRIVATE_FIRST = (("VA", "private", None), ("GEMM", "private", None),
+                         ("SN", "shared", None))
+
+TWINS = {
+    "poisson": (TENANTS_3, dict(arrivals="poisson:gap=1500", seed=4)),
+    "bursty-striped": (TENANTS_MIXED, dict(arrivals="bursty:burst=2",
+                                           placement="striped", seed=1)),
+    "diurnal-dedicated-cluster": (
+        TENANTS_MIXED, dict(arrivals="diurnal",
+                            placement="dedicated-cluster", seed=2)),
+    "bypass-flips-at-admission": (
+        TENANTS_PRIVATE_FIRST, dict(arrivals="poisson:gap=1500", seed=4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWINS))
+def test_batch_tier_runs_consolidation_byte_identical(case):
+    """Latency tracking and mid-run admissions stay inside the batch
+    tier's contract: it installs and reproduces the event tier's bytes."""
+    tenants, kwargs = TWINS[case]
+    result, event, batch = _tier_twins(tenants, **kwargs)
+    assert batch == event
+    last = result.programs[-1].admitted_at
+    assert last > 0.0, "a tenant must be admitted mid-run"
+    if case == "bypass-flips-at-admission":
+        assert result.gated_cycles == last, \
+            "the MC-routers are gated exactly until the shared admission"
+
+
+def test_seeded_consolidation_fuzz_matches_the_event_tier():
+    """Differential fuzz: sampled 2-4 tenant mixes under every registered
+    policy, arrival process and placement run byte-identical on both
+    tiers."""
+    rng = random.Random(20261017)
+    policies = sorted(available_policies())
+    rng.shuffle(policies)
+    policy_cycle = itertools.cycle(policies)
+    arrivals = sorted(available_arrivals())
+    placements = sorted(available_placements())
+    used, placed = set(), set()
+    for i in range(12):
+        abbrs = sample_mix(rng.randint(2, 4), seed=rng.randrange(1 << 16))
+        tenants = [(abbr, next(policy_cycle), None) for abbr in abbrs]
+        used.update(policy for _, policy, _ in tenants)
+        kwargs = dict(arrivals=arrivals[i % len(arrivals)],
+                      placement=rng.choice(placements),
+                      seed=rng.randrange(1 << 16))
+        placed.add(kwargs["placement"])
+        _, event, batch = _tier_twins(tenants, **kwargs)
+        assert batch == event, (tenants, kwargs)
+    assert used == set(policies)
+    assert placed == set(placements)
 
 
 def test_per_tenant_counters_are_isolated_at_n3():

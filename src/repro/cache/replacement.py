@@ -13,6 +13,8 @@ from abc import ABC, abstractmethod
 class ReplacementPolicy(ABC):
     """Per-set replacement state over ``assoc`` ways."""
 
+    __slots__ = ("assoc",)
+
     def __init__(self, assoc: int):
         if assoc <= 0:
             raise ValueError("associativity must be positive")
@@ -37,6 +39,8 @@ class LRUPolicy(ReplacementPolicy):
     The paper's caches (L1 and LLC, Table 1) are both LRU.
     """
 
+    __slots__ = ("_order",)
+
     def __init__(self, assoc: int):
         super().__init__(assoc)
         self._order = list(range(assoc))  # front = LRU, back = MRU
@@ -59,6 +63,8 @@ class LRUPolicy(ReplacementPolicy):
 
 class FIFOPolicy(ReplacementPolicy):
     """Round-robin/FIFO replacement; cheap baseline for ablations."""
+
+    __slots__ = ("_next",)
 
     def __init__(self, assoc: int):
         super().__init__(assoc)
@@ -84,6 +90,8 @@ class PseudoLRUPolicy(ReplacementPolicy):
     Included for the hardware-cost ablation: true LRU at 16 ways is
     expensive; PLRU approximates it with assoc-1 bits per set.
     """
+
+    __slots__ = ("_bits",)
 
     def __init__(self, assoc: int):
         super().__init__(assoc)
@@ -141,6 +149,8 @@ class SRRIPPolicy(ReplacementPolicy):
     working set.  A relevant LLC ablation because GPU streaming traffic is
     exactly the scan pattern RRIP targets.
     """
+
+    __slots__ = ("_rrpv", "_hit_promotion")
 
     MAX_RRPV = 3  # 2-bit re-reference prediction values
 

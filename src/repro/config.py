@@ -293,13 +293,13 @@ class GPUConfig(_SerializableConfig):
     cta_scheduler: str = "two_level_rr"  # "two_level_rr" | "bcs" | "dcs"
 
     # --- execution tier ------------------------------------------------------
-    # "event" schedules one heap event per pipeline stage boundary; "batch"
-    # swaps the stage methods for closed-form closures with launch-time
-    # route decode and deferred counters (see repro.gpu.batchpath),
-    # declining to "event" when the system's shape disqualifies.  Results
-    # are byte-identical by contract; the tier only changes how fast they
-    # are computed.
-    tier: str = "event"
+    # "batch" (the default) swaps the stage methods for closed-form closures
+    # with launch-time route decode and deferred counters (see
+    # repro.gpu.batchpath), declining to "event" when the system's shape
+    # disqualifies.  "event" schedules one heap event per pipeline stage
+    # boundary and is the parity reference.  Results are byte-identical by
+    # contract; the tier only changes how fast they are computed.
+    tier: str = "batch"
 
     # ------------------------------------------------------------------ api
     @staticmethod
@@ -312,15 +312,15 @@ class GPUConfig(_SerializableConfig):
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        """Canonical dict form.  The execution tier is elided at its
-        default ("event") because the tier cannot change simulation results
-        — only how fast they are computed — and pre-tier serialized configs
-        (campaign caches, golden captures) must keep hashing to the same
-        content key."""
+        """Canonical dict form.  The execution tier is always elided: it
+        cannot change simulation results — only how fast they are computed —
+        so a batch run and an event run of the same spec share one content
+        key, and pre-tier serialized configs (campaign caches, golden
+        captures) keep hashing to the same key.  A config rebuilt from this
+        form runs on the default tier of the process that rebuilds it."""
         data = dataclasses.asdict(self)
         # repro: key-exempt(tier)
-        if data["tier"] == "event":
-            del data["tier"]
+        del data["tier"]
         return data
 
     @classmethod

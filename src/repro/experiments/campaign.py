@@ -43,9 +43,9 @@ from repro.policy import canonical_policy_params
 #: v3: the Scenario API — specs gain a canonical per-program policy
 #: serialization (``mode_b``/``policy_params_b``) and pair results carry
 #: per-program policy/transition payloads, so v2 records are stale.
-#: v4: the execution-tier flag — ``GPUConfig.tier`` joins the spec content
-#: key (elided at its "event" default, so event-tier keys are unchanged);
-#: the bump retires any v3 record written while the tier field was unknown.
+#: v4: ``GPUConfig.tier`` joined the key, elided at its then-default "event".
+#: It has since left the key (batch is the default) with no bump: event keys
+#: never moved, and ``tier="batch"``-keyed records are orphans, not corrupt.
 #: v5: the consolidation subsystem — specs gain ``extra``/``arrivals``/
 #: ``placement``/``seed`` (all elided at their legacy defaults, so legacy
 #: keys are unchanged) and consolidation results carry occupancy timelines

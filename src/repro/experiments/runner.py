@@ -231,8 +231,8 @@ def consolidation_system(tenants, cfg: Optional[GPUConfig] = None,
     (default: the generalized Figure 9 cluster-split).
 
     Per-request latency tracking is always on — consolidation runs exist
-    to report tail latency and fairness.  A ``cfg`` with ``tier="batch"``
-    runs the mix on the batch tier, byte-identical to the event tier.
+    to report tail latency and fairness.  The mix runs on ``cfg``'s tier
+    (batch by default), byte-identical to the event tier.
     """
     from repro.consolidate.arrivals import arrival_times
     from repro.scenario import ProgramSpec, Scenario

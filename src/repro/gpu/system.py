@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.config import GPUConfig, PolicyConfig
-from repro.core.modes import LLCMode
+from repro.core.modes import LLCMode, target_slice
 from repro.core.reconfig import ReconfigCost
 from repro.policy import LLCPolicy, PolicyStats, create_policy
 from repro.scenario import Scenario
@@ -401,12 +401,6 @@ class GPUSystem:
             Request() for _ in range(cfg.num_sms
                                      * (cfg.max_outstanding_misses + 16))
         ]
-        # Route memoization: the mapping hash is a pure function of the line
-        # key, and hot lines are re-requested constantly (that is the
-        # paper's whole premise), so cache (mc, slice_local) per key for
-        # shared routing and mc per key for private routing.
-        self._shared_route: dict[int, tuple[int, int]] = {}
-        self._mc_of: dict[int, int] = {}
         # Per-program LLC counter maintenance is opt-in: policies with
         # per-program observation windows enable it from setup(), so runs
         # under purely static/profiled policies pay one bool check per
@@ -807,26 +801,8 @@ class GPUSystem:
 
     def _acquire_request(self, sm: StreamingMultiprocessor,
                          key: int) -> Request:
-        # Memoized equivalent of repro.core.modes.target_slice: the MC is
-        # always address-determined, the slice within it is address- or
-        # cluster-determined depending on the program's current mode.
-        if self.programs[sm.program_id].mode is LLCMode.PRIVATE:
-            mc = self._mc_of.get(key)
-            if mc is None:
-                mc = self.mapping.mc_of(key)
-                self._mc_of[key] = mc
-            slice_local = sm.cluster_id
-            if slice_local >= self.mapping.slices_per_mc:
-                raise ValueError(
-                    f"cluster {slice_local} has no private slice "
-                    f"({self.mapping.slices_per_mc} slices per MC)"
-                )
-        else:
-            route = self._shared_route.get(key)
-            if route is None:
-                route = (self.mapping.mc_of(key), self.mapping.slice_of(key))
-                self._shared_route[key] = route
-            mc, slice_local = route
+        mc, slice_local = target_slice(self.programs[sm.program_id].mode,
+                                       self.mapping, key, sm.cluster_id)
         pool = self._req_pool
         if pool:
             req = pool.pop()

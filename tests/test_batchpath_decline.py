@@ -43,7 +43,7 @@ TINY = 0.02
 def _twin_systems(policy: str = "shared"):
     """Two independently built, identical event-tier systems."""
     def make():
-        cfg = experiment_config()  # tier defaults to "event": no install
+        cfg = experiment_config().replace(tier="event")  # no install
         workload = build("VA", total_accesses=2_000, num_ctas=32,
                          max_kernels=1)
         return GPUSystem(cfg, workload, policy=policy)
@@ -59,10 +59,11 @@ def _assert_declined_and_untouched(declined: GPUSystem,
         "that never attempted installation")
 
 
-def _assert_config_falls_back(cfg_event) -> None:
-    """``cfg_event`` with tier="batch" installs the event tier and runs
-    byte-identically to ``cfg_event`` itself."""
-    cfg_batch = cfg_event.replace(tier="batch")
+def _assert_config_falls_back(cfg) -> None:
+    """``cfg`` with tier="batch" installs the event tier and runs
+    byte-identically to ``cfg`` with tier="event"."""
+    cfg_batch = cfg.replace(tier="batch")
+    cfg_event = cfg.replace(tier="event")
     workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
     system = GPUSystem(cfg_batch, workload, policy="shared")
     assert system.tier == "event"

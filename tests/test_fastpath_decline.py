@@ -41,7 +41,7 @@ BENCH = "LUD"
 def _twin_systems():
     """Two independently built, identical event-tier adaptive systems."""
     def make():
-        cfg = experiment_config()  # tier defaults to "event": no install
+        cfg = experiment_config().replace(tier="event")  # no install
         workload = build(BENCH, total_accesses=2_000, num_ctas=32,
                          max_kernels=1)
         return GPUSystem(cfg, workload, policy=POLICY)
@@ -67,7 +67,7 @@ def test_decline_non_hierarchical_crossbar_topology():
     the event tier end to end: same spec, same results, tier honest."""
     noc_full = dataclasses.replace(experiment_config().noc, topology="full")
     cfg_batch = experiment_config().replace(noc=noc_full, tier="batch")
-    cfg_event = experiment_config().replace(noc=noc_full)
+    cfg_event = experiment_config().replace(noc=noc_full, tier="event")
 
     workload = build(BENCH, total_accesses=2_000, num_ctas=32, max_kernels=1)
     system = GPUSystem(cfg_batch, workload, policy=POLICY)

@@ -12,8 +12,13 @@ byte-identical.  Two invariants are pinned:
 * the registry-routed ``paper-adaptive`` policy is the *same machine* as
   the historical ``"adaptive"`` string — identical results, different
   label.
+
+Both run on the event tier, the parity reference the captures came from;
+``test_tier_parity.py`` pins the default batch tier against the same
+captures.
 """
 
+import dataclasses
 import json
 import os
 
@@ -28,11 +33,15 @@ with open(GOLDEN_PATH, encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
 
 
+def _event_spec(spec: RunSpec) -> RunSpec:
+    return dataclasses.replace(spec, cfg=spec.cfg.replace(tier="event"))
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN),
                          ids=[GOLDEN[k]["label"] for k in sorted(GOLDEN)])
 def test_runresult_byte_identical_to_pre_rewrite(key):
     entry = GOLDEN[key]
-    spec = RunSpec.from_dict(entry["spec"])
+    spec = _event_spec(RunSpec.from_dict(entry["spec"]))
     # The spec's content key itself must not drift, or the campaign's
     # on-disk cache would silently re-run (or worse, mis-serve) old specs.
     assert spec.cache_key() == key
@@ -61,7 +70,8 @@ def test_paper_adaptive_policy_byte_identical_to_adaptive_golden(key):
     under the canonical policy name reproduces every captured field
     byte-for-byte (only the requested-name label may differ)."""
     entry = GOLDEN[key]
-    spec = RunSpec.from_dict({**entry["spec"], "mode": "paper-adaptive"})
+    spec = _event_spec(
+        RunSpec.from_dict({**entry["spec"], "mode": "paper-adaptive"}))
     result = execute_spec(spec).to_dict()
     assert result == {**entry["result"], "mode": "paper-adaptive"}, (
         f"{entry['label']}: paper-adaptive diverged from the golden "

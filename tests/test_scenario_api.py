@@ -66,7 +66,8 @@ def test_one_entry_scenario_reproduces_legacy_golden_captures():
     assert singles, "golden file lost its single-program captures"
     for entry in singles:
         spec = RunSpec.from_dict(entry["spec"])
-        cfg = spec.cfg
+        # The captures came from the event tier, the parity reference.
+        cfg = spec.cfg.replace(tier="event")
         num_ctas = spec.num_ctas
         if num_ctas is None:
             num_ctas = 2 * cfg.num_sms
@@ -75,7 +76,9 @@ def test_one_entry_scenario_reproduces_legacy_golden_captures():
             total_accesses=_accesses_for(spec.benchmark, spec.scale),
             max_kernels=spec.max_kernels)
         scenario = Scenario.single(workload, spec.mode)
-        result = GPUSystem(cfg, scenario).run().to_dict()
+        system = GPUSystem(cfg, scenario)
+        assert system.tier == "event"
+        result = system.run().to_dict()
         assert result == entry["result"], (
             f"{entry['label']}: one-entry scenario diverged from the "
             f"legacy golden capture")

@@ -1,6 +1,6 @@
 """Simulator hot-path throughput: events/sec per LLC policy and tier.
 
-Unlike the figure benchmarks (which regenerate paper *results*), this one
+Unlike the figure drivers (which regenerate paper *results*), this one
 times the simulator *itself* — the fig11-style shared/private/adaptive
 scenarios that dominate every campaign, under both the event and batch
 execution tiers — and checks the measured events/sec against the committed

@@ -1,11 +1,13 @@
-"""Benchmark harness configuration.
+"""Benchmark harness configuration for the simulator hot-path bench.
 
-Every paper table/figure gets one pytest-benchmark entry that executes its
-experiment driver exactly once (``pedantic`` with a single round — these are
-minutes-long simulations, not microbenchmarks) and prints the regenerated
-rows.  Run with::
+``bench_hotpath.py`` runs its measurement exactly once under
+pytest-benchmark (``pedantic`` with a single round — a multi-scenario
+simulation run, not a microbenchmark).  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_hotpath.py --benchmark-only -s
+
+The paper's claims are not asserted here: they live in each figure's
+``expected_trends()``, which ``repro report`` evaluates.
 """
 
 import pytest

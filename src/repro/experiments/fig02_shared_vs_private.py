@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import Campaign, RunSpec
 from repro.experiments.runner import experiment_config, print_rows
-from repro.report.trends import Trend
+from repro.report.trends import Trend, category_row
 from repro.sim.stats import harmonic_mean
 from repro.workloads.catalog import CATEGORIES
 
@@ -19,23 +19,29 @@ PAPER_CLAIM = ("Private-cache-friendly workloads speed up under a private "
 CHART = ("benchmark", ["private_norm"])
 
 
-def _category_hm(rows: list[dict], category: str) -> dict:
-    for row in rows:
-        if row["benchmark"] == "HM" and row["category"] == category:
-            return row
-    raise KeyError(f"no HM row for category {category!r}")
-
-
 def expected_trends() -> list[Trend]:
     """The figure's paper-claimed trends, checked against ``run()`` rows."""
 
     def private_wins(rows):
-        hm = _category_hm(rows, "private")["private_norm"]
+        hm = category_row(rows, "HM", "private")["private_norm"]
         return hm >= 1.0, f"HM(private category) = {hm:.3f} (want >= 1)"
 
     def shared_wins(rows):
-        hm = _category_hm(rows, "shared")["private_norm"]
+        hm = category_row(rows, "HM", "shared")["private_norm"]
         return hm <= 1.0, f"HM(shared category) = {hm:.3f} (want <= 1)"
+
+    def private_gain_size(rows):
+        hm = category_row(rows, "HM", "private")["private_norm"]
+        return hm > 1.15, f"HM(private category) = {hm:.3f} (want > 1.15)"
+
+    def shared_loss_size(rows):
+        hm = category_row(rows, "HM", "shared")["private_norm"]
+        return hm < 0.9, f"HM(shared category) = {hm:.3f} (want < 0.9)"
+
+    def neutral_flat(rows):
+        hm = category_row(rows, "HM", "neutral")["private_norm"]
+        return (0.8 < hm <= 1.1,
+                f"HM(neutral category) = {hm:.3f} (want in (0.8, 1.1])")
 
     return [
         Trend("private_friendly_speedup",
@@ -44,6 +50,15 @@ def expected_trends() -> list[Trend]:
         Trend("shared_friendly_slowdown",
               "Private LLC slows down the shared-cache-friendly category "
               "(HM normalized IPC <= 1)", shared_wins),
+        Trend("private_friendly_gain_size",
+              "Private-friendly apps gain over 15% under a private LLC "
+              "(paper: +28% HM)", private_gain_size),
+        Trend("shared_friendly_loss_size",
+              "Shared-friendly apps lose over 10% under a private LLC "
+              "(paper: -18% HM)", shared_loss_size),
+        Trend("neutral_stays_flat",
+              "Neutral apps stay near the shared baseline under a private "
+              "LLC (HM in (0.8, 1.1])", neutral_flat),
     ]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import Campaign, RunSpec
 from repro.experiments.runner import experiment_config, print_rows
-from repro.report.trends import Trend
+from repro.report.trends import Trend, category_row
 from repro.workloads.catalog import CATEGORIES
 
 BUCKETS = ["1 cluster", "2 clusters", "3-4 clusters", "5-8 clusters"]
@@ -20,13 +20,6 @@ PAPER_CLAIM = ("Private-cache-friendly workloads show high inter-cluster "
 CHART = ("benchmark", BUCKETS)
 
 
-def _category_avg(rows: list[dict], category: str) -> dict:
-    for row in rows:
-        if row["benchmark"] == "AVG" and row["category"] == category:
-            return row
-    raise KeyError(f"no AVG row for category {category!r}")
-
-
 def expected_trends() -> list[Trend]:
     """The figure's paper-claimed trends, checked against ``run()`` rows."""
 
@@ -39,13 +32,25 @@ def expected_trends() -> list[Trend]:
         return True, "every benchmark's bucket fractions sum to 1"
 
     def sharing_order(rows):
-        multi = {c: 1.0 - _category_avg(rows, c)[BUCKETS[0]]
+        multi = {c: 1.0 - category_row(rows, "AVG", c)[BUCKETS[0]]
                  for c in ("private", "shared", "neutral")}
         ok = multi["neutral"] <= multi["shared"] <= multi["private"]
         return ok, ("multi-cluster fraction: neutral "
                     f"{multi['neutral']:.3f} <= shared "
                     f"{multi['shared']:.3f} <= private "
                     f"{multi['private']:.3f}?")
+
+    def private_mostly_shared(rows):
+        multi = 1.0 - category_row(rows, "AVG", "private")[BUCKETS[0]]
+        return (multi > 0.5,
+                f"private-friendly multi-cluster fraction = {multi:.3f} "
+                f"(want > 0.5)")
+
+    def neutral_barely_shared(rows):
+        multi = 1.0 - category_row(rows, "AVG", "neutral")[BUCKETS[0]]
+        return (multi < 0.15,
+                f"neutral multi-cluster fraction = {multi:.3f} "
+                f"(want < 0.15)")
 
     return [
         Trend("fractions_well_formed",
@@ -54,6 +59,13 @@ def expected_trends() -> list[Trend]:
         Trend("sharing_orders_categories",
               "Multi-cluster sharing orders the categories: private- "
               "friendly > shared-friendly > neutral", sharing_order),
+        Trend("private_friendly_mostly_multi_cluster",
+              "Most lines private-friendly apps touch are touched by more "
+              "than one cluster (multi-cluster fraction > 0.5)",
+              private_mostly_shared),
+        Trend("neutral_almost_single_cluster",
+              "Neutral apps show almost no inter-cluster sharing "
+              "(multi-cluster fraction < 0.15)", neutral_barely_shared),
     ]
 
 

@@ -43,6 +43,22 @@ def expected_trends() -> list[Trend]:
                 f"area reduction vs full crossbar = {reduction:.0%} "
                 f"(paper: 62-79%)")
 
+    def area_reduction_bounded(rows):
+        full = _design(rows, "BW", "Full Xbar")["area_mm2"]
+        hx = _design(rows, "BW", "H-Xbar")["area_mm2"]
+        reduction = 1 - hx / full
+        return (reduction <= 0.85,
+                f"area reduction vs full crossbar = {reduction:.0%} "
+                f"(want <= 85%)")
+
+    def smaller_than_cxbar(rows):
+        areas = [(bw, _design(rows, bw, "H-Xbar")["area_mm2"],
+                  _design(rows, bw, f"C-Xbar c{c}")["area_mm2"])
+                 for bw, c in (("BW/2", 2), ("BW/4", 4))]
+        return (all(hx < cx for _, hx, cx in areas),
+                ", ".join(f"{bw}: H-Xbar {hx:.2f} vs C-Xbar {cx:.2f} mm2"
+                          for bw, hx, cx in areas))
+
     def equal_bw_ipc(rows):
         # The model charges store-and-forward serialization per stage, so
         # the two-stage H-Xbar trails the single-stage full crossbar by
@@ -60,6 +76,13 @@ def expected_trends() -> list[Trend]:
         Trend("hxbar_matches_full_in_less_area",
               "Equal-bandwidth H-Xbar cuts active silicon by at least 55% "
               "vs the full crossbar (paper: 62-79%)", less_area),
+        Trend("hxbar_area_reduction_plausible",
+              "Equal-bandwidth H-Xbar's area reduction vs the full "
+              "crossbar stays at most 85% (paper: 62-79%)",
+              area_reduction_bounded),
+        Trend("hxbar_smaller_than_cxbar",
+              "H-Xbar needs less silicon than the C-Xbar of the same "
+              "bisection bandwidth at BW/2 and BW/4", smaller_than_cxbar),
         Trend("hxbar_keeps_ipc",
               "Equal-bandwidth H-Xbar stays within 20% of full-crossbar "
               "IPC (store-and-forward stage cost; see module docstring)",

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.experiments.campaign import Campaign, RunSpec
 from repro.experiments.runner import experiment_config, print_rows
 from repro.metrics.perf import geomean_speedup
-from repro.report.trends import Trend
+from repro.report.trends import Trend, category_row
 from repro.sim.stats import harmonic_mean
 from repro.workloads.catalog import CATEGORIES
 
@@ -33,13 +33,27 @@ def expected_trends() -> list[Trend]:
                 f"{static:.3f}")
 
     def keeps_shared_friendly(rows):
-        for row in rows:
-            if row["benchmark"] == "HM" and row["category"] == "shared":
-                hm = row["adaptive_norm"]
-                return (hm >= 0.95,
-                        f"adaptive HM on shared-friendly apps = {hm:.3f} "
-                        f"(want >= 0.95)")
-        raise KeyError("no HM row for the shared category")
+        hm = category_row(rows, "HM", "shared")["adaptive_norm"]
+        return (hm >= 0.95,
+                f"adaptive HM on shared-friendly apps = {hm:.3f} "
+                f"(want >= 0.95)")
+
+    def adaptive_gain_size(rows):
+        hm = category_row(rows, "HM", "private")["adaptive_norm"]
+        return (hm > 1.05,
+                f"adaptive HM on private-friendly apps = {hm:.3f} "
+                f"(want > 1.05)")
+
+    def static_private_loses(rows):
+        hm = category_row(rows, "HM", "shared")["private_norm"]
+        return (hm < 0.9,
+                f"static private HM on shared-friendly apps = {hm:.3f} "
+                f"(want < 0.9)")
+
+    def neutral_holds(rows):
+        hm = category_row(rows, "HM", "neutral")["adaptive_norm"]
+        return (hm > 0.8,
+                f"adaptive HM on neutral apps = {hm:.3f} (want > 0.8)")
 
     return [
         Trend("adaptive_geq_best_static",
@@ -48,6 +62,15 @@ def expected_trends() -> list[Trend]:
         Trend("adaptive_keeps_shared_friendly",
               "Adaptive does not give up the shared-friendly apps the way "
               "static private does (HM >= 0.95)", keeps_shared_friendly),
+        Trend("adaptive_gains_on_private_friendly",
+              "Adaptive gains over 5% on the private-friendly apps "
+              "(paper: +28% HM)", adaptive_gain_size),
+        Trend("static_private_loses_shared_friendly",
+              "Static private loses over 10% on the shared-friendly apps "
+              "(paper: -18% HM)", static_private_loses),
+        Trend("adaptive_keeps_neutral",
+              "Adaptive stays within 20% of shared on the neutral apps "
+              "(HM > 0.8)", neutral_holds),
     ]
 
 

@@ -34,6 +34,20 @@ def expected_trends() -> list[Trend]:
                 f"AVG miss-rate delta adaptive-shared = {delta:+.3f} "
                 f"(want <= +0.02)")
 
+    def inflation_size(rows):
+        avg = summary_row(rows, "benchmark", "AVG")
+        delta = avg["private_miss"] - avg["shared_miss"]
+        return (delta > 0.15,
+                f"AVG miss-rate delta private-shared = {delta:+.3f} "
+                f"(want > +0.15)")
+
+    def adaptive_not_below_shared(rows):
+        avg = summary_row(rows, "benchmark", "AVG")
+        delta = avg["adaptive_miss"] - avg["shared_miss"]
+        return (delta >= -0.1,
+                f"AVG miss-rate delta adaptive-shared = {delta:+.3f} "
+                f"(want >= -0.1)")
+
     return [
         Trend("private_inflates_miss_rate",
               "Private LLC raises the average miss rate of shared-friendly "
@@ -41,6 +55,12 @@ def expected_trends() -> list[Trend]:
         Trend("adaptive_stays_at_shared_level",
               "Adaptive LLC keeps the average miss rate within 2 pp of the "
               "shared LLC", adaptive_tracks_shared),
+        Trend("private_inflation_size",
+              "Private LLC raises the average miss rate of shared-friendly "
+              "apps by over 15 pp (paper: +27.9 pp)", inflation_size),
+        Trend("adaptive_not_far_below_shared",
+              "Adaptive LLC's average miss rate is at most 10 pp below the "
+              "shared LLC's", adaptive_not_below_shared),
     ]
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import Campaign, RunSpec
 from repro.experiments.runner import experiment_config, print_rows
-from repro.report.trends import Trend, value_at_most
+from repro.report.trends import Trend, summary_row, value_at_most
 from repro.workloads.catalog import CATEGORIES
 
 TITLE = ("Figure 14 — NoC energy (adaptive / shared), private-friendly + "
@@ -21,6 +21,20 @@ CHART = ("benchmark", ["noc_norm", "system_norm"])
 
 def expected_trends() -> list[Trend]:
     """The figure's paper-claimed trends, checked against ``run()`` rows."""
+
+    def saving_size(rows):
+        value = summary_row(rows, "benchmark", "AVG")["noc_norm"]
+        return value < 0.95, f"noc_norm @ AVG = {value:.3f} (want < 0.95)"
+
+    def switchers_save(rows):
+        # Only workloads that actually went private save NoC energy.
+        gains = [1 - r["noc_norm"] for r in rows
+                 if r["benchmark"] != "AVG" and r["noc_norm"] < 0.98]
+        if not gains:
+            return False, "no workload reaches noc_norm < 0.98"
+        return (max(gains) > 0.15,
+                f"largest NoC saving = {max(gains):.3f} (want > 0.15)")
+
     return [
         Trend("adaptive_cuts_noc_energy",
               "Average NoC energy under the adaptive LLC <= the shared "
@@ -30,6 +44,12 @@ def expected_trends() -> list[Trend]:
               "Average total system energy stays within 5% of the shared "
               "baseline (paper: 6% savings at full scale)",
               value_at_most("system_norm", 1.05, "benchmark", "AVG")),
+        Trend("noc_energy_saving_size",
+              "Average NoC energy drops over 5% under the adaptive LLC "
+              "(paper: -26.6%)", saving_size),
+        Trend("switchers_save_noc_energy",
+              "The workloads that go private save over 15% NoC energy at "
+              "best (largest saving among noc_norm < 0.98)", switchers_save),
     ]
 
 

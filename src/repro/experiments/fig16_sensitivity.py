@@ -41,6 +41,16 @@ def expected_trends() -> list[Trend]:
                 f"worst point {worst['group']}/{worst['point']} = "
                 f"{value:.3f} (want >= 0.90)")
 
+    def every_group_wins_somewhere(rows):
+        best: dict[str, float] = {}
+        for r in rows:
+            best[r["group"]] = max(best.get(r["group"], float("-inf")),
+                                   r["adaptive_over_shared"])
+        weakest = min(best, key=best.__getitem__)
+        return (best[weakest] > 1.02,
+                f"weakest group {weakest}: best point "
+                f"{best[weakest]:.3f} (want > 1.02)")
+
     return [
         Trend("gain_survives_sweep",
               "Geomean adaptive/shared speedup over every sensitivity "
@@ -48,6 +58,9 @@ def expected_trends() -> list[Trend]:
         Trend("no_point_collapses",
               "Adaptive never loses badly to shared at any design point "
               "(every point >= 0.90)", no_point_collapses),
+        Trend("every_group_shows_a_win",
+              "Every sensitivity group has a design point where adaptive "
+              "beats shared by over 2%", every_group_wins_somewhere),
     ]
 
 

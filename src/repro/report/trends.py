@@ -107,6 +107,14 @@ def summary_row(rows: Sequence[dict], label_key: str,
     raise KeyError(f"no {label!r} summary row under {label_key!r}")
 
 
+def category_row(rows: Sequence[dict], label: str, category: str) -> dict:
+    """A per-category summary row (``HM`` / ``AVG`` under ``benchmark``)."""
+    for row in rows:
+        if row.get("benchmark") == label and row.get("category") == category:
+            return row
+    raise KeyError(f"no {label!r} row for category {category!r}")
+
+
 def ratio_at_least(num_key: str, den_key: str, threshold: float,
                    label_key: str, label: str) -> CheckFn:
     """Check ``summary[num_key] / summary[den_key] >= threshold``."""

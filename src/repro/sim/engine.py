@@ -332,14 +332,3 @@ class Engine:
     def drained(self) -> bool:
         """True when no live events remain."""
         return self.pending == 0
-
-    # ------------------------------------------------------- raw insertion
-    def push_entry(self, entry: tuple) -> None:
-        """Insert a fully-formed ``(time, seq, event, fn, arg)`` heap entry.
-
-        Execution tiers that draw sequence numbers manually (``engine._seq``)
-        use this instead of touching ``_heap`` directly, keeping the queue
-        representation an engine-private detail.  The caller guarantees
-        ``entry[0] >= now`` and a fresh ``seq``.
-        """
-        heapq.heappush(self._heap, entry)

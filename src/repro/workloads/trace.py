@@ -96,9 +96,3 @@ class Workload:
     @property
     def total_instructions(self) -> float:
         return sum(k.total_instructions for k in self.kernels)
-
-    def footprint_lines(self) -> int:
-        out: set[int] = set()
-        for k in self.kernels:
-            out |= k.footprint()
-        return len(out)

@@ -1,5 +1,7 @@
 """Tests for the adaptive controller, reconfigurator, sampler, and metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import AdaptiveConfig, GPUConfig
@@ -7,6 +9,7 @@ from repro.core.controller import AdaptiveController
 from repro.core.modes import LLCMode
 from repro.core.reconfig import Reconfigurator
 from repro.core.sampler import ProfileReport, ProfilingState
+from repro.experiments.runner import run_benchmark, scaled_adaptive_config
 from repro.cache.llc_slice import LLCSlice
 from repro.mem.address_map import PAEMapping
 from repro.mem.controller import MemoryController
@@ -227,6 +230,44 @@ def test_time_in_private_accounting():
     assert ctrl.time_in_private(1000.0) == pytest.approx(300.0)
     ctrl.mode_history.append((900.0, LLCMode.PRIVATE, "rule2"))
     assert ctrl.time_in_private(1000.0) == pytest.approx(400.0)
+
+
+# ------------------------------------------------------------- ablations
+#: Half the paper trace: at 0.05 the paper-scale cost no longer stays
+#: within 15% of free reconfiguration (6.88 vs 8.12 IPC on RN).
+ABLATION_SCALE = 0.5
+
+
+def test_reconfiguration_cost_stays_bounded():
+    """Zeroed vs paper vs 10x drain/flush/power-gate costs: costs order
+    IPC monotonically, and the paper's costs stay within 15% of free (the
+    paper's 1 M-cycle epochs amortize them further)."""
+    ipc = []
+    for factor in (0.0, 1.0, 10.0):
+        base = scaled_adaptive_config()
+        acfg = dataclasses.replace(
+            base,
+            drain_cycles=int(base.drain_cycles * factor),
+            writeback_cycles_per_line=base.writeback_cycles_per_line * factor,
+            power_gate_cycles=int(base.power_gate_cycles * factor))
+        cfg = GPUConfig.baseline().replace(adaptive=acfg)
+        ipc.append(run_benchmark("RN", "adaptive", cfg,
+                                 scale=ABLATION_SCALE).ipc)
+    free, paper, heavy = ipc
+    assert free >= paper >= heavy
+    assert paper > 0.85 * free
+
+
+def test_longer_profile_window_costs_private_residency():
+    """Longer profiling windows cost private-mode residency on AN."""
+    residency = []
+    for profile in (400, 800, 3200):
+        acfg = dataclasses.replace(scaled_adaptive_config(),
+                                   profile_cycles=profile)
+        cfg = GPUConfig.baseline().replace(adaptive=acfg)
+        res = run_benchmark("AN", "adaptive", cfg, scale=ABLATION_SCALE)
+        residency.append(res.time_in_private / res.cycles)
+    assert residency[0] >= residency[-1]
 
 
 # ---------------------------------------------------------------- metrics

@@ -1,8 +1,9 @@
 """Smoke tests for the experiment drivers at tiny scale.
 
 These verify the drivers' plumbing (row shapes, summary rows, config
-sweeps); the paper-shape assertions live in ``benchmarks/`` where traces
-run at full scale.
+sweeps) and the regenerated tables' values.  The paper-shape claims live
+in each figure's ``expected_trends()``, which ``repro report`` evaluates;
+CI gates the headline figures at ``--scale paper``.
 """
 
 import math
@@ -137,3 +138,11 @@ def test_tables_shapes():
     assert len(t1) == 13
     assert len(t2) == 17
     assert {r["llc_class"] for r in t2} == {"shared", "private", "neutral"}
+    values = {r["parameter"]: r["value"] for r in t1}
+    assert values["Streaming Multiprocessors"] == "80 SMs, 1400 MHz"
+    assert "6 MB" in values["LLC"]
+    assert "900 GB/s" in values["DRAM Bandwidth"]
+    by_abbr = {r["abbr"]: r for r in t2}
+    assert by_abbr["LUD"]["shared_mb"] == 33.4
+    assert by_abbr["3DC"]["kernels"] == 48
+    assert by_abbr["AN"]["llc_class"] == "private"

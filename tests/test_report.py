@@ -20,6 +20,7 @@ from repro.report.trends import (
     PASS,
     WARN,
     Trend,
+    category_row,
     evaluate_trends,
     overall_status,
     ratio_at_least,
@@ -60,6 +61,11 @@ def test_trend_helpers():
     assert value_at_most("v", 2.0, "label", "AVG")(rows)[0]
     ok, observed = ratio_at_least("v", "w", 1.5, "label", "AVG")(rows)
     assert ok and "2.000" in observed
+    grouped = [{"benchmark": "HM", "category": c, "v": v}
+               for c, v in (("private", 1.2), ("shared", 0.8))]
+    assert category_row(grouped, "HM", "shared")["v"] == 0.8
+    with pytest.raises(KeyError):
+        category_row(grouped, "AVG", "shared")
 
 
 def test_every_figure_module_self_describes():
@@ -72,6 +78,33 @@ def test_every_figure_module_self_describes():
         assert trends, f"figure {number} declares no trends"
         for trend in trends:
             assert trend.name and trend.claim and callable(trend.check)
+
+
+def _status(module, name, rows):
+    trend = next(t for t in module.expected_trends() if t.name == name)
+    return evaluate_trends([trend], rows)[0].status
+
+
+def test_magnitude_trends_warn_when_no_point_qualifies():
+    """A failed claim on well-formed rows is WARN, not ERROR: the trend
+    reports it rather than tripping over an empty selection."""
+    fig14, fig16 = figure_module("14"), figure_module("16")
+    flat = [{"benchmark": "AN", "noc_norm": 0.99},
+            {"benchmark": "AVG", "noc_norm": 0.99}]
+    saving = [{"benchmark": "AN", "noc_norm": 0.7},
+              {"benchmark": "AVG", "noc_norm": 0.9}]
+    assert _status(fig14, "switchers_save_noc_energy", flat) == WARN
+    assert _status(fig14, "switchers_save_noc_energy", saving) == PASS
+
+    def points(l1_gains):
+        return ([{"group": "sm_count", "point": p, "adaptive_over_shared": g}
+                 for p, g in (("40 SMs", 1.0), ("80 SMs", 1.1))]
+                + [{"group": "l1_size", "point": p, "adaptive_over_shared": g}
+                   for p, g in zip(("48KB", "128KB"), l1_gains)])
+
+    win = "every_group_shows_a_win"
+    assert _status(fig16, win, points((1.0, 1.01))) == WARN
+    assert _status(fig16, win, points((1.0, 1.05))) == PASS
 
 
 # ---------------------------------------------------------------- builder

@@ -1,7 +1,8 @@
-"""Cache substrate: replacement policies, tag stores, MSHRs, L1, LLC slices,
-and the auxiliary tag directory (ATD) used by the adaptive controller."""
+"""Cache substrate: the LRU replacement policy, tag stores, MSHRs, L1, LLC
+slices, and the auxiliary tag directory (ATD) used by the adaptive
+controller."""
 
-from repro.cache.replacement import FIFOPolicy, LRUPolicy, PseudoLRUPolicy, make_policy
+from repro.cache.replacement import LRUPolicy
 from repro.cache.setassoc import AccessResult, SetAssocCache
 from repro.cache.mshr import MSHRFile
 from repro.cache.l1 import L1Cache
@@ -9,10 +10,7 @@ from repro.cache.llc_slice import LLCSlice
 from repro.cache.atd import AuxiliaryTagDirectory
 
 __all__ = [
-    "FIFOPolicy",
     "LRUPolicy",
-    "PseudoLRUPolicy",
-    "make_policy",
     "AccessResult",
     "SetAssocCache",
     "MSHRFile",

@@ -29,8 +29,8 @@ class L1Cache:
             )
         self.name = name
         self.line_bytes = line_bytes
-        self._store = SetAssocCache(num_sets, assoc, policy="lru",
-                                    allocate_on_write=False, name=name)
+        self._store = SetAssocCache(num_sets, assoc, allocate_on_write=False,
+                                    name=name)
         self.read_hits = 0
         self.read_misses = 0
         self.writes = 0

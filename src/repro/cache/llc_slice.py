@@ -46,7 +46,7 @@ class LLCSlice:
                  index_shift: int, line_flits: int, latency: float):
         self.slice_id = slice_id
         self.store = SetAssocCache(num_sets, assoc, index_shift=index_shift,
-                                   policy="lru", name=f"llc{slice_id}")
+                                   name=f"llc{slice_id}")
         self.tag_port = BandwidthServer(f"llc{slice_id}.tag")
         self.data_port = BandwidthServer(f"llc{slice_id}.data")
         self.line_flits = line_flits

@@ -1,4 +1,4 @@
-"""Generic set-associative tag store.
+"""Generic set-associative tag store with true-LRU replacement.
 
 Keys are *line addresses* (byte address divided by line size).  The cache
 stores the full key in each way, so any indexing function is correctness-safe;
@@ -8,15 +8,24 @@ only ever populate 1/num_slices of its sets).
 
 Tag-array layout
 ----------------
-Each set is a plain list of keys (``None`` marks an invalid way) plus a
-parallel list of dirty bits.  Tag matching therefore runs as ``key in keys``
-followed by ``keys.index(key)`` — two C-speed scans — instead of a Python
-loop over line objects, which dominated the simulator profile at 16-way
-associativity (the paper's LLC slices).  The membership test goes first
-because streaming workloads miss far more often than they hit, and ``in`` on
-a miss costs one scan with no exception machinery.  Victim selection keeps
-the architectural rule *first invalid way, else ask the replacement policy*:
-``keys.index(None)`` finds the first invalid way in the same C scan.
+The paper's L1 and LLC are both true LRU (Table 1), so each set is one
+plain list of its resident keys in recency order: least recently touched
+first, most recently touched last.  There are no invalid-way slots, no way
+indices and no per-set policy object:
+
+* a hit is ``key in keys`` (one C-speed scan) followed by
+  ``keys.remove(key); keys.append(key)``;
+* a fill appends, first evicting ``keys.pop(0)`` when the set is full;
+* an invalidation removes the key.
+
+This is exactly way-indexed LRU with the *first invalid way, else the LRU
+victim* fill rule: a set only evicts when every way is valid, and every
+valid way was touched at its fill, so the list's head is always the least
+recently touched resident key.  Dirty state is one ``set`` of dirty keys
+per cache (a key lives in exactly one set, and the dirty set only ever
+holds resident keys).  The batch tier (:mod:`repro.gpu.batchpath`) inlines
+the same list operations against ``_sets``/``_dirty``, which are only ever
+mutated in place.
 """
 
 # repro: hot-path
@@ -24,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.cache.replacement import make_policy
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +58,7 @@ _MISS_CLEAN = AccessResult(hit=False, allocated=True)
 
 
 class SetAssocCache:
-    """A set-associative cache of line keys with pluggable replacement.
+    """A set-associative LRU cache of line keys.
 
     Parameters
     ----------
@@ -61,20 +68,17 @@ class SetAssocCache:
     index_shift:
         Key bits to skip before extracting the set index (used by LLC slices
         to index above the slice-select bits).
-    policy:
-        Replacement policy name accepted by :func:`repro.cache.replacement.make_policy`.
     allocate_on_write:
         When False, write misses do not fill the cache (GPU L1 behaviour).
     """
 
     __slots__ = ("name", "num_sets", "assoc", "index_shift",
-                 "allocate_on_write", "_keys", "_dirty", "_policies",
+                 "allocate_on_write", "_sets", "_dirty",
                  "hits", "misses", "evictions", "writebacks")
 
     # repro: cold
     def __init__(self, num_sets: int, assoc: int, index_shift: int = 0,
-                 policy: str = "lru", allocate_on_write: bool = True,
-                 name: str = ""):
+                 allocate_on_write: bool = True, name: str = ""):
         if num_sets <= 0:
             raise ValueError(f"num_sets must be positive, got {num_sets}")
         if assoc <= 0:
@@ -84,12 +88,9 @@ class SetAssocCache:
         self.assoc = assoc
         self.index_shift = index_shift
         self.allocate_on_write = allocate_on_write
-        # Parallel per-set arrays: way -> key (None = invalid), way -> dirty.
-        self._keys: list[list[Optional[int]]] = [
-            [None] * assoc for _ in range(num_sets)]
-        self._dirty: list[list[bool]] = [
-            [False] * assoc for _ in range(num_sets)]
-        self._policies = [make_policy(policy, assoc) for _ in range(num_sets)]
+        # Per-set resident keys, LRU first and MRU last; dirty resident keys.
+        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self._dirty: set[int] = set()
         # stats
         self.hits = 0
         self.misses = 0
@@ -103,7 +104,7 @@ class SetAssocCache:
     # ------------------------------------------------------------- access
     def probe(self, key: int) -> bool:
         """Non-intrusive lookup: no stats, no recency update, no fill."""
-        return key in self._keys[(key >> self.index_shift) % self.num_sets]
+        return key in self._sets[(key >> self.index_shift) % self.num_sets]
 
     def access_if_hit(self, key: int) -> bool:
         """One-scan read lookup: on hit, count it and update recency (like
@@ -112,109 +113,87 @@ class SetAssocCache:
 
         Callers that defer allocation to fill time (the L1 front end) use
         this to collapse their probe-then-access double scan."""
-        set_idx = (key >> self.index_shift) % self.num_sets
-        keys = self._keys[set_idx]
+        keys = self._sets[(key >> self.index_shift) % self.num_sets]
         if key in keys:
             self.hits += 1
-            self._policies[set_idx].on_access(keys.index(key))
+            keys.remove(key)
+            keys.append(key)
             return True
         return False
 
     def access(self, key: int, is_write: bool = False) -> AccessResult:
         """Lookup + (on miss) allocate.  Updates stats and recency."""
-        set_idx = (key >> self.index_shift) % self.num_sets
-        keys = self._keys[set_idx]
-        policy = self._policies[set_idx]
-
+        keys = self._sets[(key >> self.index_shift) % self.num_sets]
         if key in keys:
-            way = keys.index(key)
             self.hits += 1
-            policy.on_access(way)
+            keys.remove(key)
+            keys.append(key)
             if is_write:
-                self._dirty[set_idx][way] = True
+                self._dirty.add(key)
             return _HIT
 
         self.misses += 1
         if is_write and not self.allocate_on_write:
             return _MISS_BYPASS
-        return self._allocate(set_idx, keys, policy, key, bool(is_write))
+        return self._fill(keys, key, is_write)
 
     def insert(self, key: int, dirty: bool = False) -> AccessResult:
         """Fill ``key`` without touching hit/miss statistics (used when the
         allocation happens at data-return time and the miss was already
-        counted at request time).  No-op when the key is already resident."""
-        set_idx = (key >> self.index_shift) % self.num_sets
-        keys = self._keys[set_idx]
-        policy = self._policies[set_idx]
+        counted at request time).  A resident key only has its recency
+        (and, when ``dirty``, its dirty bit) updated."""
+        keys = self._sets[(key >> self.index_shift) % self.num_sets]
         if key in keys:
-            way = keys.index(key)
-            policy.on_access(way)
+            keys.remove(key)
+            keys.append(key)
             if dirty:
-                self._dirty[set_idx][way] = True
+                self._dirty.add(key)
             return _HIT
-        return self._allocate(set_idx, keys, policy, key, dirty)
+        return self._fill(keys, key, dirty)
 
-    def _allocate(self, set_idx: int, keys, policy, key: int,
-                  dirty: bool) -> AccessResult:
-        """Victim selection + fill, shared by :meth:`access` / :meth:`insert`.
-        Prefers the first invalid way, else asks the replacement policy."""
-        dirty_bits = self._dirty[set_idx]
-        if None in keys:
-            way = keys.index(None)
-            result = _MISS_CLEAN
-        else:
-            way = policy.victim()
+    def _fill(self, keys: list[int], key: int, dirty: bool) -> AccessResult:
+        """Append ``key`` as MRU, first evicting the LRU key when the set
+        is full; shared by :meth:`access` / :meth:`insert`."""
+        result = _MISS_CLEAN
+        if len(keys) >= self.assoc:
+            victim = keys.pop(0)
             self.evictions += 1
-            victim_dirty = dirty_bits[way]
+            victim_dirty = victim in self._dirty
             if victim_dirty:
+                self._dirty.remove(victim)
                 self.writebacks += 1
             result = AccessResult(hit=False, allocated=True,
-                                  evicted_key=keys[way],
+                                  evicted_key=victim,
                                   evicted_dirty=victim_dirty)
-        keys[way] = key
-        dirty_bits[way] = dirty
-        policy.on_access(way)
+        keys.append(key)
+        if dirty:
+            self._dirty.add(key)
         return result
 
     # --------------------------------------------------------- management
     def invalidate(self, key: int) -> bool:
         """Drop ``key`` if present; returns whether it was found."""
-        set_idx = self.set_index(key)
-        keys = self._keys[set_idx]
+        keys = self._sets[self.set_index(key)]
         if key in keys:
-            way = keys.index(key)
-            keys[way] = None
-            self._dirty[set_idx][way] = False
-            self._policies[set_idx].on_invalidate(way)
+            keys.remove(key)
+            self._dirty.discard(key)
             return True
         return False
 
     def flush(self) -> tuple[int, int]:
         """Invalidate everything.  Returns ``(valid_lines, dirty_lines)`` so
         callers can account writeback traffic and reconfiguration time."""
-        valid = dirty = 0
-        for set_idx, keys in enumerate(self._keys):
-            dirty_bits = self._dirty[set_idx]
-            for way, k in enumerate(keys):
-                if k is not None:
-                    valid += 1
-                    if dirty_bits[way]:
-                        dirty += 1
-                        self.writebacks += 1
-                    keys[way] = None
-                    dirty_bits[way] = False
-        return valid, dirty
+        valid = 0
+        for keys in self._sets:
+            valid += len(keys)
+            keys.clear()
+        return valid, self.clean()
 
     def clean(self) -> int:
         """Write back all dirty lines without invalidating.  Returns count."""
-        dirty = 0
-        for set_idx, keys in enumerate(self._keys):
-            dirty_bits = self._dirty[set_idx]
-            for way, k in enumerate(keys):
-                if k is not None and dirty_bits[way]:
-                    dirty += 1
-                    dirty_bits[way] = False
-                    self.writebacks += 1
+        dirty = len(self._dirty)
+        self._dirty.clear()
+        self.writebacks += dirty
         return dirty
 
     # -------------------------------------------------------------- stats
@@ -230,12 +209,13 @@ class SetAssocCache:
     # repro: cold
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(1 for keys in self._keys for k in keys if k is not None)
+        return sum(len(keys) for keys in self._sets)
 
     # repro: cold
     def resident_keys(self) -> list[int]:
-        """All valid keys (test/diagnostic helper)."""
-        return [k for keys in self._keys for k in keys if k is not None]
+        """All valid keys, set by set in LRU-to-MRU order (test/diagnostic
+        helper)."""
+        return [k for keys in self._sets for k in keys]
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = self.writebacks = 0

@@ -7,8 +7,10 @@ keep the event tier's exact schedule but strip its per-event overhead:
 
 * **Closed-form round trips.**  Each request or reply crosses its NoC
   route, tag/data ports and DRAM bank as inline arithmetic over the same
-  ``busy_until`` serialization points the event tier's servers keep, with
-  every (SM, slice) server chain resolved once into dense route tables.
+  ``busy_until`` serialization points the event tier's servers keep.  A
+  hop's port is picked by plain list indexing into the topology's own
+  per-cluster and per-MC port rows (plus one per-SM reply-port row), so
+  no per-(SM, slice) route table is built.
 
 * **Launch-time route decode.**  At kernel launch one scalar sweep runs
   the PAE memory-controller and LLC-slice folds over the concatenation of
@@ -57,12 +59,12 @@ suite pins ``RunResult.to_dict()`` against the golden captures.
 Decline contract
 ----------------
 ``install_batchpath`` returns False — leaving the system un-mutated — when
-the topology is not the hierarchical crossbar, any tag store uses non-LRU
-replacement, a nonzero ``index_shift`` or non-uniform set counts, the
-address mapping is not exactly the PAE hash (the inlined folds encode it,
-so subclasses and the Hynix mapping decline), the engine is not the stock
-binary-heap ``Engine``, or the install-time self-check (inlined folds
-against the mapping's own ``mc_of``/``slice_of``/``bank_of``) fails.
+the topology is not the hierarchical crossbar, any tag store uses a
+nonzero ``index_shift`` or non-uniform set counts, the address mapping is
+not exactly the PAE hash (the inlined folds encode it, so subclasses and
+the Hynix mapping decline), the engine is not the stock binary-heap
+``Engine``, or the install-time self-check (inlined folds against the
+mapping's own ``mc_of``/``slice_of``/``bank_of``) fails.
 ``GPUSystem`` then runs the event tier; results are byte-identical either
 way.  Consolidation runs install: per-request latency is stamped at issue
 and recorded at fill with the event tier's float expression, and a
@@ -77,7 +79,6 @@ from heapq import heappush
 from typing import Any
 
 from repro.cache.mshr import MSHREntry
-from repro.cache.replacement import LRUPolicy
 from repro.core.modes import LLCMode
 from repro.mem.address_map import PAEMapping
 from repro.mem.dram import DRAMBank
@@ -103,9 +104,6 @@ def install_batchpath(system: Any) -> bool:
     slice_stores = [sl.store for sl in system.llc_slices]
     l1_stores = [sm.l1._store for sm in system.sms]
     if any(st.index_shift for st in slice_stores + l1_stores):
-        return False
-    if any(type(p) is not LRUPolicy
-           for st in slice_stores + l1_stores for p in st._policies):
         return False
     if (len({st.num_sets for st in slice_stores}) != 1
             or len({st.num_sets for st in l1_stores}) != 1):
@@ -169,17 +167,13 @@ def install_batchpath(system: Any) -> bool:
     # continuation dispatch draws numbers between callbacks.
     heap = engine._heap
 
-    # Tag-array internals, indexed by slice / SM id (mutated in place by
-    # every path including flush/clean, so the captures stay valid).
-    llc_keysets = [st._keys for st in slice_stores]
-    llc_dirty = [st._dirty for st in slice_stores]
-    llc_orders = [[p._order for p in st._policies] for st in slice_stores]
+    # Tag arrays (recency-ordered key lists plus one dirty-key set per
+    # store, see repro.cache.setassoc) are captured per store by the
+    # closure factories; every path including flush/clean mutates them in
+    # place, so the captures stay valid.
     llc_num_sets = slice_stores[0].num_sets
     tag_ports = [sl.tag_port for sl in llc_slices]
     data_ports = [sl.data_port for sl in llc_slices]
-    l1_keysets = [st._keys for st in l1_stores]
-    l1_dirty_all = [st._dirty for st in l1_stores]
-    l1_orders_all = [[p._order for p in st._policies] for st in l1_stores]
     l1_num_sets = l1_stores[0].num_sets
 
     # DRAM internals (channels are built uniformly from one config).
@@ -277,33 +271,19 @@ def install_batchpath(system: Any) -> bool:
             warp.sg_tab = sg_list[base:end]
             base = end
 
-    # Routes: every (sm, slice) pair's server chain, resolved once into
-    # dense tables indexed by ``sm_id * num_slices + slice_global``.
-    req_routes: list[Any] = [None] * (system.cfg.num_sms * num_slices)
-    rep_routes: list[Any] = [None] * (system.cfg.num_sms * num_slices)
-    for sm_id in range(system.cfg.num_sms):
-        cl = sm_id // spc
-        sm_srv = topo.sm_links[sm_id].server
-        req_smr = topo.req_sm_routers[cl]
-        rep_smr = topo.rep_sm_routers[cl]
-        rep_smr_port = rep_smr.output_ports[sm_id % spc]
-        rep_dist = topo.rep_dist[sm_id]
-        for mc in range(topo.num_mcs):
-            req_longw = topo.req_long[cl][mc]
-            rep_longw = topo.rep_long[mc][cl]
-            req_smr_port = req_smr.output_ports[mc]
-            req_mcr = topo.req_mc_routers[mc]
-            rep_mcr = topo.rep_mc_routers[mc]
-            rep_mcr_port = rep_mcr.output_ports[cl]
-            for sl_local in range(spm):
-                sg = mc * spm + sl_local
-                req_routes[sm_id * num_slices + sg] = (
-                    sm_srv, req_smr, req_smr_port, req_longw,
-                    req_mcr, req_mcr.output_ports[sl_local],
-                    topo.req_dist[sg])
-                rep_routes[sm_id * num_slices + sg] = (
-                    topo.slice_links[sg].server, rep_mcr, rep_mcr_port,
-                    rep_longw, rep_smr, rep_smr_port, rep_dist)
+    # Route ports.  A request crosses its cluster's SM-router port toward
+    # the MC (``req_sm_routers[cl].output_ports[mc]``) and, unless
+    # bypassed, the MC-router port toward the slice (``req_mcr_ports`` by
+    # slice_global).  A reply crosses its MC-router port toward the
+    # cluster (``rep_mc_routers[mc].output_ports[cl]``) and the SM-router
+    # port toward the SM (``rep_smr_ports`` by sm_id).  The wires and
+    # routers around them only carry tallies, derived from the topology
+    # when the deferred counts fold.
+    req_mcr_ports = [port for mcr in topo.req_mc_routers
+                     for port in mcr.output_ports]
+    rep_smr_ports = [topo.rep_sm_routers[sm_id // spc]
+                     .output_ports[sm_id % spc]
+                     for sm_id in range(system.cfg.num_sms)]
 
     # ------------------------------------------------------ slice stages
     # Specialized per slice: every counter with no mid-run reader
@@ -314,25 +294,26 @@ def install_batchpath(system: Any) -> bool:
         tag = tag_ports[sg]
         data = data_ports[sg]
         store = slice_stores[sg]
-        keys_by_set = llc_keysets[sg]
-        dirty_by_set = llc_dirty[sg]
-        orders_by_set = llc_orders[sg]
+        keys_by_set = store._sets
+        dirty = store._dirty
+        assoc = store.assoc
         mc = sg // spm
         mc_stats = mcs[mc]
         chan = channels[mc]
         banks = banks_of[mc]
         bus = busses[mc]
         sl_srv = topo.slice_links[sg].server
-        # Reply routes for this slice, indexed by sm_id (rep_routes is laid
-        # out sm-major, so a stride-num_slices slice extracts the column).
-        routes_by_sm = rep_routes[sg::num_slices]
+        rep_mcr = topo.rep_mc_routers[mc]
+        # This MC-router's reply ports, indexed by destination cluster.
+        rep_mcr_ports = rep_mcr.output_ports
 
         # Deferred tallies: read/write hits+misses, evictions, dirty
         # writebacks, write-through stores, fills, replies.
         a_rh = a_rm = a_wh = a_wm = a_ev = a_wb = a_wt = a_fill = a_rep = 0
         # Per-destination-SM reply counts (all replies / the subset that
-        # crossed the MC router), folded over ``routes_by_sm`` at collect
-        # time so the reply traversal only touches ``busy_until`` live.
+        # crossed the MC router), folded over the reply route legs at
+        # collect time so the reply traversal only touches ``busy_until``
+        # live.
         rep_all = [0] * system.cfg.num_sms
         rep_routed = [0] * system.cfg.num_sms
 
@@ -381,14 +362,11 @@ def install_batchpath(system: Any) -> bool:
             busy = tag.busy_until
             tag_done = (busy if busy > now else now) + 1.0
             tag.busy_until = tag_done
-            set_idx = key % llc_num_sets
-            keys = keys_by_set[set_idx]
+            keys = keys_by_set[key % llc_num_sets]
             if key in keys:
                 a_rh += 1
-                way = keys.index(key)
-                order = orders_by_set[set_idx]
-                order.remove(way)
-                order.append(way)
+                keys.remove(key)
+                keys.append(key)
                 busy = data.busy_until
                 exit_time = (busy if busy > tag_done
                              else tag_done) + line_flits_f
@@ -406,23 +384,17 @@ def install_batchpath(system: Any) -> bool:
                                                  sg, True)
                 return (exit_time + llc_latency, reply_s, req)
             a_rm += 1
-            # Inlined SetAssocCache._allocate, read fills are clean: first
-            # invalid way, else the LRU victim.
-            dirty_bits = dirty_by_set[set_idx]
-            order = orders_by_set[set_idx]
+            # Inlined SetAssocCache._fill, read fills are clean: a full set
+            # first evicts its LRU head.
             wb_key = None
-            if None in keys:
-                way = keys.index(None)
-            else:
-                way = order[0]
+            if len(keys) >= assoc:
+                victim = keys.pop(0)
                 a_ev += 1
-                if dirty_bits[way]:
+                if victim in dirty:
+                    dirty.remove(victim)
                     a_wb += 1
-                    wb_key = keys[way]
-            keys[way] = key
-            dirty_bits[way] = False
-            order.remove(way)
-            order.append(way)
+                    wb_key = victim
+            keys.append(key)
             sm = req.sm
             prog = programs[sm.program_id]
             if system.count_program_llc:
@@ -487,15 +459,13 @@ def install_batchpath(system: Any) -> bool:
         def reply_s(req: Any) -> Any:
             """Closed-form reply traversal; every tally is deferred — the
             slice link's as a scalar, the per-destination-SM route legs as
-            counts folded over ``routes_by_sm`` at collect time.  Only the
-            ``busy_until`` serialization points mutate live (they feed the
-            next reply's queueing delay, so they cannot wait)."""
+            counts folded at collect time.  Only the ``busy_until``
+            serialization points mutate live (they feed the next reply's
+            queueing delay, so they cannot wait)."""
             nonlocal a_rep
             now = engine.now
             sm = req.sm
             sm_id = sm.sm_id
-            (_srv, mcr, mcr_port, longw, smr, smr_port, distw) = \
-                routes_by_sm[sm_id]
             busy = sl_srv.busy_until
             t = (busy if busy > now else now) + rep_f
             sl_srv.busy_until = t
@@ -507,12 +477,14 @@ def install_batchpath(system: Any) -> bool:
             else:
                 # Shared mode, or an in-flight reply draining through a
                 # still-powered MC-router after a switch to private.
+                mcr_port = rep_mcr_ports[sm.cluster_id]
                 busy = mcr_port.busy_until
                 done = (busy if busy > t else t) + rep_f
                 mcr_port.busy_until = done
                 rep_routed[sm_id] += 1
                 t = done + pipeline
             t = t + LONG
+            smr_port = rep_smr_ports[sm_id]
             busy = smr_port.busy_until
             done = (busy if busy > t else t) + rep_f
             smr_port.busy_until = done
@@ -528,35 +500,24 @@ def install_batchpath(system: Any) -> bool:
             busy = tag.busy_until
             tag_done = (busy if busy > now else now) + 1.0
             tag.busy_until = tag_done
-            set_idx = key % llc_num_sets
-            keys = keys_by_set[set_idx]
+            keys = keys_by_set[key % llc_num_sets]
             wb_key = None
-            if key in keys:
-                way = keys.index(key)
+            hit = key in keys
+            if hit:
                 a_wh += 1
-                order = orders_by_set[set_idx]
-                order.remove(way)
-                order.append(way)
-                if not write_through:
-                    dirty_by_set[set_idx][way] = True
-                hit = True
+                keys.remove(key)
             else:
                 a_wm += 1
-                dirty_bits = dirty_by_set[set_idx]
-                order = orders_by_set[set_idx]
-                if None in keys:
-                    way = keys.index(None)
-                else:
-                    way = order[0]
+                if len(keys) >= assoc:
+                    victim = keys.pop(0)
                     a_ev += 1
-                    if dirty_bits[way]:
+                    if victim in dirty:
+                        dirty.remove(victim)
                         a_wb += 1
-                        wb_key = keys[way]
-                keys[way] = key
-                dirty_bits[way] = not write_through
-                order.remove(way)
-                order.append(way)
-                hit = False
+                        wb_key = victim
+            keys.append(key)
+            if not write_through:
+                dirty.add(key)
             busy = data.busy_until
             done = (busy if busy > tag_done else tag_done) + line_flits_f
             data.busy_until = done
@@ -630,22 +591,24 @@ def install_batchpath(system: Any) -> bool:
             # exact sum of n event-tier increments.
             for sm_id, n in enumerate(rep_all):
                 if n:
-                    (_srv, mcr, mcr_port, longw, smr, smr_port, distw) = \
-                        routes_by_sm[sm_id]
-                    longw.flits += n * rep_i
+                    cl = sm_id // spc
+                    topo.rep_long[mc][cl].flits += n * rep_i
+                    smr_port = rep_smr_ports[sm_id]
                     smr_port.busy_cycles += n * rep_f
                     smr_port.jobs += n
+                    smr = topo.rep_sm_routers[cl]
                     smr.buffer_flits += n * rep_i
                     smr.xbar_flits += n * rep_i
                     smr.packets += n
-                    distw.flits += n * rep_i
+                    topo.rep_dist[sm_id].flits += n * rep_i
                     m = rep_routed[sm_id]
                     if m:
+                        mcr_port = rep_mcr_ports[cl]
                         mcr_port.busy_cycles += m * rep_f
                         mcr_port.jobs += m
-                        mcr.buffer_flits += m * rep_i
-                        mcr.xbar_flits += m * rep_i
-                        mcr.packets += m
+                        rep_mcr.buffer_flits += m * rep_i
+                        rep_mcr.xbar_flits += m * rep_i
+                        rep_mcr.packets += m
                         rep_routed[sm_id] = 0
                     rep_all[sm_id] = 0
             a_rh = a_rm = a_wh = a_wm = a_ev = a_wb = a_wt = 0
@@ -676,9 +639,9 @@ def install_batchpath(system: Any) -> bool:
         l1 = sm.l1
         l1_store = l1._store
         smid = sm.sm_id
-        l1_sets = l1_keysets[smid]
-        l1_orders = l1_orders_all[smid]
-        l1_dirty = l1_dirty_all[smid]
+        l1_sets = l1_store._sets
+        l1_dirty = l1_store._dirty
+        l1_assoc = l1_store.assoc
         mshr = sm.mshr
         mshr_entries = mshr._entries
         mshr_capacity = mshr.num_entries
@@ -688,19 +651,19 @@ def install_batchpath(system: Any) -> bool:
         lat = programs[program_id].latencies
         sm_srv = topo.sm_links[smid].server
         req_smr = topo.req_sm_routers[cluster_id]
-        # This SM's request-route row, indexed by slice_global.
-        req_routes_sm = req_routes[smid * num_slices:
-                                   (smid + 1) * num_slices]
+        # This cluster's SM-router request ports, indexed by MC.
+        req_smr_ports = req_smr.output_ports
 
         # Deferred tallies: issued reads/writes, MSHR events, L1 events.
         b_ir = b_iw = b_mg = b_al = b_st = 0
         b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = b_l1ev = b_l1wb = 0
-        # Per-destination-slice issue counts, folded over ``req_routes_sm``
-        # at collect time.  ``*_all`` covers the legs every issue crosses
-        # (SM-router port, long wire); ``*_routed`` the MC-router legs only
-        # non-bypass issues cross.  Recording the bypass decision per issue
-        # keeps the fold exact across mid-run bypass flips (adaptive
-        # reconfigurations power the MC-routers on and off).
+        # Per-destination-slice issue counts, folded over the request
+        # route legs at collect time.  ``*_all`` covers the legs every
+        # issue crosses (SM-router port, long wire); ``*_routed`` the
+        # MC-router legs only non-bypass issues cross.  Recording the
+        # bypass decision per issue keeps the fold exact across mid-run
+        # bypass flips (adaptive reconfigurations power the MC-routers on
+        # and off).
         rd_all = [0] * num_slices
         wr_all = [0] * num_slices
         rd_routed = [0] * num_slices
@@ -768,14 +731,11 @@ def install_batchpath(system: Any) -> bool:
                 if not is_write and not bypass:
                     # Inlined L1 read lookup: commit the hit, touch
                     # nothing on a miss.
-                    set_idx = key % l1_num_sets
-                    tag_keys = l1_sets[set_idx]
+                    tag_keys = l1_sets[key % l1_num_sets]
                     if key in tag_keys:
                         b_l1sh += 1
-                        way = tag_keys.index(key)
-                        order = l1_orders[set_idx]
-                        order.remove(way)
-                        order.append(way)
+                        tag_keys.remove(key)
+                        tag_keys.append(key)
                         b_l1rh += 1
                         # L1 hit: purely SM-local, consume eagerly.
                         cursor += 1
@@ -812,15 +772,12 @@ def install_batchpath(system: Any) -> bool:
                     sm.write_credits -= 1
                     # Inlined L1 write-through, no write-allocate.
                     b_l1w += 1
-                    set_idx = key % l1_num_sets
-                    tag_keys = l1_sets[set_idx]
+                    tag_keys = l1_sets[key % l1_num_sets]
                     if key in tag_keys:
-                        way = tag_keys.index(key)
                         b_l1sh += 1
-                        order = l1_orders[set_idx]
-                        order.remove(way)
-                        order.append(way)
-                        l1_dirty[set_idx][way] = True
+                        tag_keys.remove(key)
+                        tag_keys.append(key)
+                        l1_dirty.add(key)
                     else:
                         b_l1sm += 1
                     cursor += 1
@@ -897,12 +854,11 @@ def install_batchpath(system: Any) -> bool:
                 req.t0 = issue_at
                 if loc_note is not None:
                     loc_note(key, cluster_id, issue_at)
-                (_srv, smr, smr_port, longw, mcr, mcr_port,
-                 distw) = req_routes_sm[slice_global]
                 busy = sm_srv.busy_until
                 t = (busy if busy > issue_at else issue_at) + flits_f
                 sm_srv.busy_until = t
                 t = t + SHORT
+                smr_port = req_smr_ports[mc]
                 busy = smr_port.busy_until
                 done = (busy if busy > t else t) + flits_f
                 smr_port.busy_until = done
@@ -917,6 +873,7 @@ def install_batchpath(system: Any) -> bool:
                             f"{cluster_id}, asked {slice_local})")
                     arrive = t + BYPASS
                 else:
+                    mcr_port = req_mcr_ports[slice_global]
                     busy = mcr_port.busy_until
                     done = (busy if busy > t else t) + flits_f
                     mcr_port.busy_until = done
@@ -965,24 +922,16 @@ def install_batchpath(system: Any) -> bool:
             if not sm.l1_bypass_lo <= key < sm.l1_bypass_hi:
                 # Inlined L1 allocate-on-fill: fills are clean;
                 # re-inserting a resident line only touches recency.
-                set_idx = key % l1_num_sets
-                keys = l1_sets[set_idx]
-                order = l1_orders[set_idx]
+                keys = l1_sets[key % l1_num_sets]
                 if key in keys:
-                    way = keys.index(key)
-                else:
-                    dirty_bits = l1_dirty[set_idx]
-                    if None in keys:
-                        way = keys.index(None)
-                    else:
-                        way = order[0]
-                        b_l1ev += 1
-                        if dirty_bits[way]:
-                            b_l1wb += 1
-                    keys[way] = key
-                    dirty_bits[way] = False
-                order.remove(way)
-                order.append(way)
+                    keys.remove(key)
+                elif len(keys) >= l1_assoc:
+                    victim = keys.pop(0)
+                    b_l1ev += 1
+                    if victim in l1_dirty:
+                        l1_dirty.remove(victim)
+                        b_l1wb += 1
+                keys.append(key)
             ready_append = sm.ready.append
             for warp in waiters:
                 if warp.waiting_on == key:
@@ -1038,22 +987,25 @@ def install_batchpath(system: Any) -> bool:
                 nr = rd_all[sg2]
                 nw = wr_all[sg2]
                 if nr or nw:
-                    (_srv2, _smr2, smr_port2, longw2, mcr2, mcr_port2,
-                     distw2) = req_routes_sm[sg2]
+                    mc2 = sg2 // spm
+                    smr_port2 = req_smr_ports[mc2]
                     smr_port2.busy_cycles += nr * req_r_f + nw * req_w_f
                     smr_port2.jobs += nr + nw
-                    longw2.flits += nr * req_r_i + nw * req_w_i
+                    topo.req_long[cluster_id][mc2].flits += (
+                        nr * req_r_i + nw * req_w_i)
                     mr = rd_routed[sg2]
                     mw = wr_routed[sg2]
                     if mr or mw:
                         fi = mr * req_r_i + mw * req_w_i
+                        mcr_port2 = req_mcr_ports[sg2]
                         mcr_port2.busy_cycles += (mr * req_r_f
                                                   + mw * req_w_f)
                         mcr_port2.jobs += mr + mw
+                        mcr2 = topo.req_mc_routers[mc2]
                         mcr2.buffer_flits += fi
                         mcr2.xbar_flits += fi
                         mcr2.packets += mr + mw
-                        distw2.flits += fi
+                        topo.req_dist[sg2].flits += fi
                         rd_routed[sg2] = 0
                         wr_routed[sg2] = 0
                     rd_all[sg2] = 0

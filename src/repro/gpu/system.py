@@ -200,8 +200,8 @@ class Request:
     scheduled directly as bound-method callbacks via
     :meth:`~repro.sim.engine.Engine.schedule_call` — no closure is allocated
     per pipeline hop.  Requests are pooled by the owning :class:`GPUSystem`
-    (preallocated at construction, recycled at end of life), so steady-state
-    traffic allocates nothing per L1 miss.
+    (built on demand when the pool is dry, recycled at end of life), so
+    steady-state traffic allocates nothing per L1 miss.
     """
 
     __slots__ = ("sm", "key", "mc", "slice_local", "slice_global", "t0")
@@ -395,12 +395,10 @@ class GPUSystem:
         self.locality = (InterClusterLocalityTracker(locality_window,
                                                      weighted=True)
                          if collect_locality else None)
-        # Request pool: enough for every SM to max out its MSHRs and store
-        # buffer simultaneously; recycled objects cover transient overshoot.
-        self._req_pool: list[Request] = [
-            Request() for _ in range(cfg.num_sms
-                                     * (cfg.max_outstanding_misses + 16))
-        ]
+        # Request pool: starts empty and grows on demand (both tiers build
+        # a Request only when the pool is dry), so it peaks at the run's
+        # maximum number of requests in flight.
+        self._req_pool: list[Request] = []
         # Per-program LLC counter maintenance is opt-in: policies with
         # per-program observation windows enable it from setup(), so runs
         # under purely static/profiled policies pay one bool check per

@@ -7,7 +7,6 @@ system so untouched that its run is byte-identical to a twin system that
 never saw the installer.  One test per documented decline reason:
 
 * non-``HierarchicalCrossbar`` topology,
-* non-LRU replacement anywhere in the L1/LLC tag stores,
 * a nonzero tag-store ``index_shift``,
 * non-uniform set counts across slices (or across L1s),
 * a non-PAE address mapping (the inlined folds encode the PAE hash), be
@@ -28,7 +27,6 @@ import dataclasses
 
 import pytest
 
-from repro.cache.replacement import FIFOPolicy
 from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import experiment_config
 from repro.gpu.batchpath import install_batchpath
@@ -92,23 +90,6 @@ def test_fastpath_tier_is_rejected():
 
 
 # ------------------------------------------------- mutation-only reasons
-def test_decline_non_lru_replacement():
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        store = system.llc_slices[0].store
-        store._policies[0] = FIFOPolicy(store.assoc)
-    _assert_declined_and_untouched(declined, untouched)
-
-
-def test_decline_non_lru_l1_replacement():
-    """The guard covers the L1 tag stores too, not just the LLC."""
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        store = system.sms[0].l1._store
-        store._policies[0] = FIFOPolicy(store.assoc)
-    _assert_declined_and_untouched(declined, untouched)
-
-
 def test_decline_nonzero_index_shift():
     declined, untouched = _twin_systems()
     for system in (declined, untouched):

@@ -1,15 +1,9 @@
-"""Tests for replacement policies."""
+"""Tests for the way-indexed LRU replacement policy (the ATD's)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    PseudoLRUPolicy,
-    SRRIPPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LRUPolicy
 
 
 def test_lru_victim_is_least_recent():
@@ -36,114 +30,9 @@ def test_lru_recency_order_exposed():
     assert p.recency_order() == [1, 2, 0]
 
 
-def test_fifo_round_robin():
-    p = FIFOPolicy(3)
-    assert [p.victim() for _ in range(4)] == [0, 1, 2, 0]
-
-
-def test_fifo_ignores_hits():
-    p = FIFOPolicy(3)
-    p.on_access(2)
-    assert p.victim() == 0
-
-
-def test_fifo_invalidate_rewinds():
-    p = FIFOPolicy(4)
-    p.victim()  # 0
-    p.on_invalidate(2)
-    assert p.victim() == 2
-
-
-def test_plru_requires_power_of_two():
+def test_lru_rejects_non_positive_assoc():
     with pytest.raises(ValueError):
-        PseudoLRUPolicy(6)
-
-
-def test_plru_victim_avoids_recent_way():
-    p = PseudoLRUPolicy(4)
-    p.on_access(0)
-    assert p.victim() != 0
-    p.on_access(p.victim())
-
-
-def test_plru_full_rotation_touches_all_ways():
-    p = PseudoLRUPolicy(8)
-    seen = set()
-    for _ in range(8):
-        v = p.victim()
-        seen.add(v)
-        p.on_access(v)
-    assert seen == set(range(8))
-
-
-def test_srrip_fill_inserts_long_then_hit_promotes():
-    p = SRRIPPolicy(4)
-    p.on_access(0)               # fill: long interval (MAX-1)
-    assert p._rrpv[0] == SRRIPPolicy.MAX_RRPV - 1
-    p.on_access(0)               # hit: promote to near-immediate
-    assert p._rrpv[0] == 0
-
-
-def test_srrip_victim_prefers_distant_reuse():
-    p = SRRIPPolicy(4)
-    for way in range(4):
-        p.on_access(way)         # all filled at long
-    p.on_access(1)               # way 1 reused -> protected
-    v = p.victim()
-    assert v != 1
-
-
-def test_srrip_aging_terminates_and_covers_all_ways():
-    p = SRRIPPolicy(4)
-    seen = set()
-    for _ in range(8):
-        v = p.victim()
-        seen.add(v)
-        p.on_invalidate(v)
-        p.on_access(v)
-    assert seen  # victim() always terminates and yields valid ways
-    assert all(0 <= w < 4 for w in seen)
-
-
-def test_srrip_invalidate_makes_way_immediate_victim():
-    p = SRRIPPolicy(4)
-    for way in range(4):
-        p.on_access(way)
-        p.on_access(way)         # protect everyone
-    p.on_invalidate(2)
-    assert p.victim() == 2
-
-
-def test_srrip_scan_resistance_in_cache():
-    """A reused working set survives a one-pass scan under SRRIP but is
-    destroyed under LRU — the classic RRIP result."""
-    from repro.cache.setassoc import SetAssocCache
-
-    def run(policy):
-        c = SetAssocCache(num_sets=1, assoc=8, policy=policy)
-        hot = list(range(4))
-        for _ in range(6):           # establish reuse
-            for k in hot:
-                c.access(k)
-        for k in range(100, 120):    # streaming scan
-            c.access(k)
-        c.reset_stats()
-        for k in hot:                # does the hot set survive?
-            c.access(k)
-        return c.hits
-
-    assert run("srrip") >= run("lru")
-
-
-def test_make_policy_factory():
-    assert isinstance(make_policy("lru", 4), LRUPolicy)
-    assert isinstance(make_policy("fifo", 4), FIFOPolicy)
-    assert isinstance(make_policy("plru", 4), PseudoLRUPolicy)
-    assert isinstance(make_policy("srrip", 4), SRRIPPolicy)
-    with pytest.raises(ValueError):
-        make_policy("random-nope", 4)
-    with pytest.raises(ValueError):
-        make_policy("lru", 0)
+        LRUPolicy(0)
 
 
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=100))
@@ -152,11 +41,3 @@ def test_lru_victim_is_never_most_recent(accesses):
     for way in accesses:
         p.on_access(way)
     assert p.victim() != accesses[-1] or len(set(accesses)) == 1 and p.assoc == 1
-
-
-@given(st.lists(st.integers(0, 3), min_size=4, max_size=50))
-def test_plru_victim_in_range(accesses):
-    p = PseudoLRUPolicy(4)
-    for way in accesses:
-        p.on_access(way)
-    assert 0 <= p.victim() < 4

@@ -1,9 +1,11 @@
 """Tests for the set-associative tag store."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from collections import OrderedDict
 
-from repro.cache.setassoc import SetAssocCache
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from repro.cache.setassoc import AccessResult, SetAssocCache
 
 
 def test_miss_then_hit():
@@ -154,3 +156,129 @@ def test_resident_keys_consistent_with_probe(keys):
     resident = c.resident_keys()
     assert len(resident) == c.occupancy()
     assert all(c.probe(k) for k in resident)
+
+
+class _ReferenceLRU:
+    """Textbook LRU: one ``OrderedDict`` per set mapping each resident key
+    to its dirty flag, least recently touched first."""
+
+    def __init__(self, num_sets, assoc, index_shift, allocate_on_write):
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.assoc = assoc
+        self.index_shift = index_shift
+        self.allocate_on_write = allocate_on_write
+        self.hits = self.misses = self.evictions = self.writebacks = 0
+
+    def _set(self, key):
+        return self.sets[(key >> self.index_shift) % len(self.sets)]
+
+    def probe(self, key):
+        return key in self._set(key)
+
+    def _touch(self, lines, key, dirty):
+        lines.move_to_end(key)
+        if dirty:
+            lines[key] = True
+
+    def _fill(self, lines, key, dirty):
+        victim, victim_dirty = None, False
+        if len(lines) == self.assoc:
+            victim, victim_dirty = lines.popitem(last=False)
+            self.evictions += 1
+            self.writebacks += victim_dirty
+        lines[key] = dirty
+        return AccessResult(hit=False, allocated=True, evicted_key=victim,
+                            evicted_dirty=victim_dirty)
+
+    def access(self, key, is_write):
+        lines = self._set(key)
+        if key in lines:
+            self.hits += 1
+            self._touch(lines, key, is_write)
+            return AccessResult(hit=True)
+        self.misses += 1
+        if is_write and not self.allocate_on_write:
+            return AccessResult(hit=False)
+        return self._fill(lines, key, is_write)
+
+    def access_if_hit(self, key):
+        lines = self._set(key)
+        if key in lines:
+            self.hits += 1
+            self._touch(lines, key, False)
+            return True
+        return False
+
+    def insert(self, key, dirty):
+        lines = self._set(key)
+        if key in lines:
+            self._touch(lines, key, dirty)
+            return AccessResult(hit=True)
+        return self._fill(lines, key, dirty)
+
+    def invalidate(self, key):
+        lines = self._set(key)
+        if key in lines:
+            del lines[key]
+            return True
+        return False
+
+    def clean(self):
+        dirty = 0
+        for lines in self.sets:
+            for key, is_dirty in lines.items():
+                if is_dirty:
+                    dirty += 1
+                    lines[key] = False
+        self.writebacks += dirty
+        return dirty
+
+    def flush(self):
+        valid = sum(len(lines) for lines in self.sets)
+        dirty = self.clean()
+        for lines in self.sets:
+            lines.clear()
+        return valid, dirty
+
+
+# Operation mix weighted toward fills and hits: frequent flushes would
+# keep the sets from filling up and erase the recency state the final
+# sweep checks.
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["access"] * 6 + ["access_if_hit", "insert"] * 4
+                    + ["invalidate"] * 2 + ["probe", "clean", "flush"]),
+    st.integers(0, 15), st.booleans()), min_size=30, max_size=300)
+
+
+def _apply(target, op, key, flag):
+    if op in ("access", "insert"):
+        return getattr(target, op)(key, flag)
+    if op in ("clean", "flush"):
+        return getattr(target, op)()
+    return getattr(target, op)(key)
+
+
+@seed(2019)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
+       st.booleans(), _OPS)
+def test_matches_reference_lru(num_sets, assoc, index_shift,
+                               allocate_on_write, ops):
+    """Differential test against a reference LRU over random operation
+    sequences: every return value (each ``AccessResult`` field included)
+    and every statistic agree after each step.  A final sweep of fresh
+    keys evicts every resident line, so the victims' order checks the
+    recency state the steps left behind."""
+    cache = SetAssocCache(num_sets, assoc, index_shift=index_shift,
+                          allocate_on_write=allocate_on_write)
+    ref = _ReferenceLRU(num_sets, assoc, index_shift, allocate_on_write)
+    for step in ops:
+        assert _apply(cache, *step) == _apply(ref, *step), step
+        assert (cache.hits, cache.misses, cache.evictions,
+                cache.writebacks) == (ref.hits, ref.misses, ref.evictions,
+                                      ref.writebacks), step
+    for key in range(16):
+        assert cache.probe(key) == ref.probe(key)
+    for fresh in range(100, 164):
+        assert _apply(cache, "access", fresh, False) == \
+            _apply(ref, "access", fresh, False), fresh

@@ -11,7 +11,6 @@ and leave the system so untouched that its run (every mode transition
 included) is byte-identical to a twin that never saw the installer:
 
 * non-``HierarchicalCrossbar`` topology,
-* non-LRU replacement anywhere in the L1/LLC tag stores,
 * a nonzero tag-store ``index_shift``,
 * non-uniform set counts across slices.
 
@@ -24,7 +23,6 @@ identical systems the same way* and attempting the install on only one.
 
 import dataclasses
 
-from repro.cache.replacement import FIFOPolicy
 from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import experiment_config
 from repro.gpu.batchpath import install_batchpath
@@ -80,23 +78,6 @@ def test_decline_non_hierarchical_crossbar_topology():
 
 
 # ------------------------------------------------- mutation-only reasons
-def test_decline_non_lru_replacement():
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        store = system.llc_slices[0].store
-        store._policies[0] = FIFOPolicy(store.assoc)
-    _assert_declined_and_untouched(declined, untouched)
-
-
-def test_decline_non_lru_l1_replacement():
-    """The guard covers the L1 tag stores too, not just the LLC."""
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        store = system.sms[0].l1._store
-        store._policies[0] = FIFOPolicy(store.assoc)
-    _assert_declined_and_untouched(declined, untouched)
-
-
 def test_decline_nonzero_index_shift():
     declined, untouched = _twin_systems()
     for system in (declined, untouched):

@@ -1,8 +1,12 @@
 """Integration tests for the assembled GPU system."""
 
+import gc
+
 import pytest
 
+import repro.gpu.system as system_module
 from repro.config import AdaptiveConfig, GPUConfig
+from repro.experiments.runner import experiment_config
 from repro.gpu.system import GPUSystem
 from repro.workloads.catalog import build
 from repro.workloads.generator import WorkloadSpec, generate_workload
@@ -191,12 +195,52 @@ def test_mshr_stalls_are_counted_at_the_stall_site():
     assert sum(sm.mshr.stalls for sm in s.sms) > 0
 
 
-def test_request_pool_is_recycled():
-    cfg = small_cfg()
+@pytest.mark.parametrize("tier", ["event", "batch"])
+def test_request_pool_is_recycled(tier, monkeypatch):
+    """The pool starts empty and grows only when it runs dry, so after the
+    run it holds exactly the requests ever built: one leaked (never
+    returned) or double-returned request breaks the count.  The batch tier
+    imports ``Request`` from ``repro.gpu.system`` at install time, so the
+    counting patch reaches both tiers."""
+    built = []
+
+    class CountingRequest(system_module.Request):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(system_module, "Request", CountingRequest)
+    cfg = small_cfg(tier=tier)
     w = build("VA", total_accesses=3000, num_ctas=160, max_kernels=1)
     s = GPUSystem(cfg, w, policy="shared")
-    initial = len(s._req_pool)
+    assert s.tier == tier
+    assert s._req_pool == []
     s.run()
-    # Every in-flight request was handed back and cleared.
-    assert len(s._req_pool) == initial
+    assert built, "the run must issue requests"
+    # Every in-flight request was handed back once and cleared.
+    assert len(s._req_pool) == len(built)
+    assert {id(req) for req in s._req_pool} == {id(req) for req in built}
     assert all(req.sm is None for req in s._req_pool)
+
+
+@pytest.mark.parametrize("tier", ["event", "batch"])
+def test_system_build_object_budget(tier):
+    """Building a system stays cheap for the cyclic GC: the tag stores
+    hold one key list per set (no per-set policy or dirty-bit objects),
+    requests are built on demand, and the batch tier's routes index the
+    topology's own port rows.  The way-indexed build took 41k (event) and
+    58k (batch) tracked objects for this system."""
+    cfg = experiment_config(tier=tier)
+    w = build("GEMM", total_accesses=2_000)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        s = GPUSystem(cfg, w, policy="adaptive")
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert s.tier == tier
+    assert tracked < 25_000

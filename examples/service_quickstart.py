@@ -8,7 +8,9 @@ through :class:`repro.service.client.ServiceClient`:
 2. poll the job to completion and fetch its ``RunResult`` payload,
 3. resubmit the identical mix and observe it coalesce (no re-simulation),
 4. restart the server on the same cache directory and observe the
-   store-served cache hit.
+   store-served cache hit,
+5. stop each server with SIGTERM and check that it exits 0 and takes
+   its pool workers with it (read from ``/proc``, so Linux only).
 
 Exit status is non-zero when any of those contracts is violated, which
 is why CI's ``service-smoke`` job runs this file verbatim.
@@ -19,6 +21,7 @@ Run:  PYTHONPATH=src python examples/service_quickstart.py
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,6 +48,38 @@ def start_server(cache_dir: str) -> tuple:
         proc.terminate()
         raise SystemExit(f"server failed to start: {banner!r}")
     return proc, int(match.group(1))
+
+
+def children(pid: int) -> set:
+    """Child pids of ``pid`` (the server's pool workers)."""
+    found = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            found.update(int(child) for child in fh.read().split())
+    return found
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def stop_server(proc: subprocess.Popen) -> None:
+    """SIGTERM the server; it must exit 0 and leave no worker behind."""
+    workers = children(proc.pid)
+    proc.terminate()
+    code = proc.wait(timeout=30)
+    leaked = sorted(pid for pid in workers if alive(pid))
+    for pid in leaked:
+        os.kill(pid, signal.SIGKILL)
+    if code != 0 or leaked:
+        raise SystemExit(f"server stop: exit {code}, leaked workers "
+                         f"{leaked or 'none'}")
+    print(f"[stop]   server exited 0, {len(workers)} workers gone")
 
 
 def wait_healthy(client: ServiceClient, timeout: float = 30.0) -> None:
@@ -93,8 +128,7 @@ def main() -> None:
               f"executed={stats['executed']}")
         assert stats["executed"] == 1, "exactly one simulation"
     finally:
-        proc.terminate()
-        proc.wait(timeout=30)
+        stop_server(proc)
 
     # 4. A fresh server on the warm cache directory serves the same key
     #    from the store — results survive restarts.
@@ -110,8 +144,7 @@ def main() -> None:
         print(f"[warm]   restart served {warm['id'][:12]}… from the "
               f"store (cache_hit={warm['cache_hit']})")
     finally:
-        proc.terminate()
-        proc.wait(timeout=30)
+        stop_server(proc)
     print("[ok]     submit -> poll -> fetch -> coalesce -> restart hit")
 
 

@@ -552,6 +552,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.config import ServiceConfig
     from repro.service.server import JobServer
@@ -572,15 +573,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"[serve] campaign job server on "
               f"http://{cfg.host}:{server.port} — {cfg.workers} workers, "
               f"results {store}", flush=True)
+        # SIGINT and SIGTERM both end serving, so `stop()` shuts the
+        # worker pool down; without a handler SIGTERM kills the server
+        # and orphans its workers.  Registering SIGINT here also
+        # overrides an inherited SIG_IGN (a server started in the
+        # background by a non-interactive shell would ignore it).
+        serving = asyncio.ensure_future(server.serve_forever())
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, serving.cancel)
         try:
-            await server.serve_forever()
+            await serving
+        except asyncio.CancelledError:
+            if asyncio.current_task().cancelling():
+                raise  # cancelled from outside, not by a signal
         finally:
             await server.stop()
 
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
-        print("[serve] stopped")
+        pass
+    print("[serve] stopped")
     return 0
 
 

@@ -28,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
@@ -417,7 +418,26 @@ def execute_spec(spec: RunSpec,
     for an ``oracle-static`` spec (see :meth:`Campaign.prefetch`); the
     simulator is deterministic, so injecting them changes nothing but the
     wall time.
+
+    The cyclic garbage collector is paused while the spec runs, and one
+    generation-0 pass in the ``finally`` frees the finished system (a
+    reference cycle only the collector can free).  Nothing is collected
+    during the spec, so every object it allocated is still in the
+    youngest generation and that pass never walks the caller's
+    long-lived heap.  The caller's collector state is restored.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate_spec(spec, probes)
+    finally:
+        gc.collect(0)
+        if was_enabled:
+            gc.enable()
+
+
+def _simulate_spec(spec: RunSpec, probes: Optional[dict]) -> RunResult:
+    """:func:`execute_spec`'s body: dispatch the spec to its runner."""
     from repro.experiments.runner import run_benchmark, run_mix, run_pair
 
     params = {k: v for k, v in spec.policy_params} or None

@@ -106,31 +106,56 @@ def strided_stream(count: int, start: int, stride: int = 1) -> list[int]:
 def interleave(rng: random.Random, streams: list[list[int]],
                weights: list[float]) -> list[int]:
     """Probabilistically interleave several streams, preserving each
-    stream's internal order.  Consumes until every stream is exhausted."""
+    stream's internal order.  Consumes until every stream is exhausted.
+
+    Each emitted element costs one ``rng.random()`` draw, scaled by the
+    live streams' weight sum and matched against their cumulative
+    bounds.  The sum and the bounds change only when a stream drains, so
+    they are computed once per drain rather than once per element; a lone
+    remaining stream still takes its one (now unused) draw per element.
+    The output and the RNG draws are the same as recomputing both for
+    every element."""
     if len(streams) != len(weights):
         raise ValueError("one weight per stream")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
+    draw = rng.random
     cursors = [0] * len(streams)
-    out = []
+    out: list[int] = []
+    append = out.append
     live = [i for i, s in enumerate(streams) if s]
     while live:
         total = sum(weights[i] for i in live)
         if total <= 0:
-            # Zero-weight leftovers drain round-robin.
+            # Zero-weight leftovers drain in stream order.
             for i in live:
                 out.extend(streams[i][cursors[i]:])
             break
-        pick = rng.random() * total
+        if len(live) == 1:
+            rest = streams[live[0]][cursors[live[0]]:]
+            for _ in rest:
+                draw()
+            out.extend(rest)
+            break
+        bounds = []
         acc = 0.0
-        chosen = live[-1]
         for i in live:
             acc += weights[i]
-            if pick < acc:
-                chosen = i
+            bounds.append((acc, i))
+        fallback = live[-1]
+        while True:
+            pick = draw() * total
+            chosen = fallback
+            for bound, i in bounds:
+                if pick < bound:
+                    chosen = i
+                    break
+            stream = streams[chosen]
+            cursor = cursors[chosen]
+            append(stream[cursor])
+            cursor += 1
+            cursors[chosen] = cursor
+            if cursor >= len(stream):
+                live.remove(chosen)
                 break
-        out.append(streams[chosen][cursors[chosen]])
-        cursors[chosen] += 1
-        if cursors[chosen] >= len(streams[chosen]):
-            live.remove(chosen)
     return out

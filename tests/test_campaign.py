@@ -1,6 +1,7 @@
 """Campaign layer: spec content keys, config/result round-trips, the
 on-disk cache, dedup, and the process-parallel execution path."""
 
+import gc
 import json
 import os
 
@@ -288,6 +289,49 @@ def test_failing_spec_names_itself_inline():
     # The memo holds no entry for the failed spec — a retry re-executes
     # instead of serving a corrupt record.
     assert bad.cache_key() not in campaign._memo
+
+
+# ------------------------------------------- spec-scoped garbage collection
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("abbr", ["VA", "ZZZ"], ids=["ok", "raises"])
+def test_execute_spec_restores_the_callers_gc_state(enabled, abbr):
+    """The collector pause is scoped to the spec: whatever the caller had
+    (enabled or disabled) is what it gets back, also when the spec
+    raises (``ZZZ`` is the unknown benchmark of the inline failing-spec
+    test above)."""
+    from repro.experiments.campaign import execute_spec
+
+    spec = RunSpec.single(abbr, "shared", experiment_config(),
+                          scale=TINY, max_kernels=1)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if abbr == "ZZZ":
+            with pytest.raises(Exception):
+                execute_spec(spec)
+        else:
+            execute_spec(spec)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_execute_spec_frees_its_system_on_return():
+    """A finished system is a reference cycle; `execute_spec`'s own
+    generation-0 pass frees it before returning, so no system outlives
+    the spec waiting for a full collection (this test never collects).
+    Systems already awaiting collection from earlier tests are skipped
+    by identity."""
+    from repro.experiments.campaign import execute_spec
+    from repro.gpu.system import GPUSystem
+
+    def systems() -> set:
+        return {id(o) for o in gc.get_objects() if isinstance(o, GPUSystem)}
+
+    before = systems()
+    execute_spec(RunSpec.single("VA", "adaptive", experiment_config(),
+                                scale=TINY, max_kernels=1))
+    assert not systems() - before
 
 
 def test_failing_spec_names_itself_across_the_pool():

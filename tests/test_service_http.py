@@ -9,6 +9,12 @@ server answers the same key from the shared store without simulating.
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +270,70 @@ def test_job_ttl_evicts_terminal_records_but_not_results(job_server_factory,
     assert _canon(client.result(reply["id"])) == _canon(payload), \
         "eviction must not touch the stored result"
     assert client.stats()["jobs"]["evicted"] >= 1
+
+
+# ------------------------------------------------------------- shutdown
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _children(pid: int) -> set[int]:
+    """Live child pids of ``pid``, from every thread's ``children`` list."""
+    found = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as fh:
+            found.update(int(child) for child in fh.read().split())
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/"
+                                       f"{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+@pytest.mark.parametrize("signum, preexec", [
+    (signal.SIGTERM, None),
+    (signal.SIGINT, _ignore_sigint),
+], ids=["sigterm", "sigint-inherited-ignored"])
+def test_serve_signal_shuts_the_worker_pool_down(signum, preexec):
+    """`repro serve` stops cleanly on SIGTERM, and on SIGINT even when it
+    inherited SIGINT as ignored (started in the background by a
+    non-interactive shell): exit 0 and no pool worker outlives it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env, preexec_fn=preexec)
+    workers: set[int] = set()
+    try:
+        banner = proc.stdout.readline()
+        match = re.search(r"http://[\d.]+:(\d+)", banner)
+        assert match, f"server failed to start: {banner!r}"
+        client = ServiceClient(port=int(match.group(1)), client="signal")
+        client.run_spec(_tiny_spec(), timeout=240)
+        workers = _children(proc.pid)
+        assert workers, "a job ran, so the pool has workers"
+
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+        assert "[serve] stopped" in proc.stdout.read()
+        assert not [pid for pid in workers if _alive(pid)], \
+            "pool workers outlived the server"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        for pid in workers:  # never leave an orphan behind a failure
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -5,6 +5,8 @@ identities that must hold regardless of timing: request/fill conservation,
 MSHR drainage, LLC bookkeeping, and DRAM traffic consistency.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,3 +117,44 @@ def test_random_specs_run_to_completion(shared_frac, write_frac, category):
     assert r.instructions == pytest.approx(w.total_instructions)
     for sm in s.sms:
         assert sm.mshr.outstanding == 0
+
+
+# ---------------------------------------------------- no cyclic garbage
+#: The e2e benchmark's consolidation mix: four tenants, mixed policies.
+MIX_TENANTS = [("VA", "adaptive", None), ("GEMM", "hysteresis", None),
+               ("SN", "private", None), ("LUD", "shared", None)]
+
+
+def _system(tier, policy):
+    cfg = experiment_config().replace(tier=tier)
+    if policy == "poisson-mix":
+        from repro.experiments.runner import consolidation_system
+
+        return consolidation_system(MIX_TENANTS, cfg, scale=0.05,
+                                    arrivals="poisson:gap=1500")
+    w = build("RN", total_accesses=8000, num_ctas=80, max_kernels=2)
+    return GPUSystem(cfg, w, policy=policy)
+
+
+@pytest.mark.parametrize("tier", ["event", "batch"])
+@pytest.mark.parametrize("policy", ["adaptive", "bandit", "oracle-static",
+                                    "poisson-mix"])
+def test_run_creates_no_cyclic_garbage(policy, tier):
+    """`run()` leaves nothing for the cyclic collector while the system
+    is alive.  Campaign specs run with the collector paused (see
+    `execute_spec`), so a reference cycle created per event would grow
+    a spec's memory without bound; only the finished system itself may
+    be a cycle."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = _system(tier, policy)
+        gc.collect()
+        result = system.run()
+        assert gc.collect() == 0
+        assert system.tier == tier
+        if policy == "adaptive":
+            assert result.transitions >= 1
+    finally:
+        if was_enabled:
+            gc.enable()

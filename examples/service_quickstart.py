@@ -7,10 +7,13 @@ through :class:`repro.service.client.ServiceClient`:
 1. submit a heterogeneous two-program mix (the CLI grammar, over HTTP),
 2. poll the job to completion and fetch its ``RunResult`` payload,
 3. resubmit the identical mix and observe it coalesce (no re-simulation),
-4. restart the server on the same cache directory and observe the
+4. check that the client's requests shared kept-alive connections
+   (``/stats`` counts both),
+5. restart the server on the same cache directory and observe the
    store-served cache hit,
-5. stop each server with SIGTERM and check that it exits 0 and takes
-   its pool workers with it (read from ``/proc``, so Linux only).
+6. stop each server with SIGTERM while the client still holds its idle
+   connection, and check that it exits 0 and takes its pool workers
+   with it (read from ``/proc``, so Linux only).
 
 Exit status is non-zero when any of those contracts is violated, which
 is why CI's ``service-smoke`` job runs this file verbatim.
@@ -127,10 +130,17 @@ def main() -> None:
               f"coalesced={stats['coalesced']} "
               f"executed={stats['executed']}")
         assert stats["executed"] == 1, "exactly one simulation"
+
+        # 4. One client keeps one connection open across its requests.
+        http = client.stats()["http"]
+        print(f"[http]   {http['requests']} requests over "
+              f"{http['connections']} connections")
+        assert http["requests"] > http["connections"], \
+            "requests must share kept-alive connections"
     finally:
         stop_server(proc)
 
-    # 4. A fresh server on the warm cache directory serves the same key
+    # 5. A fresh server on the warm cache directory serves the same key
     #    from the store — results survive restarts.
     proc, port = start_server(cache_dir)
     try:

@@ -8,16 +8,22 @@ use :func:`dataclasses.replace` without aliasing surprises.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _fields_from_dict(cls, data: dict) -> dict:
     """Keyword arguments for ``cls`` from ``data``, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    unknown = set(data).difference(_field_names(cls))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     return dict(data)
@@ -35,8 +41,18 @@ class _SerializableConfig:
     """Round-trip mixin: canonical dict form and a stable content key."""
 
     def to_dict(self) -> dict:
-        """Plain-JSON representation (nested dataclasses become dicts)."""
-        return dataclasses.asdict(self)
+        """Plain-JSON representation (nested configs become dicts).
+
+        The dict ``dataclasses.asdict`` builds, with the same keys, order
+        and values, but without its per-leaf ``deepcopy``: a config field
+        holds an immutable scalar or a nested config.
+        """
+        data = {}
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            data[name] = value.to_dict() \
+                if isinstance(value, _SerializableConfig) else value
+        return data
 
     def cache_key(self) -> str:
         """Stable content hash of the canonical serialization."""
@@ -301,6 +317,18 @@ class GPUConfig(_SerializableConfig):
     # contract; the tier only changes how fast they are computed.
     tier: str = "batch"
 
+    #: Every field, in declaration order (``to_dict`` walks it; pinned
+    #: against ``dataclasses.fields`` by the serialization tests).
+    _FIELDS = (
+        "num_sms", "clock_mhz", "warp_size", "schedulers_per_sm",
+        "threads_per_sm", "registers_per_sm", "shared_mem_per_sm_kb",
+        "max_outstanding_misses", "num_clusters", "l1_size_kb", "l1_assoc",
+        "line_bytes", "num_memory_controllers", "llc_slices_per_mc",
+        "llc_slice_kb", "llc_assoc", "llc_latency_cycles",
+        "dram_banks_per_mc", "dram_bandwidth_gbps", "dram_timing",
+        "address_mapping", "noc", "adaptive", "cta_scheduler", "tier",
+    )
+
     # ------------------------------------------------------------------ api
     @staticmethod
     def baseline() -> "GPUConfig":
@@ -318,7 +346,9 @@ class GPUConfig(_SerializableConfig):
         key, and pre-tier serialized configs (campaign caches, golden
         captures) keep hashing to the same key.  A config rebuilt from this
         form runs on the default tier of the process that rebuilds it."""
-        data = dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in self._FIELDS}
+        for name in ("dram_timing", "noc", "adaptive"):
+            data[name] = data[name].to_dict()
         # repro: key-exempt(tier)
         del data["tier"]
         return data

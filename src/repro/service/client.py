@@ -8,6 +8,12 @@ the submit→poll→fetch loop every consumer would otherwise re-write.
 This is also the substrate future campaign-steering work talks to: a
 steering loop is "submit the next uncertain specs, wait, read results",
 which is precisely :meth:`submit_spec` + :meth:`wait`.
+
+A client keeps one HTTP/1.1 connection open across requests (the server
+serves many requests per connection), so a round trip costs no TCP
+handshake.  It is not thread-safe: give each thread its own client.
+Call :meth:`ServiceClient.close` (or use the client as a context
+manager) to drop the connection; a later request simply reopens it.
 """
 
 from __future__ import annotations
@@ -35,8 +41,21 @@ class ServiceError(RuntimeError):
         self.payload = payload or {}
 
 
+#: How a request sent on a kept-alive connection fails when the server
+#: closed that connection first (idle limit, restart).  The server closes
+#: only between requests, so such a request was never read.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError,
+                     BrokenPipeError)
+
+
 class ServiceClient:
-    """Talk to one :class:`~repro.service.server.JobServer`.
+    """Talk to one :class:`~repro.service.server.JobServer` over one
+    kept-alive connection.
+
+    Not thread-safe: use one client per thread.  A request that fails on
+    a reused connection before any reply (the server dropped the idle
+    connection, or restarted) is resent once on a fresh connection; any
+    other failure closes the connection and raises.
 
     Args:
         host/port: the server address.
@@ -50,31 +69,58 @@ class ServiceClient:
         self.port = port
         self.client = client
         self.timeout = timeout
+        self._conn: Optional[http.client.HTTPConnection] = None
+
+    def close(self) -> None:
+        """Close the connection (the next request opens a new one)."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ---------------------------------------------------------- transport
+    def _send(self, method: str, path: str,
+              body: Optional[bytes]) -> http.client.HTTPResponse:
+        if self._conn is None:
+            self._conn = http.client.HTTPConnection(self.host, self.port,
+                                                    timeout=self.timeout)
+        self._conn.request(method, path, body=body,
+                           headers={"Content-Type": "application/json",
+                                    "X-Repro-Client": self.client})
+        return self._conn.getresponse()
+
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        body = json.dumps(payload).encode() if payload is not None else None
+        reused = self._conn is not None
         try:
-            body = json.dumps(payload).encode() if payload is not None \
-                else None
-            conn.request(method, path, body=body,
-                         headers={"Content-Type": "application/json",
-                                  "X-Repro-Client": self.client})
-            response = conn.getresponse()
-            raw = response.read()
             try:
-                data = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                data = {"error": raw.decode("utf-8", "replace")}
-            if not 200 <= response.status < 300:
-                raise ServiceError(
-                    data.get("error", f"HTTP {response.status} on {path}"),
-                    status=response.status, payload=data)
-            return data
-        finally:
-            conn.close()
+                response = self._send(method, path, body)
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                self.close()
+                response = self._send(method, path, body)
+            raw = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        try:
+            data = json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError:
+            data = {"error": raw.decode("utf-8", "replace")}
+        if not 200 <= response.status < 300:
+            raise ServiceError(
+                data.get("error", f"HTTP {response.status} on {path}"),
+                status=response.status, payload=data)
+        return data
 
     # -------------------------------------------------------------- verbs
     def submit(self, payload: dict) -> dict:
@@ -125,10 +171,11 @@ class ServiceClient:
              poll_interval: float = 0.1) -> dict:
         """Poll until the job finishes; returns the result payload.
 
-        Raises :class:`ServiceError` when the job errors or the timeout
-        expires.  The poll interval is the trade the cache TTL already
-        made for us: jobs are seconds-to-minutes, so sub-second polling
-        is cheap against a local server and responsive enough.
+        Raises :class:`ServiceError` when the job errors, is cancelled
+        or the timeout expires.  The poll interval is the trade the cache
+        TTL already made for us: jobs are seconds-to-minutes, so
+        sub-second polling is cheap against a local server and
+        responsive enough.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -139,6 +186,10 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {status.get('label', job_id)} failed: "
                     f"{status.get('error')}", payload=status)
+            if status["state"] == "cancelled":
+                raise ServiceError(
+                    f"job {status.get('label', job_id)} was cancelled",
+                    payload=status)
             if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"timed out after {timeout:g}s waiting on "

@@ -1,9 +1,15 @@
 """The asyncio campaign job server: HTTP/JSON over ``asyncio.start_server``.
 
 Stdlib only: a hand-rolled HTTP/1.1 exchange (request line, headers,
-``Content-Length`` body; one request per connection, ``Connection:
-close``) — deliberately minimal, because the wire format is five JSON
-routes, not a web framework:
+``Content-Length`` body) — deliberately minimal, because the wire format
+is six JSON routes, not a web framework.  Connections persist: one
+connection carries any number of requests, answered in order, until the
+client asks to close (``Connection: close``, or HTTP/1.0 without
+``Connection: keep-alive``), sends EOF, sits idle for
+:data:`IDLE_TIMEOUT_S`, or sends a request the server cannot frame
+(a malformed request line, a bad ``Content-Length``, any
+``Transfer-Encoding``, an oversized body).  Every reply names the
+outcome in its ``Connection`` header.  The routes:
 
 ====================  =====================================================
 ``POST /jobs``        submit a ``{"spec": RunSpec.to_dict()}`` or
@@ -16,7 +22,8 @@ routes, not a web framework:
                       the store)
 ``GET /results/<k>``  the finished ``RunResult.to_dict()`` payload, verbatim
 ``GET /healthz``      liveness
-``GET /stats``        jobs served, cache-hit rate, worker utilization
+``GET /stats``        jobs served, cache-hit rate, worker utilization,
+                      HTTP connections and requests
 ====================  =====================================================
 
 All orchestration state lives in a :class:`~repro.service.jobs.
@@ -36,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from repro.config import ServiceConfig
+from repro.config import ServiceConfig, canonical_key
 from repro.experiments.campaign import RunSpec, spec_from_mix
 from repro.experiments.store import ResultStore
 from repro.service.jobs import DONE, ERROR, Job, JobManager, JobRejected
@@ -44,12 +51,42 @@ from repro.service.workers import execute_job
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
-            413: "Payload Too Large", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable"}
+            411: "Length Required", 413: "Payload Too Large",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 #: Submission bodies past this size are rejected (a RunSpec payload is
 #: a few KB; anything megabytes-deep is not one).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Seconds a kept-alive connection may wait for its next request before
+#: the server closes it.
+IDLE_TIMEOUT_S = 30.0
+
+
+class _Unframed(Exception):
+    """A request whose extent on the wire is unknown: answer it with
+    ``status`` and close, since whatever follows cannot be parsed."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # past the stream's line limit (64 KiB)
+        raise _Unframed(400, "request line or header too long") from None
+
+
+def _reply(status: int, payload: dict, keep_alive: bool) -> bytes:
+    body = json.dumps(payload).encode()
+    return (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"\r\n").encode() + body
 
 
 class JobServer:
@@ -80,12 +117,19 @@ class JobServer:
         self._kick: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._busy = 0
+        # Open connections and the tasks serving them, so stop() can
+        # close every one; counters for /stats.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._stopping = False
+        self._http_connections = 0
+        self._http_requests = 0
 
     # ---------------------------------------------------------- lifecycle
     async def start(self) -> None:
         """Bind the socket and start the dispatcher (non-blocking)."""
         self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
         self._kick = asyncio.Event()
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -93,8 +137,14 @@ class JobServer:
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     async def serve_forever(self) -> None:
-        async with self._server:
-            await self._server.serve_forever()
+        """Block until cancelled; the caller then runs :meth:`stop`.
+
+        The socket has accepted since :meth:`start`.  This deliberately
+        does not await ``asyncio.Server.serve_forever()``: cancelling that
+        waits for every open connection to close (Python 3.12.1 on),
+        before :meth:`stop` could close the kept-alive ones.
+        """
+        await asyncio.get_running_loop().create_future()
 
     async def run(self) -> None:
         """Start and serve until cancelled (the CLI entry point)."""
@@ -113,7 +163,16 @@ class JobServer:
                 pass
             self._dispatcher = None
         if self._server is not None:
+            self._stopping = True
             self._server.close()
+            # From Python 3.12.1 wait_closed() also waits for every open
+            # connection, and a kept-alive client may never hang up.  So
+            # drop them all (abort: a peer that stopped reading cannot
+            # stall the close) and let their handlers run to the end.
+            handlers = list(self._connections.values())
+            for writer in self._connections:
+                writer.transport.abort()  # connection_lost runs later
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
@@ -160,48 +219,85 @@ class JobServer:
     # --------------------------------------------------------------- http
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Answer requests in order until a close rule fires."""
+        if self._stopping:  # accepted just before stop() closed the rest
+            writer.transport.abort()
+            return
+        self._connections[writer] = asyncio.current_task()
+        self._http_connections += 1
         try:
-            status, payload = await self._handle_request(reader)
-        except Exception as exc:  # a handler bug must not kill the loop
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        try:
-            body = json.dumps(payload).encode()
-            head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"Connection: close\r\n\r\n").encode()
-            writer.write(head + body)
-            await writer.drain()
+            keep_alive = True
+            while keep_alive:
+                try:
+                    async with asyncio.timeout(IDLE_TIMEOUT_S):
+                        request_line = await _readline(reader)
+                    if not request_line:
+                        break  # EOF between requests
+                    self._http_requests += 1
+                    status, payload, keep_alive = await self._handle_request(
+                        request_line, reader)
+                except (TimeoutError, ConnectionError):
+                    break  # idle past the limit, or the peer is gone
+                except _Unframed as exc:
+                    status, payload, keep_alive = \
+                        exc.status, {"error": str(exc)}, False
+                except Exception as exc:  # a handler bug must not kill it
+                    status, keep_alive = 500, False
+                    payload = {"error": f"{type(exc).__name__}: {exc}"}
+                writer.write(_reply(status, payload, keep_alive))
+                await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            del self._connections[writer]
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _handle_request(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, {"error": f"malformed request line {request_line!r}"}
+    async def _handle_request(self, request_line: bytes,
+                              reader: asyncio.StreamReader):
+        """Read the rest of one request and route it.
+
+        Returns ``(status, payload, keep_alive)``; raises
+        :class:`_Unframed` when the request's end cannot be found.
+        """
+        parts = request_line.decode("latin-1").split()
+        if len(parts) not in (2, 3):
+            raise _Unframed(
+                400, f"malformed request line {request_line.strip()!r}")
         method, path = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) == 3 else "HTTP/0.9"
         headers = {}
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            return 400, {"error": "bad Content-Length"}
+        if "transfer-encoding" in headers:
+            raise _Unframed(
+                411, f"Transfer-Encoding {headers['transfer-encoding']!r} "
+                     f"is not supported; send the body with a "
+                     f"Content-Length")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _Unframed(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-        body = await reader.readexactly(length) if length else b""
-        return self._route(method, path, headers, body)
+            raise _Unframed(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _Unframed(400, f"body ended after {len(exc.partial)} of "
+                                 f"{length} bytes") from None
+        tokens = {token.strip().lower()
+                  for token in headers.get("connection", "").split(",")}
+        keep_alive = "close" not in tokens \
+            and (version == "HTTP/1.1" or "keep-alive" in tokens)
+        status, payload = self._route(method, path, headers, body)
+        return status, payload, keep_alive
 
     def _route(self, method: str, path: str, headers: dict, body: bytes):
         path = path.split("?", 1)[0].rstrip("/") or "/"
@@ -241,11 +337,14 @@ class JobServer:
             return 400, {"error": str(exc) or type(exc).__name__}
         client = str(payload.get("client")
                      or headers.get("x-repro-client") or "anonymous")
-        key = spec.cache_key()
+        # One canonical form serves as both the content key's input and
+        # the record the workers execute.
+        spec_dict = spec.to_dict()
+        key = canonical_key(spec_dict)
         coalesced = key in self.manager.jobs \
             and self.manager.jobs[key].state != ERROR
         try:
-            job = self.manager.submit(key, spec.to_dict(), spec.label(),
+            job = self.manager.submit(key, spec_dict, spec.label(),
                                       priority=priority, client=client)
         except JobRejected as exc:
             return exc.status, {"error": str(exc)}
@@ -324,5 +423,9 @@ class JobServer:
                 "hits": self.store.hits,
                 "misses": self.store.misses,
                 "quarantined": self.store.quarantined,
+            },
+            "http": {
+                "connections": self._http_connections,
+                "requests": self._http_requests,
             },
         }

@@ -5,7 +5,8 @@ listening on a real socket while the test thread drives it through the
 synchronous :class:`~repro.service.client.ServiceClient`.  The harness
 runs the server's event loop on a daemon thread, binds port 0 (the OS
 picks a free port, so parallel test runs never collide) and guarantees
-teardown even when a test fails mid-poll.
+teardown even when a test fails mid-poll, closing the kept-alive
+connections of the clients it handed out.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class ServerHarness:
         self.server = JobServer(self.config)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        self._clients: list[ServiceClient] = []
 
     def _run(self) -> None:
         asyncio.set_event_loop(self._loop)
@@ -41,6 +43,8 @@ class ServerHarness:
         return self
 
     def stop(self) -> None:
+        for client in self._clients:
+            client.close()
         if self._thread.is_alive():
             asyncio.run_coroutine_threadsafe(self.server.stop(),
                                              self._loop).result(timeout=60)
@@ -54,7 +58,9 @@ class ServerHarness:
 
     def client(self, name: str = "test",
                timeout: float = 60.0) -> ServiceClient:
-        return ServiceClient(port=self.port, client=name, timeout=timeout)
+        client = ServiceClient(port=self.port, client=name, timeout=timeout)
+        self._clients.append(client)
+        return client
 
 
 @pytest.fixture

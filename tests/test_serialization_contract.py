@@ -15,11 +15,12 @@ entries in production.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.config import GPUConfig
+from repro.config import GPUConfig, _SerializableConfig
 from repro.core.bandwidth_model import Decision
 from repro.core.modes import LLCMode
 from repro.experiments.campaign import RunSpec
@@ -113,6 +114,44 @@ def test_gpu_config_tier_never_serialized():
         assert "tier" not in cfg.to_dict()
         assert cfg.cache_key() == base.cache_key()
         assert json_round_trip(GPUConfig, cfg).tier == "batch"
+
+
+def _same_dict(got: dict, want: dict) -> bool:
+    """Equal keys in equal order, with equal values of equal JSON type."""
+    return list(got.items()) == list(want.items()) \
+        and json.dumps(got) == json.dumps(want)
+
+
+def test_mixin_to_dict_builds_what_asdict_builds():
+    inheriting = [cls for cls in _SerializableConfig.__subclasses__()
+                  if cls.to_dict is _SerializableConfig.to_dict]
+    assert {cls.__name__ for cls in inheriting} >= {
+        "DRAMTiming", "NoCConfig", "AdaptiveConfig", "ServiceConfig"}
+    for cls in inheriting:
+        obj = cls()
+        assert _same_dict(obj.to_dict(), dataclasses.asdict(obj)), \
+            cls.__name__
+
+
+def test_gpu_config_to_dict_builds_what_asdict_builds():
+    assert GPUConfig._FIELDS == tuple(
+        f.name for f in dataclasses.fields(GPUConfig))
+    for name, cfg in gpu_config_variants().items():
+        want = dataclasses.asdict(cfg)
+        del want["tier"]
+        assert _same_dict(cfg.to_dict(), want), name
+
+
+def test_figure_11_cache_keys_are_pinned():
+    """The content keys of the Figure 11 campaign, as captured before the
+    configs stopped serializing through ``dataclasses.asdict``: a change
+    here orphans every cached result."""
+    from repro.experiments import fig11_adaptive_performance as fig11
+
+    keys = sorted(spec.cache_key() for spec in fig11.specs(scale=0.02))
+    assert len(keys) == 51
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
+        "628ccfff92560e61676027a2fc7e90ddc5e492f32c3e6342dfb3bd3946da7ff6"
 
 
 # ---------------------------------------------------------------- RunSpec

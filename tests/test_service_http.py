@@ -12,14 +12,17 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.campaign import execute_spec, spec_from_mix
 from repro.experiments.runner import experiment_config
+from repro.service import server as server_module
 from repro.service.client import ServiceClient, ServiceError
 
 TINY = 0.02
@@ -176,6 +179,167 @@ def test_raw_http_edges(job_server_factory):
     status, body = _raw(port, "GET", "/healthz/?probe=1")
     assert status == 200
 
+    # Requests whose end cannot be found on the wire get a 4xx (never a
+    # 500) and a closed connection, and the server keeps serving.
+    with _Wire(port) as wire:
+        wire.send(b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+        status, headers, body = wire.reply()
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert headers["connection"] == "close"
+        assert wire.closed()
+    with _Wire(port) as wire:
+        chunk = b'{"mix": "VA:static-shared"}'
+        wire.send(b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                  b"\r\n%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk))
+        status, headers, body = wire.reply()
+        assert 400 <= status < 500
+        assert "Transfer-Encoding" in body["error"]
+        assert headers["connection"] == "close"
+        assert wire.closed()
+    status, body = _raw(port, "GET", "/healthz")
+    assert status == 200
+
+
+# ------------------------------------------------------ kept-alive wire
+class _Wire:
+    """A raw socket that speaks just enough HTTP to read replies."""
+
+    def __init__(self, port: int):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+        self.stream = self.sock.makefile("rb")
+
+    def __enter__(self) -> "_Wire":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stream.close()
+        self.sock.close()
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def get(self, path: str, extra: str = "",
+            version: str = "HTTP/1.1") -> None:
+        self.send(f"GET {path} {version}\r\n{extra}\r\n".encode())
+
+    def reply(self) -> tuple[int, dict, dict]:
+        status_line = self.stream.readline()
+        assert status_line, "the server closed instead of replying"
+        headers = {}
+        while (line := self.stream.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.stream.read(int(headers["content-length"]))
+        return int(status_line.split()[1]), headers, json.loads(body)
+
+    def closed(self) -> bool:
+        """Whether the server has closed its end (EOF or reset)."""
+        try:
+            return self.stream.read(1) == b""
+        except ConnectionResetError:
+            return True
+
+
+def test_two_requests_share_one_connection(job_server_factory):
+    harness = job_server_factory()
+    with _Wire(harness.port) as wire:
+        wire.get("/healthz")
+        status, headers, body = wire.reply()
+        assert (status, body["ok"]) == (200, True)
+        assert headers["connection"] == "keep-alive"
+        wire.get("/stats")
+        status, headers, body = wire.reply()
+        assert status == 200
+        assert body["http"] == {"connections": 1, "requests": 2}
+
+
+def test_pipelined_requests_are_answered_in_order(job_server_factory):
+    harness = job_server_factory()
+    with _Wire(harness.port) as wire:
+        # A route error (404) leaves the stream in sync: the connection
+        # stays open for the requests behind it.
+        wire.send(b"GET /healthz HTTP/1.1\r\n\r\n"
+                  b"GET /no/such/route HTTP/1.1\r\n\r\n"
+                  b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+                  b"GET /stats HTTP/1.1\r\n\r\n")
+        replies = [wire.reply() for _ in range(4)]
+    assert [status for status, _, _ in replies] == [200, 404, 400, 200]
+    assert replies[0][2]["ok"] is True
+    assert "no route" in replies[1][2]["error"]
+    assert replies[3][2]["http"]["requests"] == 4
+    assert all(headers["connection"] == "keep-alive"
+               for _, headers, _ in replies)
+
+
+@pytest.mark.parametrize("version, extra, keep_alive", [
+    ("HTTP/1.0", "", False),
+    ("HTTP/1.1", "Connection: close\r\n", False),
+    ("HTTP/1.0", "Connection: keep-alive\r\n", True),
+], ids=["http10", "connection-close", "http10-keep-alive"])
+def test_close_rules(job_server_factory, version, extra, keep_alive):
+    harness = job_server_factory()
+    with _Wire(harness.port) as wire:
+        wire.get("/healthz", extra, version)
+        status, headers, _ = wire.reply()
+        assert status == 200
+        assert headers["connection"] == \
+            ("keep-alive" if keep_alive else "close")
+        if keep_alive:
+            wire.get("/healthz", extra, version)
+            assert wire.reply()[0] == 200
+        else:
+            assert wire.closed()
+
+
+def test_idle_close_then_the_client_retries_once(job_server_factory,
+                                                 monkeypatch):
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+    harness = job_server_factory()
+    with harness.client() as client:
+        client.healthz()
+        with _Wire(harness.port) as wire:
+            time.sleep(0.6)
+            assert wire.closed(), "an idle connection must be closed"
+        # The client's connection was closed while idle too: the request
+        # fails on it before any reply and is resent on a fresh one.
+        assert client.healthz()["ok"] is True
+        assert client.stats()["http"] == {"connections": 3, "requests": 3}
+
+
+def test_client_survives_a_server_restart_on_the_same_port(
+        job_server_factory):
+    first = job_server_factory()
+    port = first.port
+    client = ServiceClient(port=port, client="restart")
+    assert client.healthz()["ok"] is True
+    first.stop()
+    second = job_server_factory(port=port)
+    assert client.healthz()["ok"] is True
+    assert client.stats()["http"]["connections"] == 1
+    client.close()
+    assert second.client().stats()["http"]["connections"] == 2
+
+
+def test_stop_returns_while_a_client_holds_an_idle_connection(
+        job_server_factory):
+    harness = job_server_factory()
+    # Not harness.client(): the harness closes its clients before stop().
+    client = ServiceClient(port=harness.port)
+    client.healthz()  # the client now holds an idle connection
+    # ...and so do a socket that never sent a request and one idle after
+    # an exchange.
+    with _Wire(harness.port) as silent, _Wire(harness.port) as used:
+        used.get("/healthz")
+        used.reply()
+        t0 = time.monotonic()
+        harness.stop()
+        assert time.monotonic() - t0 < 5.0
+        assert silent.closed() and used.closed()
+    with pytest.raises(OSError):
+        client.healthz()  # nobody listens any more
+    client.close()
+
 
 def test_quota_keys_off_the_client_identity(job_server_factory):
     """The per-client quota charges the creator the transport names
@@ -219,6 +383,11 @@ def test_cancel_queued_job_then_evict_its_record(job_server_factory):
     assert reply["state"] == "cancelled"
     assert reply["evicted"] is False
     assert client.job(straggler["id"])["state"] == "cancelled"
+    # wait() gives up on a cancelled job at once, naming the state.
+    t0 = time.monotonic()
+    with pytest.raises(ServiceError, match="cancelled"):
+        client.wait(straggler["id"], timeout=5)
+    assert time.monotonic() - t0 < 1.0
 
     # Cancelling a terminal record evicts it from the job table.
     reply = client.cancel(straggler["id"])
@@ -315,21 +484,30 @@ def test_serve_signal_shuts_the_worker_pool_down(signum, preexec):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, preexec_fn=preexec)
     workers: set[int] = set()
+    client = None
     try:
         banner = proc.stdout.readline()
         match = re.search(r"http://[\d.]+:(\d+)", banner)
         assert match, f"server failed to start: {banner!r}"
-        client = ServiceClient(port=int(match.group(1)), client="signal")
+        port = int(match.group(1))
+        client = ServiceClient(port=port, client="signal")
         client.run_spec(_tiny_spec(), timeout=240)
         workers = _children(proc.pid)
         assert workers, "a job ran, so the pool has workers"
 
-        proc.send_signal(signum)
-        assert proc.wait(timeout=10) == 0
+        # The client holds its kept-alive connection through the signal,
+        # and so does this socket, idle after one exchange.
+        with _Wire(port) as wire:
+            wire.get("/healthz")
+            assert wire.reply()[1]["connection"] == "keep-alive"
+            proc.send_signal(signum)
+            assert proc.wait(timeout=10) == 0
         assert "[serve] stopped" in proc.stdout.read()
         assert not [pid for pid in workers if _alive(pid)], \
             "pool workers outlived the server"
     finally:
+        if client is not None:
+            client.close()
         if proc.poll() is None:
             proc.kill()
             proc.wait()

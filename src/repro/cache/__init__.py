@@ -1,8 +1,6 @@
-"""Cache substrate: the LRU replacement policy, tag stores, MSHRs, L1, LLC
-slices, and the auxiliary tag directory (ATD) used by the adaptive
-controller."""
+"""Cache substrate: the true-LRU tag store, MSHRs, L1, LLC slices, and the
+auxiliary tag directory (ATD) used by the adaptive controller."""
 
-from repro.cache.replacement import LRUPolicy
 from repro.cache.setassoc import AccessResult, SetAssocCache
 from repro.cache.mshr import MSHRFile
 from repro.cache.l1 import L1Cache
@@ -10,7 +8,6 @@ from repro.cache.llc_slice import LLCSlice
 from repro.cache.atd import AuxiliaryTagDirectory
 
 __all__ = [
-    "LRUPolicy",
     "AccessResult",
     "SetAssocCache",
     "MSHRFile",

@@ -14,22 +14,17 @@ Hardware budget is 432 bytes in the paper; :meth:`hardware_bytes` exposes our
 equivalent for the overhead test.
 """
 
+# repro: hot-path
 from __future__ import annotations
-
-from repro.cache.replacement import LRUPolicy
-
-
-class _ATDEntry:
-    __slots__ = ("key", "valid", "router")
-
-    def __init__(self) -> None:
-        self.key = -1
-        self.valid = False
-        self.router = -1
 
 
 class AuxiliaryTagDirectory:
     """Tag-only sampled shadow of an LLC slice.
+
+    Each sampled set is a list of its resident keys, least recently
+    touched first, exactly like :class:`~repro.cache.setassoc.SetAssocCache`
+    (see its "Tag-array layout" notes); one ``{key: router}`` dict holds
+    the SM-router that last touched each resident key.
 
     Parameters
     ----------
@@ -39,63 +34,60 @@ class AuxiliaryTagDirectory:
         Associativity, matching the LLC (paper: 16).
     num_sets:
         Total sets in the shadowed slice; a line is sampled when its set
-        index falls on one of the ``sampled_sets`` evenly spaced sets.
+        index (key modulo ``num_sets``, as the slice indexes) falls on one
+        of the ``sampled_sets`` evenly spaced sets.
     num_routers:
         SM-router (cluster) count; bounds the router field width.
-    index_shift:
-        Same index alignment as the shadowed slice.
     """
 
+    __slots__ = ("sampled_sets", "assoc", "num_sets", "num_routers",
+                 "_sets", "_router",
+                 "sampled_accesses", "any_hits", "same_router_hits")
+
+    # repro: cold
     def __init__(self, sampled_sets: int, assoc: int, num_sets: int,
-                 num_routers: int, index_shift: int = 0):
+                 num_routers: int):
         if sampled_sets <= 0 or sampled_sets > num_sets:
             raise ValueError("sampled_sets must be in [1, num_sets]")
+        if assoc <= 0:
+            raise ValueError("assoc must be positive")
         self.sampled_sets = sampled_sets
         self.assoc = assoc
         self.num_sets = num_sets
         self.num_routers = num_routers
-        self.index_shift = index_shift
-        self._stride = max(1, num_sets // sampled_sets)
-        self._sets = {self._stride * i: [_ATDEntry() for _ in range(assoc)]
-                      for i in range(sampled_sets)}
-        self._policies = {s: LRUPolicy(assoc) for s in self._sets}
+        stride = max(1, num_sets // sampled_sets)
+        # Sampled set index -> resident keys, LRU first and MRU last.
+        self._sets: dict[int, list[int]] = {
+            stride * i: [] for i in range(sampled_sets)}
+        # Resident key -> router of its last access.
+        self._router: dict[int, int] = {}
         # profiling counters
         self.sampled_accesses = 0
         self.any_hits = 0
         self.same_router_hits = 0
 
     # ------------------------------------------------------------ sampling
-    def _set_index(self, line_key: int) -> int:
-        return (line_key >> self.index_shift) % self.num_sets
-
     def observe(self, line_key: int, router_id: int) -> None:
         """Feed one shared-LLC access into the sampler (cheap no-op for
         lines whose set is not shadowed)."""
-        set_idx = self._set_index(line_key)
-        entries = self._sets.get(set_idx)
-        if entries is None:
+        keys = self._sets.get(line_key % self.num_sets)
+        if keys is None:
             return
         if not 0 <= router_id < self.num_routers:
             raise ValueError(f"router id {router_id} out of range")
         self.sampled_accesses += 1
-        policy = self._policies[set_idx]
-        for way, entry in enumerate(entries):
-            if entry.valid and entry.key == line_key:
-                self.any_hits += 1
-                if entry.router == router_id:
-                    self.same_router_hits += 1
-                entry.router = router_id
-                policy.on_access(way)
-                return
-        # Miss: fill like the shadowed cache would.
-        victim_way = next((w for w, e in enumerate(entries) if not e.valid), None)
-        if victim_way is None:
-            victim_way = policy.victim()
-        entry = entries[victim_way]
-        entry.key = line_key
-        entry.valid = True
-        entry.router = router_id
-        policy.on_access(victim_way)
+        router = self._router
+        if line_key in keys:
+            self.any_hits += 1
+            if router[line_key] == router_id:
+                self.same_router_hits += 1
+            keys.remove(line_key)
+        elif len(keys) >= self.assoc:
+            # Miss into a full set: evict the LRU key, as the shadowed
+            # cache would.
+            del router[keys.pop(0)]
+        keys.append(line_key)
+        router[line_key] = router_id
 
     # ------------------------------------------------------------ estimates
     @property
@@ -122,6 +114,7 @@ class AuxiliaryTagDirectory:
         self.same_router_hits = 0
 
     # ------------------------------------------------------------ overhead
+    # repro: cold
     def hardware_bytes(self, tag_bits: int = 24) -> int:
         """Storage estimate: tag + valid + one bit per SM-router, per entry."""
         entry_bits = tag_bits + 1 + self.num_routers

@@ -34,8 +34,6 @@ class LLCSlice:
     num_sets, assoc:
         Geometry per Table 1 (96 KB, 16-way, 128 B lines => 48 sets, indexed
         by modulo).
-    index_shift:
-        Line-key bits consumed by slice selection, skipped when indexing.
     line_flits:
         Body flits per cache line on the reply network.
     latency:
@@ -43,10 +41,9 @@ class LLCSlice:
     """
 
     def __init__(self, slice_id: int, num_sets: int, assoc: int,
-                 index_shift: int, line_flits: int, latency: float):
+                 line_flits: int, latency: float):
         self.slice_id = slice_id
-        self.store = SetAssocCache(num_sets, assoc, index_shift=index_shift,
-                                   name=f"llc{slice_id}")
+        self.store = SetAssocCache(num_sets, assoc, name=f"llc{slice_id}")
         self.tag_port = BandwidthServer(f"llc{slice_id}.tag")
         self.data_port = BandwidthServer(f"llc{slice_id}.data")
         self.line_flits = line_flits

@@ -1,10 +1,8 @@
 """Generic set-associative tag store with true-LRU replacement.
 
-Keys are *line addresses* (byte address divided by line size).  The cache
-stores the full key in each way, so any indexing function is correctness-safe;
-``index_shift`` selects which key bits form the set index so callers can skip
-bits already consumed by slice selection (otherwise a memory-side slice would
-only ever populate 1/num_slices of its sets).
+Keys are *line addresses* (byte address divided by line size), and a key's
+set is ``key % num_sets``.  The cache stores the full key, so any indexing
+function is correctness-safe.
 
 Tag-array layout
 ----------------
@@ -65,19 +63,16 @@ class SetAssocCache:
     num_sets, assoc:
         Geometry; ``num_sets`` may be any positive count (the paper's 96 KB
         16-way slices have 48 sets), indexed by modulo.
-    index_shift:
-        Key bits to skip before extracting the set index (used by LLC slices
-        to index above the slice-select bits).
     allocate_on_write:
         When False, write misses do not fill the cache (GPU L1 behaviour).
     """
 
-    __slots__ = ("name", "num_sets", "assoc", "index_shift",
+    __slots__ = ("name", "num_sets", "assoc",
                  "allocate_on_write", "_sets", "_dirty",
                  "hits", "misses", "evictions", "writebacks")
 
     # repro: cold
-    def __init__(self, num_sets: int, assoc: int, index_shift: int = 0,
+    def __init__(self, num_sets: int, assoc: int,
                  allocate_on_write: bool = True, name: str = ""):
         if num_sets <= 0:
             raise ValueError(f"num_sets must be positive, got {num_sets}")
@@ -86,7 +81,6 @@ class SetAssocCache:
         self.name = name
         self.num_sets = num_sets
         self.assoc = assoc
-        self.index_shift = index_shift
         self.allocate_on_write = allocate_on_write
         # Per-set resident keys, LRU first and MRU last; dirty resident keys.
         self._sets: list[list[int]] = [[] for _ in range(num_sets)]
@@ -99,12 +93,12 @@ class SetAssocCache:
 
     # ------------------------------------------------------------ indexing
     def set_index(self, key: int) -> int:
-        return (key >> self.index_shift) % self.num_sets
+        return key % self.num_sets
 
     # ------------------------------------------------------------- access
     def probe(self, key: int) -> bool:
         """Non-intrusive lookup: no stats, no recency update, no fill."""
-        return key in self._sets[(key >> self.index_shift) % self.num_sets]
+        return key in self._sets[key % self.num_sets]
 
     def access_if_hit(self, key: int) -> bool:
         """One-scan read lookup: on hit, count it and update recency (like
@@ -113,7 +107,7 @@ class SetAssocCache:
 
         Callers that defer allocation to fill time (the L1 front end) use
         this to collapse their probe-then-access double scan."""
-        keys = self._sets[(key >> self.index_shift) % self.num_sets]
+        keys = self._sets[key % self.num_sets]
         if key in keys:
             self.hits += 1
             keys.remove(key)
@@ -123,7 +117,7 @@ class SetAssocCache:
 
     def access(self, key: int, is_write: bool = False) -> AccessResult:
         """Lookup + (on miss) allocate.  Updates stats and recency."""
-        keys = self._sets[(key >> self.index_shift) % self.num_sets]
+        keys = self._sets[key % self.num_sets]
         if key in keys:
             self.hits += 1
             keys.remove(key)
@@ -142,7 +136,7 @@ class SetAssocCache:
         allocation happens at data-return time and the miss was already
         counted at request time).  A resident key only has its recency
         (and, when ``dirty``, its dirty bit) updated."""
-        keys = self._sets[(key >> self.index_shift) % self.num_sets]
+        keys = self._sets[key % self.num_sets]
         if key in keys:
             keys.remove(key)
             keys.append(key)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 
@@ -71,7 +72,7 @@ SCALE_PRESETS = {
 
 
 def parse_scale(text: str) -> float:
-    """``--scale`` values: a positive float or a named preset."""
+    """``--scale`` values: a positive finite float or a named preset."""
     preset = SCALE_PRESETS.get(text.lower())
     if preset is not None:
         return preset
@@ -81,8 +82,9 @@ def parse_scale(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"scale {text!r} is neither a number nor one of "
             f"{sorted(set(SCALE_PRESETS))}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("scale must be positive")
+    if not 0 < value < math.inf:      # also false for NaN
+        raise argparse.ArgumentTypeError(
+            "scale must be a positive finite number")
     return value
 
 

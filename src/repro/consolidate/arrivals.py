@@ -97,10 +97,14 @@ class PoissonArrivals(ArrivalProcess):
     )
     DESCRIPTION = "exponential inter-arrival gaps of mean `gap` cycles"
 
-    def times(self, n_tenants: int, rng: random.Random) -> List[float]:
+    def __init__(self, **params: object) -> None:
+        super().__init__(**params)
         gap = self._float("gap")
         if gap <= 0:
             raise ValueError(f"poisson gap must be > 0, got {gap}")
+
+    def times(self, n_tenants: int, rng: random.Random) -> List[float]:
+        gap = self._float("gap")
         out = [0.0]
         for _ in range(1, n_tenants):
             out.append(out[-1] + rng.expovariate(1.0 / gap))
@@ -126,14 +130,18 @@ class DiurnalArrivals(ArrivalProcess):
     )
     DESCRIPTION = "Poisson arrivals whose rate follows a sinusoidal day"
 
+    def __init__(self, **params: object) -> None:
+        super().__init__(**params)
+        if self._float("gap") <= 0 or self._float("period") <= 0:
+            raise ValueError("diurnal gap and period must be > 0")
+        peak = self._float("peak")
+        if peak < 1:
+            raise ValueError(f"diurnal peak must be >= 1, got {peak}")
+
     def times(self, n_tenants: int, rng: random.Random) -> List[float]:
         gap = self._float("gap")
         period = self._float("period")
         peak = self._float("peak")
-        if gap <= 0 or period <= 0:
-            raise ValueError("diurnal gap and period must be > 0")
-        if peak < 1:
-            raise ValueError(f"diurnal peak must be >= 1, got {peak}")
         out = [0.0]
         for _ in range(1, n_tenants):
             t = out[-1]
@@ -154,13 +162,18 @@ class BurstyArrivals(ArrivalProcess):
     )
     DESCRIPTION = "tenants arrive in simultaneous bursts"
 
+    def __init__(self, **params: object) -> None:
+        super().__init__(**params)
+        burst = self._int("burst")
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1, got {burst}")
+        gap = self._float("gap")
+        if gap <= 0:
+            raise ValueError(f"bursty gap must be > 0, got {gap}")
+
     def times(self, n_tenants: int, rng: random.Random) -> List[float]:
         burst = self._int("burst")
         gap = self._float("gap")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        if gap <= 0:
-            raise ValueError(f"bursty gap must be > 0, got {gap}")
         out: List[float] = []
         when = 0.0
         while len(out) < n_tenants:
@@ -201,7 +214,8 @@ def create_arrivals(spec: Optional[str]) -> ArrivalProcess:
     (``None``/empty means ``closed``).
 
     Raises:
-        ValueError: unknown name or a parameter outside the schema.
+        ValueError: unknown name, a parameter outside the schema, or a
+        parameter value outside the process's range.
     """
     if not spec:
         spec = DEFAULT_ARRIVALS

@@ -29,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
@@ -370,12 +371,17 @@ def spec_from_mix(mix, scale: float = 1.0, default_policy=None,
     three and up land in :attr:`RunSpec.extra` and execution routes
     through :func:`~repro.experiments.runner.run_consolidation`.
 
-    Raises ``ValueError`` for malformed grammar, unknown benchmarks,
-    unknown policies, or bad policy parameters.
+    Raises ``ValueError`` for a non-finite or non-positive ``scale``,
+    malformed grammar, unknown benchmarks, unknown policies, or bad
+    policy parameters.
     """
     from repro.experiments.runner import scaled_policy_params
     from repro.scenario import parse_mix
     from repro.workloads.catalog import BENCHMARKS
+
+    if not 0 < scale < math.inf:      # also false for NaN
+        raise ValueError(
+            f"scale must be a positive finite number, got {scale!r}")
 
     entries = parse_mix(mix) if isinstance(mix, str) else list(mix)
     if not entries:

@@ -58,13 +58,16 @@ suite pins ``RunResult.to_dict()`` against the golden captures.
 
 Decline contract
 ----------------
-``install_batchpath`` returns False — leaving the system un-mutated — when
-the topology is not the hierarchical crossbar, any tag store uses a
-nonzero ``index_shift`` or non-uniform set counts, the address mapping is
-not exactly the PAE hash (the inlined folds encode it, so subclasses and
-the Hynix mapping decline), the engine is not the stock binary-heap
-``Engine``, or the install-time self-check (inlined folds against the
-mapping's own ``mc_of``/``slice_of``/``bank_of``) fails.
+``install_batchpath`` returns False — leaving the system un-mutated — for
+three reasons only: the topology is not the hierarchical crossbar, the
+address mapping is not exactly the PAE hash (the inlined folds encode it,
+so the Hynix mapping and any subclass decline), or the install-time
+self-check (inlined folds against the mapping's own
+``mc_of``/``slice_of``/``bank_of``) fails.  Everything else the tier
+relies on is how ``GPUSystem`` builds every system: one set count per
+store kind (``cfg.llc_sets_per_slice`` and ``cfg.l1_sets``), modulo set
+indexing, and the stock binary-heap ``Engine`` whose ``_heap`` the issue
+sites push into.
 ``GPUSystem`` then runs the event tier; results are byte-identical either
 way.  Consolidation runs install: per-request latency is stamped at issue
 and recorded at fill with the event tier's float expression, and a
@@ -84,7 +87,6 @@ from repro.mem.address_map import PAEMapping
 from repro.mem.dram import DRAMBank
 from repro.noc.hierarchical_xbar import BYPASS_CYCLES, HierarchicalCrossbar
 from repro.noc.topology import LONG_LINK_CYCLES, SHORT_LINK_CYCLES
-from repro.sim.engine import Engine
 
 
 # repro: cold
@@ -101,19 +103,8 @@ def install_batchpath(system: Any) -> bool:
     topo = system.topology
     if not isinstance(topo, HierarchicalCrossbar):
         return False
-    slice_stores = [sl.store for sl in system.llc_slices]
-    l1_stores = [sm.l1._store for sm in system.sms]
-    if any(st.index_shift for st in slice_stores + l1_stores):
-        return False
-    if (len({st.num_sets for st in slice_stores}) != 1
-            or len({st.num_sets for st in l1_stores}) != 1):
-        return False
-
     mapping = system.mapping
     if type(mapping) is not PAEMapping:
-        return False
-    engine = system.engine
-    if type(engine) is not Engine:
         return False
 
     num_mcs = mapping.num_mcs
@@ -135,6 +126,7 @@ def install_batchpath(system: Any) -> bool:
             return False
 
     # ---------------------------------------------------------- constants
+    engine = system.engine
     programs = system.programs
     llc_slices = system.llc_slices
     mcs = system.mcs
@@ -171,10 +163,10 @@ def install_batchpath(system: Any) -> bool:
     # store, see repro.cache.setassoc) are captured per store by the
     # closure factories; every path including flush/clean mutates them in
     # place, so the captures stay valid.
-    llc_num_sets = slice_stores[0].num_sets
+    llc_num_sets = system.cfg.llc_sets_per_slice
     tag_ports = [sl.tag_port for sl in llc_slices]
     data_ports = [sl.data_port for sl in llc_slices]
-    l1_num_sets = l1_stores[0].num_sets
+    l1_num_sets = system.cfg.l1_sets
 
     # DRAM internals (channels are built uniformly from one config).
     ch0 = mcs[0].channel
@@ -293,7 +285,7 @@ def install_batchpath(system: Any) -> bool:
         sl = llc_slices[sg]
         tag = tag_ports[sg]
         data = data_ports[sg]
-        store = slice_stores[sg]
+        store = sl.store
         keys_by_set = store._sets
         dirty = store._dirty
         assoc = store.assoc

@@ -380,7 +380,7 @@ class GPUSystem:
         # consecutive lines fill consecutive sets.
         self.llc_slices = [
             LLCSlice(slice_id=i, num_sets=cfg.llc_sets_per_slice,
-                     assoc=cfg.llc_assoc, index_shift=0,
+                     assoc=cfg.llc_assoc,
                      line_flits=cfg.line_flits,
                      latency=float(cfg.llc_latency_cycles))
             for i in range(cfg.num_llc_slices)

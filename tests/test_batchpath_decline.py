@@ -2,80 +2,87 @@
 
 :func:`~repro.gpu.batchpath.install_batchpath` specializes a system only
 when its shape is inside the closed-form envelope; outside it, the install
-must *decline* — return False, leave the event tier active, and leave the
-system so untouched that its run is byte-identical to a twin system that
-never saw the installer.  One test per documented decline reason:
+must *decline* — return False, leave the event tier active with no tier
+flush hook, and leave the system so untouched that its run is
+byte-identical to one that never saw the installer.  One test per decline
+reason:
 
-* non-``HierarchicalCrossbar`` topology,
-* a nonzero tag-store ``index_shift``,
-* non-uniform set counts across slices (or across L1s),
+* a non-``HierarchicalCrossbar`` topology, on a static run and on an
+  adaptive run whose controller switches LLC modes and flushes caches
+  mid-run (the paths an installed tier hooks through ``tier_flush``);
 * a non-PAE address mapping (the inlined folds encode the PAE hash), be
-  it the Hynix mapping or a ``PAEMapping`` subclass,
-* an engine that is not the stock binary-heap ``Engine`` (the tier pushes
-  fully-formed entries into ``engine._heap`` directly).
+  it the Hynix mapping or a ``PAEMapping`` subclass;
+* a failed install-time self-check (the inlined folds disagree with the
+  mapping's own methods).
 
 The topology and Hynix cases are reachable from configuration alone, so
-they also pin the end-to-end contract: a ``tier="batch"`` config silently
-falls back to the event tier and produces byte-identical results.  The
-other shapes cannot be configured today, so they are created by mutating
-*two identical systems the same way* and attempting the install on only
-one — any state the declined installer perturbed would show up as a
-result divergence between the twins.
+they pin the end-to-end contract: a ``tier="batch"`` config silently falls
+back to the event tier and produces byte-identical results.  The other two
+cannot be configured, so they are created by mutating *two identical
+systems the same way* and attempting the install on only one — any state
+the declined installer perturbed would show up as a result divergence
+between the twins.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import experiment_config
 from repro.gpu.batchpath import install_batchpath
 from repro.gpu.system import GPUSystem
 from repro.mem.address_map import PAEMapping
-from repro.sim.engine import Engine
 from repro.workloads.catalog import build
 
-TINY = 0.02
+
+def _system(cfg, bench: str = "VA", policy: str = "shared") -> GPUSystem:
+    workload = build(bench, total_accesses=2_000, num_ctas=32, max_kernels=1)
+    return GPUSystem(cfg, workload, policy=policy)
 
 
-def _twin_systems(policy: str = "shared"):
+def _assert_config_falls_back(cfg, bench: str = "VA",
+                              policy: str = "shared") -> dict:
+    """``cfg`` with tier="batch" keeps the event tier, hooks no tier flush
+    and runs byte-identically to ``cfg`` with tier="event".  Returns the
+    run's result."""
+    results = []
+    for tier in ("batch", "event"):
+        system = _system(cfg.replace(tier=tier), bench, policy)
+        assert system.tier == "event"
+        assert system._tier_flush is None, (
+            "a declined install must not leave a tier flush hook behind")
+        results.append(system.run().to_dict())
+    assert results[0] == results[1]
+    return results[0]
+
+
+def _twin_systems(bench: str = "VA", policy: str = "shared"):
     """Two independently built, identical event-tier systems."""
-    def make():
-        cfg = experiment_config().replace(tier="event")  # no install
-        workload = build("VA", total_accesses=2_000, num_ctas=32,
-                         max_kernels=1)
-        return GPUSystem(cfg, workload, policy=policy)
-    return make(), make()
+    cfg = experiment_config().replace(tier="event")  # no install
+    return _system(cfg, bench, policy), _system(cfg, bench, policy)
 
 
 def _assert_declined_and_untouched(declined: GPUSystem,
                                    untouched: GPUSystem) -> None:
     assert install_batchpath(declined) is False
     assert declined.tier == "event"
+    assert declined._tier_flush is None
     assert declined.run().to_dict() == untouched.run().to_dict(), (
         "a declined install must leave the system byte-identical to one "
         "that never attempted installation")
 
 
-def _assert_config_falls_back(cfg) -> None:
-    """``cfg`` with tier="batch" installs the event tier and runs
-    byte-identically to ``cfg`` with tier="event"."""
-    cfg_batch = cfg.replace(tier="batch")
-    cfg_event = cfg.replace(tier="event")
-    workload = build("VA", total_accesses=2_000, num_ctas=32, max_kernels=1)
-    system = GPUSystem(cfg_batch, workload, policy="shared")
-    assert system.tier == "event"
-
-    batch_spec = RunSpec.single("VA", "shared", cfg_batch, scale=TINY)
-    event_spec = RunSpec.single("VA", "shared", cfg_event, scale=TINY)
-    assert execute_spec(batch_spec).to_dict() == \
-        execute_spec(event_spec).to_dict()
-
-
 # ------------------------------------------------ config-reachable reasons
-def test_decline_non_hierarchical_crossbar_topology():
+# LUD switches the adaptive controller's LLC mode even at this size, so
+# the adaptive case covers a mid-run transition and its cache flush.
+@pytest.mark.parametrize("bench, policy",
+                         [("VA", "shared"), ("LUD", "adaptive")])
+def test_decline_non_hierarchical_crossbar_topology(bench, policy):
     noc_full = dataclasses.replace(experiment_config().noc, topology="full")
-    _assert_config_falls_back(experiment_config().replace(noc=noc_full))
+    result = _assert_config_falls_back(
+        experiment_config().replace(noc=noc_full), bench, policy)
+    if policy == "adaptive":
+        assert result["transitions"] >= 1, "the run must reconfigure mid-run"
 
 
 def test_decline_hynix_mapping():
@@ -90,30 +97,6 @@ def test_fastpath_tier_is_rejected():
 
 
 # ------------------------------------------------- mutation-only reasons
-def test_decline_nonzero_index_shift():
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        system.llc_slices[0].store.index_shift = 1
-    _assert_declined_and_untouched(declined, untouched)
-
-
-def test_decline_non_uniform_set_counts():
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        store = system.llc_slices[0].store
-        # Half the sets: indexes stay in range (modulo shrinks), so the
-        # event tier still runs fine — the shape is just non-uniform.
-        store.num_sets //= 2
-    _assert_declined_and_untouched(declined, untouched)
-
-
-def test_decline_non_uniform_l1_set_counts():
-    declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        system.sms[0].l1._store.num_sets //= 2
-    _assert_declined_and_untouched(declined, untouched)
-
-
 class _TracingMapping(PAEMapping):
     """Behaviourally identical subclass: the exact-type guard must decline
     it anyway, because the inlined folds encode PAEMapping's hash and a
@@ -127,24 +110,24 @@ def test_decline_non_pae_mapping_subclass():
     _assert_declined_and_untouched(declined, untouched)
 
 
-class _InstrumentedEngine(Engine):
-    """Behaviourally identical subclass: declined because the batch tier
-    bypasses the engine API and pushes into ``_heap`` directly, which is
-    only safe against the stock engine's queue representation."""
-
-    __slots__ = ()  # keep the layout __class__-assignment compatible
-
-
-def test_decline_non_stock_engine_subclass():
+def test_decline_failed_self_check(monkeypatch):
+    """A ``PAEMapping`` whose bank fold no longer matches the inlined one
+    (still a valid bank, so the event tier runs fine) is caught by the
+    install-time self-check."""
+    bank_of = PAEMapping.bank_of
+    monkeypatch.setattr(PAEMapping, "bank_of", lambda self, key:
+                        (bank_of(self, key) + 1) % self.num_banks)
     declined, untouched = _twin_systems()
-    for system in (declined, untouched):
-        system.engine.__class__ = _InstrumentedEngine
     _assert_declined_and_untouched(declined, untouched)
 
 
 # ----------------------------------------------------------------- control
 def test_unmutated_twin_installs():
     """The mutation harness itself must not be why installs decline: an
-    untouched twin accepts the batch tier."""
-    system, _ = _twin_systems()
-    assert install_batchpath(system) is True
+    untouched twin accepts the batch tier, static or adaptive, and the
+    install hooks the tier flush that the controller's mode transitions
+    call."""
+    for bench, policy in (("VA", "shared"), ("LUD", "adaptive")):
+        system, _ = _twin_systems(bench, policy)
+        assert install_batchpath(system) is True, (bench, policy)
+        assert system._tier_flush is not None, (bench, policy)

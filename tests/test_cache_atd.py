@@ -1,7 +1,9 @@
 """Tests for the auxiliary tag directory (private-miss-rate estimator)."""
 
+import copy
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cache.atd import AuxiliaryTagDirectory
 
@@ -102,6 +104,8 @@ def test_constructor_validation():
         make_atd(sampled_sets=0)
     with pytest.raises(ValueError):
         make_atd(sampled_sets=64, num_sets=48)
+    with pytest.raises(ValueError):
+        make_atd(assoc=0)
 
 
 def test_hardware_budget_near_paper():
@@ -122,3 +126,102 @@ def test_private_miss_rate_at_least_shared(stream):
     assert atd.private_miss_rate >= atd.shared_miss_rate - 1e-12
     assert 0.0 <= atd.shared_miss_rate <= 1.0
     assert 0.0 <= atd.private_miss_rate <= 1.0
+
+
+class _WayOrder:
+    """Way-indexed true LRU over ``assoc`` ways, most recent last."""
+
+    def __init__(self, assoc):
+        self.order = list(range(assoc))
+
+    def on_access(self, way):
+        self.order.remove(way)
+        self.order.append(way)
+
+    def victim(self):
+        return self.order[0]
+
+
+class _WayEntry:
+    def __init__(self):
+        self.key = -1
+        self.valid = False
+        self.router = -1
+
+
+class _WayIndexedATD:
+    """Reference model: the way-indexed ATD the recency-list one replaced.
+
+    Each sampled set keeps ``assoc`` entries in place plus a per-set LRU
+    way order; a miss fills the first invalid way, else the LRU victim."""
+
+    def __init__(self, sampled_sets, assoc, num_sets):
+        self.num_sets = num_sets
+        stride = max(1, num_sets // sampled_sets)
+        self.sets = {stride * i: [_WayEntry() for _ in range(assoc)]
+                     for i in range(sampled_sets)}
+        self.orders = {s: _WayOrder(assoc) for s in self.sets}
+        self.sampled_accesses = 0
+        self.any_hits = 0
+        self.same_router_hits = 0
+
+    def observe(self, line_key, router_id):
+        set_idx = line_key % self.num_sets
+        entries = self.sets.get(set_idx)
+        if entries is None:
+            return
+        self.sampled_accesses += 1
+        order = self.orders[set_idx]
+        for way, entry in enumerate(entries):
+            if entry.valid and entry.key == line_key:
+                self.any_hits += 1
+                if entry.router == router_id:
+                    self.same_router_hits += 1
+                entry.router = router_id
+                order.on_access(way)
+                return
+        way = next((w for w, e in enumerate(entries) if not e.valid), None)
+        if way is None:
+            way = order.victim()
+        entry = entries[way]
+        entry.key = line_key
+        entry.valid = True
+        entry.router = router_id
+        order.on_access(way)
+
+
+def _counters(atd):
+    return atd.sampled_accesses, atd.any_hits, atd.same_router_hits
+
+
+@seed(2019)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3),
+       st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3)),
+                min_size=1, max_size=200))
+def test_matches_way_indexed_reference(assoc, sampled_sets, extra_sets,
+                                       stream):
+    """Differential test against the way-indexed reference over random
+    access streams: the three counters agree after every call.  A final
+    sweep then pushes ``n`` fresh keys into a key's set and re-observes
+    the key, for every ``n`` up to ``assoc``: the hit-or-miss outcomes
+    expose each resident key's recency rank, and a same-router re-observe
+    checks its stored router."""
+    num_sets = sampled_sets + extra_sets
+    atd = AuxiliaryTagDirectory(sampled_sets, assoc, num_sets, num_routers=4)
+    ref = _WayIndexedATD(sampled_sets, assoc, num_sets)
+    for key, router in stream:
+        atd.observe(key, router)
+        ref.observe(key, router)
+        assert _counters(atd) == _counters(ref), (key, router)
+    last_router = dict(stream)
+    for key, router in last_router.items():
+        for n in range(assoc + 1):
+            atd_n, ref_n = copy.deepcopy(atd), copy.deepcopy(ref)
+            for i in range(n):
+                fresh = key % num_sets + num_sets * (100 + i)
+                atd_n.observe(fresh, 0)
+                ref_n.observe(fresh, 0)
+            atd_n.observe(key, router)
+            ref_n.observe(key, router)
+            assert _counters(atd_n) == _counters(ref_n), (key, n)

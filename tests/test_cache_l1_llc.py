@@ -11,8 +11,8 @@ def make_l1():
 
 
 def make_slice(**kw):
-    defaults = dict(slice_id=0, num_sets=48, assoc=16, index_shift=6,
-                    line_flits=4, latency=120.0)
+    defaults = dict(slice_id=0, num_sets=48, assoc=16, line_flits=4,
+                    latency=120.0)
     defaults.update(kw)
     return LLCSlice(**defaults)
 
@@ -125,7 +125,7 @@ def test_llc_write_through_mode_sends_writes_to_dram():
 def test_llc_flush_reports_dirty_in_writeback_mode():
     s = make_slice()
     s.access(0.0, 1, is_write=True)
-    s.access(0.0, 2, is_write=False)
+    s.access(0.0, 1 + 48, is_write=False)      # same set as key 1
     valid, dirty = s.flush()
     assert valid == 2 and dirty == 1
 
@@ -154,10 +154,11 @@ def test_llc_stats_roll_up():
     assert s.accesses == 0 and s.response_flits == 0
 
 
-def test_llc_index_shift_uses_high_bits():
-    """Slice-select bits (low) must not constrain set placement."""
-    s = make_slice(num_sets=48, index_shift=6)
-    # 48*16 distinct keys differing only above bit 6 all fit.
+def test_llc_consecutive_keys_fill_every_set():
+    """Slice selection hashes the line key, so a slice indexes its sets by
+    the key itself: 48*16 consecutive keys spread over every set and all
+    fit."""
+    s = make_slice(num_sets=48)
     for i in range(48 * 16):
-        s.access(0.0, i << 6, False)
+        s.access(0.0, i, False)
     assert s.store.occupancy() == 48 * 16

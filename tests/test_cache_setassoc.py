@@ -53,13 +53,6 @@ def test_no_write_allocate_mode():
     assert c.probe(7)
 
 
-def test_index_shift_spreads_across_sets():
-    """With index_shift, keys differing only in low bits share a set."""
-    c = SetAssocCache(num_sets=8, assoc=1, index_shift=3)
-    assert c.set_index(0b000_001) == c.set_index(0b000_111)
-    assert c.set_index(0b001_000) != c.set_index(0b010_000)
-
-
 def test_modulo_indexing_supports_non_power_of_two_sets():
     c = SetAssocCache(num_sets=48, assoc=16)
     for key in range(48 * 16):
@@ -162,15 +155,14 @@ class _ReferenceLRU:
     """Textbook LRU: one ``OrderedDict`` per set mapping each resident key
     to its dirty flag, least recently touched first."""
 
-    def __init__(self, num_sets, assoc, index_shift, allocate_on_write):
+    def __init__(self, num_sets, assoc, allocate_on_write):
         self.sets = [OrderedDict() for _ in range(num_sets)]
         self.assoc = assoc
-        self.index_shift = index_shift
         self.allocate_on_write = allocate_on_write
         self.hits = self.misses = self.evictions = self.writebacks = 0
 
     def _set(self, key):
-        return self.sets[(key >> self.index_shift) % len(self.sets)]
+        return self.sets[key % len(self.sets)]
 
     def probe(self, key):
         return key in self._set(key)
@@ -260,18 +252,16 @@ def _apply(target, op, key, flag):
 
 @seed(2019)
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
-       st.booleans(), _OPS)
-def test_matches_reference_lru(num_sets, assoc, index_shift,
-                               allocate_on_write, ops):
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), _OPS)
+def test_matches_reference_lru(num_sets, assoc, allocate_on_write, ops):
     """Differential test against a reference LRU over random operation
     sequences: every return value (each ``AccessResult`` field included)
     and every statistic agree after each step.  A final sweep of fresh
     keys evicts every resident line, so the victims' order checks the
     recency state the steps left behind."""
-    cache = SetAssocCache(num_sets, assoc, index_shift=index_shift,
+    cache = SetAssocCache(num_sets, assoc,
                           allocate_on_write=allocate_on_write)
-    ref = _ReferenceLRU(num_sets, assoc, index_shift, allocate_on_write)
+    ref = _ReferenceLRU(num_sets, assoc, allocate_on_write)
     for step in ops:
         assert _apply(cache, *step) == _apply(ref, *step), step
         assert (cache.hits, cache.misses, cache.evictions,

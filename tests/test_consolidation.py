@@ -122,6 +122,11 @@ def test_canonical_arrivals_spec_elides_defaults():
         canonical_arrivals_spec("lunar")
     with pytest.raises(ValueError, match="no parameters"):
         create_arrivals("closed:gap=1")
+    for bad in ("poisson:gap=-5", "poisson:gap=0", "diurnal:gap=0",
+                "diurnal:period=-1", "diurnal:peak=0.5", "bursty:burst=0",
+                "bursty:gap=-1"):
+        with pytest.raises(ValueError, match="must be"):
+            create_arrivals(bad)
 
 
 # ----------------------------------------------------------------- mixgen

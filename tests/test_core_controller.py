@@ -34,7 +34,7 @@ class FakeSystem:
     def __init__(self, cfg):
         self.llc_slices = [
             LLCSlice(i, num_sets=cfg.llc_sets_per_slice, assoc=cfg.llc_assoc,
-                     index_shift=0, line_flits=4, latency=120.0)
+                     line_flits=4, latency=120.0)
             for i in range(4)
         ]
         mapping = PAEMapping(8, 8, 16)

@@ -37,8 +37,8 @@ class _System:
 
     def __init__(self, num_slices=4, num_mcs=2, allow_bypass=True):
         self.llc_slices = [
-            LLCSlice(slice_id=i, num_sets=4, assoc=2, index_shift=0,
-                     line_flits=4, latency=1.0)
+            LLCSlice(slice_id=i, num_sets=4, assoc=2, line_flits=4,
+                     latency=1.0)
             for i in range(num_slices)
         ]
         self.mcs = [_MC() for _ in range(num_mcs)]

@@ -224,5 +224,6 @@ def test_cli_scale_presets():
 
     with pytest.raises(argparse.ArgumentTypeError):
         parse_scale("big")
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_scale("-1")
+    for bad in ("-1", "0", "nan", "inf", "-inf"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_scale(bad)

@@ -132,6 +132,10 @@ def test_wire_level_rejections(job_server_factory):
         {"mix": MIX, "spec": _tiny_spec().to_dict()},  # ambiguous
         {},                                          # neither spelling
         {"mix": "VA:warp-speed"},                    # unknown policy
+        {"mix": "VA", "scale": -1},                  # non-positive scale
+        {"mix": "VA", "scale": 0},                   # non-positive scale
+        {"mix": "VA", "scale": "nan"},               # non-finite scale
+        {"mix": "VA", "scale": "inf"},               # non-finite scale
     ):
         with pytest.raises(ServiceError) as exc:
             client.submit(payload)

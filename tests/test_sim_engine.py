@@ -317,7 +317,7 @@ def _followup_order(style):
 def test_continuation_is_fifo_interchangeable_with_schedule_call():
     # The engine hands a continuation exactly the sequence number a
     # trailing schedule_call would have drawn, so the two styles produce
-    # identical firing orders — the fast-path tier's byte-identity
+    # identical firing orders — the batch tier's byte-identity
     # contract rests on this.
     assert (_followup_order("continuation")
             == _followup_order("call")

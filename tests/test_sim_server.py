@@ -116,7 +116,7 @@ def test_enqueue_carries_no_window_bookkeeping():
     """Structural pin for the hot path: window statistics are derived
     lazily from ``busy_cycles`` snapshots (``reset_window`` /
     ``window_utilization``), never accumulated inside ``enqueue``.  The
-    fast-path tier inlines this exact body into its stage handlers, so a
+    batch tier inlines this exact body into its stage handlers, so a
     reintroduced per-job window update would silently fork the two
     tiers' stat semantics as well as slow the hot path."""
     code = BandwidthServer.enqueue.__code__

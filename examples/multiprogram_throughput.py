@@ -11,7 +11,8 @@ improves over the all-shared baseline.
 Run:  python examples/multiprogram_throughput.py
 """
 
-from repro.experiments.runner import experiment_config, run_benchmark, run_pair
+from repro.experiments.campaign import RunSpec, execute_spec
+from repro.experiments.runner import experiment_config
 from repro.metrics.perf import system_throughput
 
 
@@ -19,14 +20,14 @@ def main() -> None:
     cfg = experiment_config()
     pair = ("GEMM", "AN")
 
-    alone = {abbr: run_benchmark(abbr, "shared", cfg, scale=0.5,
-                                 max_kernels=1).ipc
+    alone = {abbr: execute_spec(RunSpec.single(abbr, "shared", cfg, scale=0.5,
+                                               max_kernels=1)).ipc
              for abbr in pair}
     print("single-program IPC (shared LLC, full GPU):",
           {k: round(v, 2) for k, v in alone.items()})
 
     for mode in ("shared", "adaptive"):
-        res = run_pair(*pair, mode, cfg, scale=0.5)
+        res = execute_spec(RunSpec.pair(*pair, mode, cfg, scale=0.5))
         ipcs = {p.name: p.ipc for p in res.programs}
         stp = system_throughput([ipcs[a] for a in pair],
                                 [alone[a] for a in pair])

@@ -10,7 +10,8 @@ Run:  python examples/noc_design_space.py
 """
 
 from repro.config import NoCConfig
-from repro.experiments.runner import experiment_config, run_benchmark
+from repro.experiments.campaign import RunSpec, execute_spec
+from repro.experiments.runner import experiment_config
 from repro.noc import NoCPowerModel, make_topology
 
 DESIGNS = [
@@ -32,7 +33,8 @@ def main() -> None:
         cfg = experiment_config(noc=NoCConfig(topology=topo,
                                               channel_bytes=channel,
                                               concentration=conc))
-        res = run_benchmark("RN", "shared", cfg, scale=0.5, with_energy=True)
+        res = execute_spec(RunSpec.single("RN", "shared", cfg, scale=0.5,
+                                          with_energy=True))
         area = model.area(make_topology(cfg).inventory())
         watts = (res.energy.noc_total * 1e-12
                  / (res.cycles / 1.4e9))

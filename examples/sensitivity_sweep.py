@@ -11,12 +11,14 @@ Run:  python examples/sensitivity_sweep.py
 """
 
 from repro.config import NoCConfig
-from repro.experiments.runner import experiment_config, run_benchmark
+from repro.experiments.campaign import RunSpec, execute_spec
+from repro.experiments.runner import experiment_config
 
 
 def gain(cfg, abbr="AN", scale=0.5) -> float:
-    shared = run_benchmark(abbr, "shared", cfg, scale=scale)
-    adaptive = run_benchmark(abbr, "adaptive", cfg, scale=scale)
+    shared = execute_spec(RunSpec.single(abbr, "shared", cfg, scale=scale))
+    adaptive = execute_spec(RunSpec.single(abbr, "adaptive", cfg,
+                                           scale=scale))
     return adaptive.ipc / shared.ipc
 
 

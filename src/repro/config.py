@@ -329,6 +329,13 @@ class GPUConfig(_SerializableConfig):
         "address_mapping", "noc", "adaptive", "cta_scheduler", "tier",
     )
 
+    #: Counts and sizes the geometry (or the simulator) divides by.
+    _DIVISORS = (
+        "num_sms", "clock_mhz", "num_clusters", "l1_size_kb", "l1_assoc",
+        "line_bytes", "num_memory_controllers", "llc_slices_per_mc",
+        "llc_slice_kb", "llc_assoc", "dram_banks_per_mc",
+    )
+
     # ------------------------------------------------------------------ api
     @staticmethod
     def baseline() -> "GPUConfig":
@@ -406,8 +413,24 @@ class GPUConfig(_SerializableConfig):
 
         The NoC/LLC co-design (Section 4.1) requires as many clusters as LLC
         slices per memory controller so that bypassed MC-routers map each
-        cluster onto a private slice.
+        cluster onto a private slice.  Counts and sizes that the geometry
+        divides by must be at least 1 and latencies at least 0; both are
+        checked before anything is derived from them.
         """
+        for name in self._DIVISORS:
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.noc.channel_bytes < 1:
+            raise ValueError(f"noc.channel_bytes must be >= 1, "
+                             f"got {self.noc.channel_bytes!r}")
+        if self.llc_latency_cycles < 0:
+            raise ValueError(f"llc_latency_cycles must be >= 0, "
+                             f"got {self.llc_latency_cycles!r}")
+        for name, value in vars(self.dram_timing).items():
+            if value < 0:
+                raise ValueError(
+                    f"dram_timing.{name} must be >= 0, got {value!r}")
         _ = self.sms_per_cluster
         if self.llc_slices_per_mc != self.num_clusters:
             raise ValueError(
@@ -418,6 +441,11 @@ class GPUConfig(_SerializableConfig):
             raise ValueError(
                 f"LLC slice geometry holds less than one set "
                 f"({self.llc_slice_kb} KB / {self.llc_assoc}-way / {self.line_bytes} B)"
+            )
+        if self.l1_sets <= 0:
+            raise ValueError(
+                f"L1 geometry holds less than one set "
+                f"({self.l1_size_kb} KB / {self.l1_assoc}-way / {self.line_bytes} B)"
             )
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line size must be a power of two")

@@ -126,7 +126,8 @@ class DiurnalArrivals(ArrivalProcess):
         PolicyParam("period", float, 20000.0,
                     "cycles per load-curve period"),
         PolicyParam("peak", float, 4.0,
-                    "peak-to-trough arrival-rate ratio (>= 1)"),
+                    "peak-to-trough arrival-rate ratio (>= 1)",
+                    bounds=(1.0, None)),
     )
     DESCRIPTION = "Poisson arrivals whose rate follows a sinusoidal day"
 
@@ -134,9 +135,6 @@ class DiurnalArrivals(ArrivalProcess):
         super().__init__(**params)
         if self._float("gap") <= 0 or self._float("period") <= 0:
             raise ValueError("diurnal gap and period must be > 0")
-        peak = self._float("peak")
-        if peak < 1:
-            raise ValueError(f"diurnal peak must be >= 1, got {peak}")
 
     def times(self, n_tenants: int, rng: random.Random) -> List[float]:
         gap = self._float("gap")
@@ -156,7 +154,8 @@ class BurstyArrivals(ArrivalProcess):
 
     NAME = "bursty"
     PARAMS = (
-        PolicyParam("burst", int, 2, "tenants admitted per burst"),
+        PolicyParam("burst", int, 2, "tenants admitted per burst",
+                    bounds=(1, None)),
         PolicyParam("gap", float, 8000.0,
                     "mean cycles between bursts (jittered +/- 50%)"),
     )
@@ -164,9 +163,6 @@ class BurstyArrivals(ArrivalProcess):
 
     def __init__(self, **params: object) -> None:
         super().__init__(**params)
-        burst = self._int("burst")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
         gap = self._float("gap")
         if gap <= 0:
             raise ValueError(f"bursty gap must be > 0, got {gap}")

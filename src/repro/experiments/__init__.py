@@ -21,8 +21,6 @@ from repro.experiments.campaign import Campaign, RunSpec
 from repro.experiments.runner import (
     DEFAULT_ACCESSES,
     experiment_config,
-    run_benchmark,
-    run_pair,
     scaled_adaptive_config,
 )
 
@@ -78,7 +76,5 @@ __all__ = [
     "experiment_config",
     "figure_module",
     "figure_sort_key",
-    "run_benchmark",
-    "run_pair",
     "scaled_adaptive_config",
 ]

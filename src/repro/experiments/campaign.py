@@ -35,8 +35,16 @@ from multiprocessing import get_context
 from typing import Iterable, Optional, Sequence
 
 from repro.config import GPUConfig, PolicyConfig, canonical_key
-from repro.gpu.system import RunResult
-from repro.policy import canonical_policy_params
+from repro.experiments.runner import (_accesses_for, _mix_accesses,
+                                      experiment_config, scaled_policy_params)
+from repro.gpu.system import GPUSystem, RunResult
+from repro.policy import (canonical_policy_name, canonical_policy_params,
+                          create_policy)
+from repro.power.gpu_power import GPUPowerModel
+from repro.scenario import ProgramSpec, Scenario, parse_mix
+from repro.workloads.catalog import BENCHMARKS, benchmark
+from repro.workloads.generator import generate_workload
+from repro.workloads.multiprogram import make_mix
 
 #: Bump when the serialization format or simulator semantics change in a way
 #: that invalidates previously cached results.  v2: the policy layer — specs
@@ -77,8 +85,12 @@ class RunSpec:
     """One simulation, fully described.
 
     ``pair_with`` switches the spec from a single-benchmark run to a
-    two-program mix (Figure 15); all other fields mean the same thing they
-    mean on :func:`repro.experiments.runner.run_benchmark`.
+    two-program mix (Figure 15); ``extra``, ``arrivals`` and ``placement``
+    make that mix an N-tenant consolidation run.  :meth:`tenants` lists
+    the programs and :func:`spec_system` builds the simulation.  Every
+    field is checked at construction (a spec that exists can run), and
+    nothing is coerced, so a spec's content key is exactly what was
+    declared.
 
     The Scenario API's per-program policies serialize through
     ``mode_b``/``policy_params_b``: when set, program B runs its own
@@ -99,8 +111,13 @@ class RunSpec:
             two specs differing only in config hash differently).
         scale: trace-length multiplier (1.0 = calibrated full size).
         pair_with: second program's abbreviation for two-program mixes.
-        num_ctas: CTA count override (default: 2 per SM).
-        max_kernels: kernel-boundary cap for the generated trace.
+        num_ctas: CTA count override (default: 2 per SM), divided evenly
+            between co-running programs.
+        max_kernels: kernel-boundary cap for the generated trace.  Kernel
+            boundaries re-synchronize the CTA convoys that create
+            shared-LLC contention and trigger Rule #3 re-profiling; the
+            single-program default of 3 keeps both effects while bounding
+            the per-kernel profiling overhead scaled traces magnify.
         collect_locality: attach Figure 3's locality histogram.
         with_energy: attach the system energy report.
         mode_b: program B's LLC policy for a heterogeneous mix
@@ -140,6 +157,7 @@ class RunSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self._validate_run_fields()
         object.__setattr__(self, "policy_params",
                            _canonical_policy_params(self.mode,
                                                     self.policy_params))
@@ -160,17 +178,39 @@ class RunSpec:
             object.__setattr__(self, "mode_b", None)
             object.__setattr__(self, "policy_params_b", ())
 
+    def _validate_run_fields(self) -> None:
+        """Reject what no simulation can run.  Nothing is coerced: a
+        coerced field would hash to a key nobody declared."""
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        if not (is_int(self.scale) or isinstance(self.scale, float)) \
+                or not 0 < self.scale < math.inf:      # also false for NaN
+            raise ValueError(
+                f"scale must be a positive finite number, got {self.scale!r}")
+        for name, value in (("max_kernels", self.max_kernels),
+                            ("num_ctas", self.num_ctas)):
+            if not (is_int(value) and value >= 1
+                    or name == "num_ctas" and value is None):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
+        for name, flag in (("collect_locality", self.collect_locality),
+                           ("with_energy", self.with_energy)):
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
+        self.cfg.validate()
+
     def _canonicalize_consolidation(self) -> None:
-        if self.extra:
-            if self.pair_with is None:
-                raise ValueError("extra programs require pair_with "
-                                 "(tenants three and up extend a mix)")
-            canon = []
-            for entry in self.extra:
-                abbr, mode_x, params_x = entry
-                canon.append((abbr, mode_x,
-                              _canonical_policy_params(mode_x, params_x)))
-            object.__setattr__(self, "extra", tuple(canon))
+        if self.pair_with is None and (self.extra or self.arrivals is not None
+                                       or self.placement is not None):
+            raise ValueError("extra/arrivals/placement need a multi-program "
+                             "mix (pair_with); a single program has no "
+                             "co-tenants")
+        object.__setattr__(self, "extra", tuple(
+            (abbr, mode_x, _canonical_policy_params(mode_x, params_x))
+            for abbr, mode_x, params_x in self.extra))
         if self.placement is not None:
             from repro.consolidate.placement import canonical_placement_spec
 
@@ -181,9 +221,6 @@ class RunSpec:
 
             object.__setattr__(self, "arrivals",
                                canonical_arrivals_spec(self.arrivals))
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ValueError("seed must be a nonnegative integer")
         if self.arrivals is None and self.seed:
             # A closed system draws nothing from the RNG: canonicalize the
             # seed away so the spec hashes like the legacy spec it is.
@@ -196,9 +233,8 @@ class RunSpec:
                max_kernels: int = 3, collect_locality: bool = False,
                with_energy: bool = False,
                policy_params: Optional[dict] = None) -> "RunSpec":
-        """A one-benchmark run (the :func:`run_benchmark` shape)."""
-        from repro.experiments.runner import experiment_config
-
+        """A one-benchmark run of ``mode`` (a policy name, ``NAME:k=v``
+        spec or :class:`~repro.config.PolicyConfig`)."""
         mode, policy_params = _split_policy(mode, policy_params)
         return RunSpec(benchmark=benchmark, mode=mode,
                        cfg=cfg if cfg is not None else experiment_config(),
@@ -219,25 +255,18 @@ class RunSpec:
              arrivals: Optional[str] = None,
              placement: Optional[str] = None,
              seed: int = 0) -> "RunSpec":
-        """A two-program mix (the :func:`run_pair` shape).
+        """A two-program mix (Figure 15), both programs running ``mode``.
 
-        ``mode_b`` gives program B its own policy (the
-        :func:`~repro.experiments.runner.run_mix` shape); omitted, both
-        programs run ``mode`` exactly as before.  ``extra`` appends
-        tenants three and up as ``(benchmark, policy, params_dict)``
-        triples, and ``arrivals``/``placement``/``seed`` attach the
-        consolidation fields (see the class docstring).
+        ``mode_b`` gives program B its own policy (a heterogeneous mix).
+        ``extra`` appends tenants three and up as ``(benchmark, policy,
+        params_dict)`` triples, and ``arrivals``/``placement``/``seed``
+        attach the consolidation fields (see the class docstring).
         """
-        from repro.experiments.runner import experiment_config
-
         mode, policy_params = _split_policy(mode, policy_params)
         if mode_b is not None:
             mode_b, policy_params_b = _split_policy(mode_b, policy_params_b)
-        canon_extra = []
-        for abbr_x, mode_x, params_x in extra:
-            mode_x, params_x = _split_policy(mode_x, params_x)
-            canon_extra.append((abbr_x, mode_x,
-                                tuple((params_x or {}).items())))
+        canon_extra = tuple((abbr_x, *_split_policy(mode_x, params_x))
+                            for abbr_x, mode_x, params_x in extra)
         return RunSpec(benchmark=abbr_a, mode=mode,
                        cfg=cfg if cfg is not None else experiment_config(),
                        scale=scale, pair_with=abbr_b,
@@ -246,7 +275,7 @@ class RunSpec:
                        mode_b=mode_b,
                        policy_params_b=tuple(
                            (policy_params_b or {}).items()),
-                       extra=tuple(canon_extra),
+                       extra=canon_extra,
                        arrivals=arrivals, placement=placement, seed=seed)
 
     # ------------------------------------------------------ serialization
@@ -300,31 +329,43 @@ class RunSpec:
         """Stable content hash: identical simulations hash identically."""
         return canonical_key(self.to_dict())
 
+    @property
+    def is_consolidation(self) -> bool:
+        """Whether the spec is an N-tenant consolidation run: a third
+        tenant, an arrival process or a non-default placement."""
+        return bool(self.extra) or self.arrivals is not None \
+            or self.placement is not None
+
+    def tenants(self) -> list[tuple[str, str, Optional[dict]]]:
+        """``(benchmark, policy, params_dict_or_None)`` per co-running
+        program, in admission order (one entry for a single benchmark)."""
+        params = dict(self.policy_params) or None
+        out = [(self.benchmark, self.mode, params)]
+        if self.pair_with is not None:
+            if self.mode_b is None:
+                out.append((self.pair_with, self.mode, params))
+            else:
+                out.append((self.pair_with, self.mode_b,
+                            dict(self.policy_params_b) or None))
+        out.extend((abbr, mode, dict(params_x) or None)
+                   for abbr, mode, params_x in self.extra)
+        return out
+
     def program_entries(self) -> list[tuple[str, str]]:
         """Canonical per-program view: ``(benchmark, policy_spec)`` per
         co-running program (one entry for single-benchmark specs)."""
-        spec_a = PolicyConfig(self.mode, self.policy_params).spec()
-        if self.pair_with is None:
-            return [(self.benchmark, spec_a)]
-        spec_b = spec_a if self.mode_b is None else \
-            PolicyConfig(self.mode_b, self.policy_params_b).spec()
-        entries = [(self.benchmark, spec_a), (self.pair_with, spec_b)]
-        entries.extend((abbr, PolicyConfig(mode, params).spec())
-                       for abbr, mode, params in self.extra)
-        return entries
+        return [(abbr, PolicyConfig.of(mode, params).spec())
+                for abbr, mode, params in self.tenants()]
 
     def label(self) -> str:
         """Short human-readable tag for progress output."""
+        entries = self.program_entries()
         if self.mode_b is not None or self.extra:
-            mix = "+".join(f"{bench}:{policy}"
-                           for bench, policy in self.program_entries())
+            mix = "+".join(f"{bench}:{policy}" for bench, policy in entries)
             tag = f"{mix}@{self.scale:g}"
         else:
-            name = self.benchmark
-            if self.pair_with:
-                name = f"{name}+{self.pair_with}"
-            policy = PolicyConfig(self.mode, self.policy_params).spec()
-            tag = f"{name}/{policy}@{self.scale:g}"
+            name = "+".join(bench for bench, _ in entries)
+            tag = f"{name}/{entries[0][1]}@{self.scale:g}"
         if self.arrivals is not None:
             tag = f"{tag}~{self.arrivals}"
         return tag
@@ -367,22 +408,15 @@ def spec_from_mix(mix, scale: float = 1.0, default_policy=None,
     parameters always winning — again matching the CLI.
 
     Mixes of three or more programs — and any mix carrying an
-    ``arrivals``/``placement`` spec — become consolidation runs: tenants
-    three and up land in :attr:`RunSpec.extra` and execution routes
-    through :func:`~repro.experiments.runner.run_consolidation`.
+    ``arrivals``/``placement`` spec — become consolidation runs
+    (:attr:`RunSpec.is_consolidation`): tenants three and up land in
+    :attr:`RunSpec.extra`.
 
-    Raises ``ValueError`` for a non-finite or non-positive ``scale``,
-    malformed grammar, unknown benchmarks, unknown policies, or bad
-    policy parameters.
+    Raises ``ValueError`` for malformed grammar, unknown benchmarks,
+    unknown policies, bad policy parameters, or any field the
+    :class:`RunSpec` itself rejects (a non-finite or non-positive
+    ``scale``, for one).
     """
-    from repro.experiments.runner import scaled_policy_params
-    from repro.scenario import parse_mix
-    from repro.workloads.catalog import BENCHMARKS
-
-    if not 0 < scale < math.inf:      # also false for NaN
-        raise ValueError(
-            f"scale must be a positive finite number, got {scale!r}")
-
     entries = parse_mix(mix) if isinstance(mix, str) else list(mix)
     if not entries:
         raise ValueError("a mix needs at least one program entry")
@@ -416,14 +450,66 @@ def spec_from_mix(mix, scale: float = 1.0, default_policy=None,
                         placement=placement, seed=seed, **kernels)
 
 
+def spec_system(spec: RunSpec,
+                probes: Optional[dict] = None) -> GPUSystem:
+    """Build (but do not run) the simulated GPU a spec describes: the one
+    place a spec becomes traces and a system.
+
+    One program gets its category's trace budget; co-running programs
+    share :func:`~repro.workloads.multiprogram.make_mix` and the mix
+    budget.  A heterogeneous or consolidation mix becomes a
+    :class:`~repro.scenario.Scenario` (consolidation adds admission times
+    and latency tracking); any other spec runs under one global policy.
+
+    ``probes`` optionally carries pre-computed static probe measurements
+    for an ``oracle-static`` spec (see :meth:`Campaign.prefetch`); they
+    pre-seed the policy instance, and the simulator is deterministic, so
+    injecting them changes nothing but the wall time.
+    """
+    tenants = spec.tenants()
+    num_ctas = spec.num_ctas if spec.num_ctas is not None \
+        else 2 * spec.cfg.num_sms
+    if len(tenants) == 1:
+        workload = generate_workload(
+            benchmark(spec.benchmark), num_ctas=num_ctas,
+            total_accesses=_accesses_for(spec.benchmark, spec.scale),
+            max_kernels=spec.max_kernels)
+        programs = (workload,)
+    else:
+        workload = make_mix(
+            [abbr for abbr, _, _ in tenants],
+            total_accesses=_mix_accesses(spec.scale), num_ctas=num_ctas,
+            max_kernels=spec.max_kernels)
+        programs = workload.programs
+    if spec.mode_b is not None or spec.is_consolidation:
+        times = None
+        if spec.is_consolidation:
+            from repro.consolidate.arrivals import arrival_times
+
+            times = arrival_times(spec.arrivals, len(tenants), spec.seed)
+        scenario = Scenario(
+            [ProgramSpec(wl, mode, params)
+             for wl, (_, mode, params) in zip(programs, tenants)],
+            placement=spec.placement, arrival_times=times,
+            track_latency=spec.is_consolidation)
+        return GPUSystem(spec.cfg, scenario,
+                         collect_locality=spec.collect_locality)
+    _, policy, params = tenants[0]
+    if probes is not None:
+        policy = create_policy(policy, params)
+        policy.inject_probes(probes)
+        params = None
+    return GPUSystem(spec.cfg, workload, policy=policy,
+                     policy_params=params,
+                     collect_locality=spec.collect_locality)
+
+
 def execute_spec(spec: RunSpec,
                  probes: Optional[dict] = None) -> RunResult:
     """Run one spec to completion (no caching — the campaign's worker).
 
-    ``probes`` optionally carries pre-computed static probe measurements
-    for an ``oracle-static`` spec (see :meth:`Campaign.prefetch`); the
-    simulator is deterministic, so injecting them changes nothing but the
-    wall time.
+    The system comes from :func:`spec_system` (``probes`` as there);
+    ``spec.with_energy`` attaches the power model's report.
 
     The cyclic garbage collector is paused while the spec runs, and one
     generation-0 pass in the ``finally`` frees the finished system (a
@@ -443,55 +529,13 @@ def execute_spec(spec: RunSpec,
 
 
 def _simulate_spec(spec: RunSpec, probes: Optional[dict]) -> RunResult:
-    """:func:`execute_spec`'s body: dispatch the spec to its runner."""
-    from repro.experiments.runner import run_benchmark, run_mix, run_pair
-
-    params = {k: v for k, v in spec.policy_params} or None
-    if spec.extra or spec.arrivals is not None or spec.placement is not None:
-        from repro.experiments.runner import run_consolidation
-
-        tenants = [(spec.benchmark, spec.mode, params)]
-        if spec.pair_with is not None:
-            if spec.mode_b is not None:
-                params_b = {k: v for k, v in spec.policy_params_b} or None
-                tenants.append((spec.pair_with, spec.mode_b, params_b))
-            else:
-                tenants.append((spec.pair_with, spec.mode, params))
-        tenants.extend((abbr, mode_x, {k: v for k, v in params_x} or None)
-                       for abbr, mode_x, params_x in spec.extra)
-        return run_consolidation(tenants, spec.cfg, scale=spec.scale,
-                                 max_kernels=spec.max_kernels,
-                                 num_ctas=spec.num_ctas,
-                                 arrivals=spec.arrivals,
-                                 placement=spec.placement, seed=spec.seed,
-                                 collect_locality=spec.collect_locality,
-                                 with_energy=spec.with_energy)
-    mode = spec.mode
-    if probes is not None:
-        from repro.policy import create_policy
-
-        policy = create_policy(spec.mode, params)
-        policy.inject_probes(probes)
-        mode, params = policy, None
-    if spec.mode_b is not None:
-        params_b = {k: v for k, v in spec.policy_params_b} or None
-        return run_mix(spec.benchmark, spec.pair_with, mode, spec.mode_b,
-                       spec.cfg, scale=spec.scale,
-                       max_kernels=spec.max_kernels, num_ctas=spec.num_ctas,
-                       collect_locality=spec.collect_locality,
-                       with_energy=spec.with_energy,
-                       policy_params_a=params, policy_params_b=params_b)
-    if spec.pair_with is not None:
-        return run_pair(spec.benchmark, spec.pair_with, mode, spec.cfg,
-                        scale=spec.scale, max_kernels=spec.max_kernels,
-                        num_ctas=spec.num_ctas,
-                        collect_locality=spec.collect_locality,
-                        with_energy=spec.with_energy, policy_params=params)
-    return run_benchmark(spec.benchmark, mode, spec.cfg,
-                         scale=spec.scale, num_ctas=spec.num_ctas,
-                         max_kernels=spec.max_kernels,
-                         collect_locality=spec.collect_locality,
-                         with_energy=spec.with_energy, policy_params=params)
+    """:func:`execute_spec`'s body, in its own frame so the finished
+    system is unreachable by the time the collector runs."""
+    system = spec_system(spec, probes)
+    result = system.run()
+    if spec.with_energy:
+        result.energy = GPUPowerModel().report(system, result)
+    return result
 
 
 class SpecExecutionError(RuntimeError):
@@ -542,12 +586,9 @@ def probe_specs_for(spec: RunSpec) -> Optional[list[RunSpec]]:
     """
     import dataclasses
 
-    from repro.policy import canonical_policy_name
-    from repro.workloads.catalog import benchmark
-
     if spec.mode_b is not None:
         return None
-    if spec.extra or spec.arrivals is not None or spec.placement is not None:
+    if spec.is_consolidation:
         # Consolidation runs: the solo probe baselines differ per tenant
         # and the oracle scopes per program — no shared probe pair exists.
         return None
@@ -627,7 +668,7 @@ class Campaign:
             if key in todo:
                 self.memo_hits += 1  # duplicate within this batch
                 continue
-            cached = self._load(key)
+            cached = self.store.load(key)
             if cached is not None:
                 self._memo[key] = cached
                 self.cache_hits += 1
@@ -682,12 +723,5 @@ class Campaign:
         # execution and a cache hit hand the caller structurally identical
         # objects (tuples vs lists, nested report types, ...).
         self.executed += 1
-        self._store(key, spec, result_dict)
-        self._memo[key] = RunResult.from_dict(result_dict)
-
-    # ------------------------------------------------------------ storage
-    def _load(self, key: str) -> Optional[RunResult]:
-        return self.store.load(key)
-
-    def _store(self, key: str, spec: RunSpec, result_dict: dict) -> None:
         self.store.store(key, spec.to_dict(), result_dict)
+        self._memo[key] = RunResult.from_dict(result_dict)

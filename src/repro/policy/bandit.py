@@ -106,13 +106,16 @@ class BanditPolicy(LLCPolicy):
                    "per-program windowed IPC; seeded and deterministic")
     PARAMS = (
         PolicyParam("interval", int, 1_500,
-                    "cycles per observation window / arm pull"),
+                    "cycles per observation window / arm pull",
+                    bounds=(1, None)),
         PolicyParam("epsilon", float, 0.1,
-                    "exploration probability per window"),
+                    "exploration probability per window",
+                    bounds=(0.0, 1.0)),
         PolicyParam("seed", int, 17,
                     "RNG seed (mixed with the program id)"),
         PolicyParam("min_samples", int, 128,
-                    "minimum LLC accesses per window to act on"),
+                    "minimum LLC accesses per window to act on",
+                    bounds=(1, None)),
     )
 
     def setup(self) -> None:

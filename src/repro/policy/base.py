@@ -48,6 +48,8 @@ class PolicyParam:
         default: value used when the parameter is omitted.
         doc: one-line description for ``repro policy list``.
         choices: optional closed set of allowed values.
+        bounds: optional inclusive ``(low, high)`` range of allowed
+            values; ``high`` may be ``None`` (unbounded above).
     """
 
     name: str
@@ -55,12 +57,14 @@ class PolicyParam:
     default: object
     doc: str = ""
     choices: Optional[tuple] = None
+    bounds: Optional[tuple] = None
 
     def coerce(self, value):
         """Validate ``value`` against the schema, widening int → float.
 
         Raises:
-            ValueError: on a type mismatch or a value outside ``choices``.
+            ValueError: on a type mismatch or a value outside ``choices``
+                or ``bounds``.
         """
         if self.type is float and isinstance(value, int) \
                 and not isinstance(value, bool):
@@ -76,6 +80,14 @@ class PolicyParam:
             raise ValueError(
                 f"parameter {self.name!r} must be one of "
                 f"{list(self.choices)}, got {value!r}")
+        if self.bounds is not None:
+            low, high = self.bounds
+            # ``not >=`` / ``not <=`` so a NaN fails the check too.
+            if not value >= low or (high is not None and not value <= high):
+                allowed = f">= {low}" if high is None else \
+                    f"in [{low}, {high}]"
+                raise ValueError(f"parameter {self.name!r} must be "
+                                 f"{allowed}, got {value!r}")
         return value
 
 

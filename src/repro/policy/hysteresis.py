@@ -59,7 +59,8 @@ class HysteresisPolicy(LLCPolicy):
                    "before any transition")
     PARAMS = (
         PolicyParam("interval", int, 1_500,
-                    "cycles between miss-rate evaluations"),
+                    "cycles between miss-rate evaluations",
+                    bounds=(1, None)),
         PolicyParam("low", float, 0.35,
                     "shared-mode miss rate at or below which to arm private"),
         PolicyParam("high", float, 0.60,
@@ -67,7 +68,8 @@ class HysteresisPolicy(LLCPolicy):
         PolicyParam("dwell", int, 2,
                     "consecutive qualifying windows required to switch"),
         PolicyParam("min_samples", int, 128,
-                    "minimum LLC accesses per window to act on"),
+                    "minimum LLC accesses per window to act on",
+                    bounds=(1, None)),
     )
 
     def setup(self) -> None:

@@ -47,13 +47,15 @@ class MissRateThresholdPolicy(LLCPolicy):
                    "no bandwidth model")
     PARAMS = (
         PolicyParam("interval", int, 1_500,
-                    "cycles between miss-rate evaluations"),
+                    "cycles between miss-rate evaluations",
+                    bounds=(1, None)),
         PolicyParam("go_private_below", float, 0.35,
                     "shared-mode miss rate at or below which to go private"),
         PolicyParam("revert_above", float, 0.60,
                     "private-mode miss rate at or above which to revert"),
         PolicyParam("min_samples", int, 128,
-                    "minimum LLC accesses per window to act on"),
+                    "minimum LLC accesses per window to act on",
+                    bounds=(1, None)),
     )
 
     def setup(self) -> None:

@@ -48,7 +48,7 @@ class ProgramSpec:
         workload: the program's :class:`~repro.workloads.trace.Workload`.
             Co-running programs must occupy disjoint address spaces (the
             generator's ``address_offset`` / :func:`~repro.workloads.
-            multiprogram.make_pair` handle this).
+            multiprogram.make_mix` handle this).
         policy: the program's LLC policy — a registered name or alias, a
             :class:`~repro.config.PolicyConfig`, or a ready
             :class:`~repro.policy.LLCPolicy` instance.  ``None`` means the

@@ -27,7 +27,7 @@ from repro.workloads.catalog import (
     benchmarks_in_category,
     build,
 )
-from repro.workloads.multiprogram import MultiProgramWorkload, make_pair
+from repro.workloads.multiprogram import MultiProgramWorkload, make_mix
 
 __all__ = [
     "CTAStream",
@@ -47,5 +47,5 @@ __all__ = [
     "benchmarks_in_category",
     "build",
     "MultiProgramWorkload",
-    "make_pair",
+    "make_mix",
 ]

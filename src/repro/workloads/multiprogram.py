@@ -89,13 +89,6 @@ def make_mix(abbrs: Sequence[str], total_accesses: int = 40_000,
                                 placement=placement)
 
 
-def make_pair(abbr_a: str, abbr_b: str, total_accesses: int = 40_000,
-              num_ctas: int = 160, max_kernels: int | None = 2) -> MultiProgramWorkload:
-    """Build the legacy two-program mix (a :func:`make_mix` of two)."""
-    return make_mix((abbr_a, abbr_b), total_accesses=total_accesses,
-                    num_ctas=num_ctas, max_kernels=max_kernels)
-
-
 def all_shared_private_pairs() -> list[tuple[str, str]]:
     """Every (shared-friendly, private-friendly) combination — the 30 mixes
     of Figure 15."""

@@ -223,6 +223,15 @@ def test_cli_sweep_rejects_unknown_override(capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_impossible_geometry(capsys):
+    for override in ("llc_assoc=0", "l1_assoc=0", "line_bytes=0",
+                     "llc_latency_cycles=-3"):
+        assert main(["sweep", "--benchmarks", "VA", "--modes", "shared",
+                     "--set", override]) == 2, override
+        name = override.split("=")[0]
+        assert f"error: {name} must be" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_unknown_benchmark(capsys):
     assert main(["sweep", "--benchmarks", "NOPE"]) == 2
     assert "unknown benchmarks" in capsys.readouterr().err
@@ -360,3 +369,85 @@ def test_spec_execution_error_pickles_with_label():
     assert isinstance(clone, SpecExecutionError)
     assert clone.label == "VA/shared@0.05"
     assert "boom" in str(clone)
+
+
+# --------------------------------------------------- spec-shape pinning
+PIN_SCALE = 0.02
+
+#: One spec per way a RunSpec becomes a simulation, keyed by a short name.
+#: Oracle shapes also run with their static probes injected (``+probes``).
+PINNED_SHAPES = {
+    "single/static": lambda: RunSpec.single("VA", "shared", scale=PIN_SCALE),
+    "single/adaptive+energy+locality": lambda: RunSpec.single(
+        "GEMM", "adaptive", scale=PIN_SCALE, with_energy=True,
+        collect_locality=True),
+    "single/hysteresis-params": lambda: RunSpec.single(
+        "SN", "hysteresis", scale=PIN_SCALE,
+        policy_params={"interval": 300, "min_samples": 32}),
+    "single/event-tier": lambda: RunSpec.single(
+        "RN", "adaptive", experiment_config(tier="event"), scale=PIN_SCALE),
+    "single/oracle": lambda: RunSpec.single("GEMM", "oracle-static",
+                                            scale=PIN_SCALE),
+    "pair/adaptive": lambda: RunSpec.pair("GEMM", "AN", "adaptive",
+                                          scale=PIN_SCALE),
+    "pair/static+energy": lambda: RunSpec(
+        benchmark="VA", mode="private", cfg=experiment_config(),
+        scale=PIN_SCALE, pair_with="SN", max_kernels=1, with_energy=True),
+    "pair/oracle": lambda: RunSpec.pair("GEMM", "SN", "oracle-static",
+                                        scale=PIN_SCALE),
+    "mix/heterogeneous": lambda: RunSpec.pair(
+        "GEMM", "SN", "static-private", scale=PIN_SCALE,
+        mode_b="paper-adaptive"),
+    "consolidation/closed-3": lambda: RunSpec.pair(
+        "VA", "GEMM", "shared", scale=PIN_SCALE,
+        extra=(("SN", "adaptive", None),)),
+    "consolidation/poisson-2": lambda: RunSpec.pair(
+        "GEMM", "AN", "adaptive", scale=PIN_SCALE,
+        arrivals="poisson:gap=2000", seed=7),
+    "consolidation/striped": lambda: RunSpec.pair(
+        "GEMM", "SN", "shared", scale=PIN_SCALE,
+        extra=(("AN", "private", None),), placement="striped"),
+}
+
+#: sha256 of ``canonical_key(execute_spec(spec).to_dict())`` per shape.
+PINNED_DIGESTS = {
+    'single/static': 'e6f04efd020b19cec950aa7b6866419a6ec90b616f6b88244d2c842acc594c01',
+    'single/adaptive+energy+locality': 'c2a23f2b93216d92e0b795b1bc76ac3618edf05b1213fe4ef42691142d97b4b8',
+    'single/hysteresis-params': '9df2d71f5d58cb801f29a77652d8407d4bd9f94ee72102b544942c92d97a78a4',
+    'single/event-tier': 'd9a70b004c9ae0c6445920d5a823d48a8edbf5e04ceb0a6eb83484cb28df4998',
+    'single/oracle': 'a86df2ac360f0f48c8089133b202e5d021ff7b964b575eb984246735deed2f55',
+    'single/oracle+probes': 'a86df2ac360f0f48c8089133b202e5d021ff7b964b575eb984246735deed2f55',
+    'pair/adaptive': '8530be2f20ce50929641069211678e6fdad99cb4466b7c7339218417fe6e30b4',
+    'pair/static+energy': '2f47ad03336ad20a32e62d67f2f43ea8fbc12cb7a48d486ec8422b1c3926cee0',
+    'pair/oracle': '1980aeac1750d110d0d6cacf5732f22079abb6f118d930ca728fe1051562b756',
+    'pair/oracle+probes': '1980aeac1750d110d0d6cacf5732f22079abb6f118d930ca728fe1051562b756',
+    'mix/heterogeneous': '36a39ab21d977825834f8396339fc7d3eb81a54c8442a487881029ff155d14a7',
+    'consolidation/closed-3': 'ffdadfd6901cf988649a46b66af9057c66ef03a4d16c9d9ca99098b5a884d1d3',
+    'consolidation/poisson-2': '7aa932078313cf5ae842258f8cadc2ae1ecef5ece4ec1efa9b0ecfcc4890599e',
+    'consolidation/striped': '035205c5e807faa357ed6a6e37c907d11c50e1e4a1f2fbeb19ae682a4d1629b7',
+}
+
+
+def _shape_digests() -> dict:
+    from repro.config import canonical_key
+    from repro.experiments.campaign import (_probe_payload, execute_spec,
+                                            probe_specs_for)
+
+    out = {}
+    for name, make in PINNED_SHAPES.items():
+        spec = make()
+        out[name] = canonical_key(execute_spec(spec).to_dict())
+        probe_specs = probe_specs_for(spec)
+        if probe_specs is not None:
+            shared, private = (execute_spec(p) for p in probe_specs)
+            probes = {"shared": _probe_payload(shared),
+                      "private": _probe_payload(private)}
+            out[f"{name}+probes"] = canonical_key(
+                execute_spec(spec, probes=probes).to_dict())
+    return out
+
+
+def test_every_spec_shape_is_pinned():
+    """Every way a spec becomes a simulation reproduces its pinned result
+    byte for byte (the goldens cover three policies and one pair)."""
+    assert _shape_digests() == PINNED_DIGESTS

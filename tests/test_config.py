@@ -77,6 +77,36 @@ def test_validate_enums():
         GPUConfig.baseline().replace(cta_scheduler="fifo").validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("llc_assoc", 0, "llc_assoc must be >= 1"),
+    ("l1_assoc", 0, "l1_assoc must be >= 1"),
+    ("line_bytes", 0, "line_bytes must be >= 1"),
+    ("num_clusters", 0, "num_clusters must be >= 1"),
+    ("num_memory_controllers", 0, "num_memory_controllers must be >= 1"),
+    ("llc_slice_kb", -96, "llc_slice_kb must be >= 1"),
+    ("clock_mhz", 0, "clock_mhz must be >= 1"),
+    ("l1_size_kb", 0, "l1_size_kb must be >= 1"),
+    ("llc_latency_cycles", -3, "llc_latency_cycles must be >= 0"),
+    ("noc", NoCConfig(channel_bytes=0), "noc.channel_bytes must be >= 1"),
+    ("dram_timing", DRAMTiming(tCL=-1), "dram_timing.tCL must be >= 0"),
+])
+def test_validate_rejects_out_of_range_counts_and_latencies(field, value,
+                                                            message):
+    """Counts the geometry divides by fail as a ValueError naming the
+    field, never as a ZeroDivisionError from a derived property."""
+    with pytest.raises(ValueError, match=message):
+        GPUConfig.baseline().replace(**{field: value}).validate()
+
+
+def test_validate_rejects_an_l1_smaller_than_one_set():
+    with pytest.raises(ValueError, match="L1 geometry"):
+        GPUConfig.baseline().replace(l1_size_kb=1, l1_assoc=16).validate()
+
+
+def test_validate_accepts_a_zero_llc_latency():
+    GPUConfig.baseline().replace(llc_latency_cycles=0).validate()
+
+
 def test_noc_flits_for_bytes():
     noc = NoCConfig(channel_bytes=32)
     assert noc.flits_for_bytes(0) == 0

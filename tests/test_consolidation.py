@@ -25,14 +25,26 @@ from repro.consolidate.placement import (available_placements,
                                          canonical_placement_spec,
                                          cluster_split_boundaries,
                                          create_placement)
-from repro.experiments.campaign import spec_from_mix
-from repro.experiments.runner import (consolidation_system,
-                                      experiment_config, run_consolidation,
-                                      run_pair)
+from repro.experiments.campaign import (RunSpec, execute_spec,
+                                        spec_from_mix, spec_system)
+from repro.experiments.runner import _mix_accesses, experiment_config
+from repro.gpu.system import GPUSystem
 from repro.policy import available_policies
+from repro.scenario import ProgramSpec, Scenario
 from repro.workloads.catalog import ALL_ABBRS, CATEGORIES
+from repro.workloads.multiprogram import make_mix
 
 TINY = 0.02
+
+
+def consolidation_spec(tenants, cfg=None, **kwargs) -> RunSpec:
+    """The spec of a ``(benchmark, policy, params)`` tenant list at
+    ``TINY`` scale, one kernel per tenant."""
+    (abbr_a, mode_a, params_a), (abbr_b, mode_b, params_b), *extra = tenants
+    return RunSpec.pair(abbr_a, abbr_b, mode_a, cfg, scale=TINY,
+                        policy_params=params_a, mode_b=mode_b,
+                        policy_params_b=params_b, extra=tuple(extra),
+                        **kwargs)
 
 
 # -------------------------------------------------------------- placement
@@ -184,11 +196,17 @@ CORE_COUNTERS = ("cycles", "instructions", "ipc", "llc_accesses",
 def test_two_tenant_closed_run_matches_the_legacy_pair_path():
     """A closed two-tenant consolidation run is the legacy Figure 15 pair
     simulation with latency bookkeeping riding along — every core counter
-    and per-program result must be identical."""
-    legacy = run_pair("VA", "GEMM", "shared", scale=TINY, max_kernels=1)
-    consolidated = run_consolidation(
-        [("VA", "shared", None), ("GEMM", "shared", None)],
-        scale=TINY, max_kernels=1)
+    and per-program result must be identical.  No RunSpec spells that run
+    (it canonicalizes to the pair), so it is built by hand from the
+    pair's own traces."""
+    cfg = experiment_config()
+    legacy = execute_spec(RunSpec.pair("VA", "GEMM", "shared", cfg,
+                                       scale=TINY, max_kernels=1))
+    mp = make_mix(("VA", "GEMM"), total_accesses=_mix_accesses(TINY),
+                  num_ctas=2 * cfg.num_sms, max_kernels=1)
+    consolidated = GPUSystem(cfg, Scenario(
+        [ProgramSpec(wl, "shared") for wl in mp.programs],
+        arrival_times=arrival_times(None, 2, 0), track_latency=True)).run()
     for name in CORE_COUNTERS:
         assert getattr(consolidated, name) == getattr(legacy, name), name
     for mine, theirs in zip(consolidated.programs, legacy.programs):
@@ -218,14 +236,14 @@ TENANTS_3 = (("VA", "shared", None), ("GEMM", "shared", None),
 
 
 def test_open_system_run_is_byte_identical_across_repeats():
-    kwargs = dict(scale=TINY, max_kernels=1,
-                  arrivals="poisson:gap=1500", seed=4)
-    first = run_consolidation(TENANTS_3, **kwargs).to_dict()
-    again = run_consolidation(TENANTS_3, **kwargs).to_dict()
+    spec = consolidation_spec(TENANTS_3, arrivals="poisson:gap=1500",
+                              seed=4)
+    first = execute_spec(spec).to_dict()
+    again = execute_spec(spec).to_dict()
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(again, sort_keys=True)
-    reseeded = run_consolidation(TENANTS_3, scale=TINY, max_kernels=1,
-                                 arrivals="poisson:gap=1500", seed=5)
+    reseeded = execute_spec(consolidation_spec(
+        TENANTS_3, arrivals="poisson:gap=1500", seed=5))
     assert [p.admitted_at for p in reseeded.programs] != \
         [p["admitted_at"] for p in first["programs"]], \
         "the seed must actually steer admissions"
@@ -238,8 +256,7 @@ def _tier_twins(tenants, **kwargs):
     out = []
     for tier in ("event", "batch"):
         cfg = experiment_config().replace(tier=tier)
-        system = consolidation_system(tenants, cfg=cfg, scale=TINY,
-                                      max_kernels=1, **kwargs)
+        system = spec_system(consolidation_spec(tenants, cfg, **kwargs))
         assert system.tier == tier
         result = system.run()
         out.append((result, json.dumps(result.to_dict(), sort_keys=True)))
@@ -307,8 +324,8 @@ def test_seeded_consolidation_fuzz_matches_the_event_tier():
 
 
 def test_per_tenant_counters_are_isolated_at_n3():
-    result = run_consolidation(TENANTS_3, scale=TINY, max_kernels=1,
-                               arrivals="poisson:gap=1500", seed=4)
+    result = execute_spec(consolidation_spec(
+        TENANTS_3, arrivals="poisson:gap=1500", seed=4))
     assert [p.name for p in result.programs] == ["VA", "GEMM", "SN"]
     admitted = [p.admitted_at for p in result.programs]
     assert admitted[0] == 0.0

@@ -9,7 +9,8 @@ from repro.core.controller import AdaptiveController
 from repro.core.modes import LLCMode
 from repro.core.reconfig import Reconfigurator
 from repro.core.sampler import ProfileReport, ProfilingState
-from repro.experiments.runner import run_benchmark, scaled_adaptive_config
+from repro.experiments.campaign import RunSpec, execute_spec
+from repro.experiments.runner import scaled_adaptive_config
 from repro.cache.llc_slice import LLCSlice
 from repro.mem.address_map import PAEMapping
 from repro.mem.controller import MemoryController
@@ -251,8 +252,8 @@ def test_reconfiguration_cost_stays_bounded():
             writeback_cycles_per_line=base.writeback_cycles_per_line * factor,
             power_gate_cycles=int(base.power_gate_cycles * factor))
         cfg = GPUConfig.baseline().replace(adaptive=acfg)
-        ipc.append(run_benchmark("RN", "adaptive", cfg,
-                                 scale=ABLATION_SCALE).ipc)
+        ipc.append(execute_spec(RunSpec.single(
+            "RN", "adaptive", cfg, scale=ABLATION_SCALE)).ipc)
     free, paper, heavy = ipc
     assert free >= paper >= heavy
     assert paper > 0.85 * free
@@ -265,7 +266,8 @@ def test_longer_profile_window_costs_private_residency():
         acfg = dataclasses.replace(scaled_adaptive_config(),
                                    profile_cycles=profile)
         cfg = GPUConfig.baseline().replace(adaptive=acfg)
-        res = run_benchmark("AN", "adaptive", cfg, scale=ABLATION_SCALE)
+        res = execute_spec(RunSpec.single("AN", "adaptive", cfg,
+                                          scale=ABLATION_SCALE))
         residency.append(res.time_in_private / res.cycles)
     assert residency[0] >= residency[-1]
 

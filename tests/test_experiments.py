@@ -23,12 +23,11 @@ from repro.experiments import (
     fig16_sensitivity,
     tables,
 )
+from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import (
     DEFAULT_ACCESSES,
     experiment_config,
     print_rows,
-    run_benchmark,
-    run_pair,
 )
 
 TINY = 0.05
@@ -46,12 +45,12 @@ def test_runner_accesses_by_category():
 
 
 def test_run_benchmark_tiny():
-    res = run_benchmark("VA", "shared", scale=TINY)
+    res = execute_spec(RunSpec.single("VA", "shared", scale=TINY))
     assert res.ipc > 0
 
 
 def test_run_pair_tiny():
-    res = run_pair("GEMM", "AN", "shared", scale=TINY)
+    res = execute_spec(RunSpec.pair("GEMM", "AN", "shared", scale=TINY))
     assert len(res.programs) == 2
 
 

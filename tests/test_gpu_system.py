@@ -10,7 +10,7 @@ from repro.experiments.runner import experiment_config
 from repro.gpu.system import GPUSystem
 from repro.workloads.catalog import build
 from repro.workloads.generator import WorkloadSpec, generate_workload
-from repro.workloads.multiprogram import make_pair
+from repro.workloads.multiprogram import make_mix
 
 
 def small_cfg(**kw):
@@ -141,8 +141,8 @@ def test_write_through_inflates_dram_writes():
 
 def test_multiprogram_run_and_stats():
     cfg = small_cfg()
-    mp = make_pair("GEMM", "AN", total_accesses=8000, num_ctas=160,
-                   max_kernels=1)
+    mp = make_mix(("GEMM", "AN"), total_accesses=8000, num_ctas=160,
+                  max_kernels=1)
     r = GPUSystem(cfg, mp, policy="adaptive").run()
     assert len(r.programs) == 2
     names = {p.name for p in r.programs}
@@ -153,8 +153,8 @@ def test_multiprogram_run_and_stats():
 def test_multiprogram_mixed_modes_do_not_gate():
     """A shared-friendly + private-friendly pair cannot bypass (Fig 9)."""
     cfg = small_cfg()
-    mp = make_pair("GEMM", "RN", total_accesses=16_000, num_ctas=160,
-                   max_kernels=1)
+    mp = make_mix(("GEMM", "RN"), total_accesses=16_000, num_ctas=160,
+                  max_kernels=1)
     s = GPUSystem(cfg, mp, policy="adaptive")
     r = s.run()
     modes = {p.workload.name: p.mode.value for p in s.programs}

@@ -64,6 +64,21 @@ def test_param_schema_validation():
         create_policy("hysteresis", {"dwell": 1.5})
     with pytest.raises(ValueError, match="must be one of"):
         create_policy("oracle-static", {"metric": "vibes"})
+    # interval-window parameters are bounded: a zero window never ends
+    # and a zero sample floor divides by zero
+    for name in ("hysteresis", "miss-rate-threshold", "bandit"):
+        for key, bad in (("interval", 0), ("interval", -5),
+                         ("min_samples", 0), ("min_samples", -1)):
+            with pytest.raises(ValueError, match=f"'{key}' must be >= 1"):
+                create_policy(name, {key: bad})
+        assert create_policy(name, {"interval": 1,
+                                    "min_samples": 1}).params["interval"] == 1
+    for bad in (-0.1, 1.5, 7, float("nan")):
+        with pytest.raises(ValueError, match=r"must be in \[0.0, 1.0\]"):
+            create_policy("bandit", {"epsilon": bad})
+    for ok in (0, 1):
+        assert create_policy("bandit", {"epsilon": ok}).params["epsilon"] \
+            == float(ok)
     # int widens to float where the schema says float
     policy = create_policy("hysteresis", {"low": 0})
     assert policy.params["low"] == 0.0
@@ -198,11 +213,11 @@ def test_oracle_static_picks_the_better_static():
 
 
 def test_interval_policies_handle_multiprogram():
-    from repro.workloads.multiprogram import make_pair
+    from repro.workloads.multiprogram import make_mix
 
     cfg = small_cfg()
-    mp = make_pair("GEMM", "RN", total_accesses=8000, num_ctas=160,
-                   max_kernels=1)
+    mp = make_mix(("GEMM", "RN"), total_accesses=8000, num_ctas=160,
+                  max_kernels=1)
     res = GPUSystem(cfg, mp, policy="hysteresis",
                     policy_params={"dwell": 1, "interval": 800}).run()
     assert len(res.programs) == 2
@@ -294,6 +309,12 @@ def test_cli_run_rejects_bad_policy_spec():
         main(["run", "VA", "--policy", "nope"])
     with pytest.raises(SystemExit):
         main(["run", "VA", "--policy", "hysteresis:bogus=1"])
+    for spec in ("hysteresis:interval=0", "miss-rate-threshold:interval=0",
+                 "bandit:interval=0", "hysteresis:min_samples=-1",
+                 "bandit:epsilon=7"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "VA", "--policy", spec, "--scale", "smoke"])
+        assert exc.value.code == 2, spec
 
 
 def test_cli_run_rejects_policy_plus_mode(capsys):

@@ -21,11 +21,11 @@ from repro.experiments.campaign import (
     execute_spec,
     probe_specs_for,
 )
-from repro.experiments.runner import run_mix, run_pair, scaled_policy_params
+from repro.experiments.runner import _mix_accesses, scaled_policy_params
 from repro.gpu.system import GPUSystem
 from repro.scenario import ProgramSpec, Scenario, parse_mix, parse_mix_entry
 from repro.workloads.catalog import build
-from repro.workloads.multiprogram import make_pair
+from repro.workloads.multiprogram import make_mix
 
 TINY = 0.02
 
@@ -43,8 +43,8 @@ def small_cfg(**kw):
 def hetero_system(policy_a="static-shared", policy_b="hysteresis",
                   params_b=None, n=8000):
     cfg = small_cfg()
-    mp = make_pair("GEMM", "SN", total_accesses=n, num_ctas=160,
-                   max_kernels=1)
+    mp = make_mix(("GEMM", "SN"), total_accesses=n, num_ctas=160,
+                  max_kernels=1)
     scenario = Scenario.mix(
         ProgramSpec(mp.programs[0], policy_a),
         ProgramSpec(mp.programs[1], policy_b,
@@ -110,8 +110,8 @@ def test_scenario_rejects_shared_policy_instance():
     bind() would clobber its scope and its stats would harvest twice."""
     from repro.policy import create_policy
 
-    mp = make_pair("GEMM", "SN", total_accesses=4000, num_ctas=160,
-                   max_kernels=1)
+    mp = make_mix(("GEMM", "SN"), total_accesses=4000, num_ctas=160,
+                  max_kernels=1)
     shared_instance = create_policy("hysteresis", {"dwell": 1})
     scenario = Scenario.mix(
         ProgramSpec(mp.programs[0], shared_instance),
@@ -177,9 +177,16 @@ def test_counters_stay_disabled_without_interval_policies():
 
 def test_run_mix_equals_run_pair_when_homogeneous():
     """The Scenario path changes labeling, not simulation: a homogeneous
-    mix through run_mix matches run_pair on every physical number."""
-    pair = run_pair("GEMM", "SN", "shared", small_cfg(), scale=TINY)
-    mix = run_mix("GEMM", "SN", "shared", "shared", small_cfg(), scale=TINY)
+    mix declared per program matches the one-policy pair on every
+    physical number.  No RunSpec spells that mix (it canonicalizes to the
+    pair), so it is built by hand from the pair's own traces."""
+    cfg = small_cfg()
+    pair = execute_spec(RunSpec.pair("GEMM", "SN", "shared", cfg,
+                                     scale=TINY))
+    mp = make_mix(("GEMM", "SN"), total_accesses=_mix_accesses(TINY),
+                  num_ctas=2 * cfg.num_sms, max_kernels=1)
+    mix = GPUSystem(cfg, Scenario.mix(
+        *(ProgramSpec(wl, "shared") for wl in mp.programs))).run()
     pair_d, mix_d = pair.to_dict(), mix.to_dict()
     # explicit scenarios label the mode per program and annotate
     # per-program stats; physics must be untouched

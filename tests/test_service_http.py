@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import NoCConfig
 from repro.experiments.campaign import execute_spec, spec_from_mix
 from repro.experiments.runner import experiment_config
 from repro.service import server as server_module
@@ -37,6 +38,34 @@ def _canon(payload: dict) -> str:
 
 def _tiny_spec():
     return spec_from_mix(MIX, scale=TINY, max_kernels=1)
+
+
+def _spec_dict(**fields) -> dict:
+    """The tiny spec's wire form with ``fields`` overwritten (dotted
+    ``cfg.<name>`` keys reach into the config)."""
+    data = _tiny_spec().to_dict()
+    for key, value in fields.items():
+        node = data
+        *groups, name = key.split(".")
+        for group in groups:
+            node = node[group]
+        node[name] = value
+    return data
+
+
+#: ``{"spec": ...}`` fields no simulation can run, each alone: the spec
+#: is rejected where it is built, before a key or a job exists.
+BAD_SPEC_FIELDS = (
+    {"scale": -1}, {"scale": 0}, {"scale": float("nan")},
+    {"scale": float("inf")}, {"scale": "0.5"}, {"scale": True},
+    {"max_kernels": 0}, {"max_kernels": -2}, {"max_kernels": 1.5},
+    {"max_kernels": None}, {"num_ctas": 0}, {"num_ctas": 2.0},
+    {"collect_locality": 1}, {"with_energy": "yes"},
+    {"cfg.llc_assoc": 0}, {"cfg.l1_assoc": 0}, {"cfg.line_bytes": 0},
+    {"cfg.llc_latency_cycles": -3},
+    {"policy_params": {"interval": 0}, "mode": "hysteresis"},
+    {"placement": "striped"}, {"arrivals": "poisson"},  # no co-tenant
+)
 
 
 # ------------------------------------------------------------ happy path
@@ -94,12 +123,14 @@ def test_submit_poll_fetch_parity_coalesce_and_restart(job_server_factory,
 
 # ---------------------------------------------------------------- errors
 def test_failing_spec_becomes_an_error_job(job_server_factory):
-    """A spec that decodes but cannot simulate (geometrically impossible
-    config) lands in the error state: wait() raises, the status carries
-    the cause, and the result route says why there is none."""
+    """A spec that decodes but cannot simulate (a crossbar concentration
+    that does not divide the SMs, which only the topology checks) lands
+    in the error state: wait() raises, the status carries the cause, and
+    the result route says why there is none."""
     harness = job_server_factory()
     client = harness.client()
-    bad_cfg = experiment_config().replace(line_bytes=48)  # not a power of 2
+    bad_cfg = experiment_config(noc=NoCConfig(topology="cxbar",
+                                              concentration=3))
     spec = _tiny_spec()
     broken = type(spec).single(spec.benchmark, spec.mode, bad_cfg,
                                scale=TINY, max_kernels=1)
@@ -108,12 +139,12 @@ def test_failing_spec_becomes_an_error_job(job_server_factory):
         client.wait(reply["id"], timeout=60)
     status = client.job(reply["id"])
     assert status["state"] == "error"
-    assert "power of two" in status["error"]
+    assert "does not divide" in status["error"]
     with pytest.raises(ServiceError) as exc:
         client.result(reply["id"])
     assert exc.value.status == 404
     assert exc.value.payload["state"] == "error"
-    assert "power of two" in exc.value.payload["job_error"]
+    assert "does not divide" in exc.value.payload["job_error"]
 
 
 def test_wire_level_rejections(job_server_factory):
@@ -136,6 +167,10 @@ def test_wire_level_rejections(job_server_factory):
         {"mix": "VA", "scale": 0},                   # non-positive scale
         {"mix": "VA", "scale": "nan"},               # non-finite scale
         {"mix": "VA", "scale": "inf"},               # non-finite scale
+        {"mix": "VA:hysteresis:interval=0"},         # window never ends
+        {"mix": "VA:hysteresis:min_samples=-1"},     # divides by it
+        {"mix": "VA:bandit:epsilon=7"},              # not a probability
+        *({"spec": _spec_dict(**fields)} for fields in BAD_SPEC_FIELDS),
     ):
         with pytest.raises(ServiceError) as exc:
             client.submit(payload)

@@ -8,8 +8,7 @@ interleaving:
 * every spec executes **exactly once** (24 submissions, 3 executions);
 * every client that submitted a key can fetch its result;
 * each result is byte-identical to a direct in-process run of the same
-  spec (``run_mix``/``execute_spec`` parity — the service adds zero
-  noise).
+  spec (``execute_spec`` parity — the service adds zero noise).
 """
 
 import json

@@ -128,10 +128,13 @@ MIX_TENANTS = [("VA", "adaptive", None), ("GEMM", "hysteresis", None),
 def _system(tier, policy):
     cfg = experiment_config().replace(tier=tier)
     if policy == "poisson-mix":
-        from repro.experiments.runner import consolidation_system
+        from repro.experiments.campaign import RunSpec, spec_system
 
-        return consolidation_system(MIX_TENANTS, cfg, scale=0.05,
-                                    arrivals="poisson:gap=1500")
+        (abbr_a, mode_a, _), (abbr_b, mode_b, _) = MIX_TENANTS[:2]
+        return spec_system(RunSpec.pair(abbr_a, abbr_b, mode_a, cfg,
+                                        scale=0.05, mode_b=mode_b,
+                                        extra=tuple(MIX_TENANTS[2:]),
+                                        arrivals="poisson:gap=1500"))
     w = build("RN", total_accesses=8000, num_ctas=80, max_kernels=2)
     return GPUSystem(cfg, w, policy=policy)
 

@@ -21,7 +21,7 @@ from repro.workloads.generator import LINES_PER_MB
 from repro.workloads.multiprogram import (
     ADDRESS_SPACE_STRIDE,
     all_shared_private_pairs,
-    make_pair,
+    make_mix,
 )
 from repro.workloads.patterns import (
     hot_region_stream,
@@ -329,7 +329,7 @@ def test_shared_friendly_window_fits_shared_llc_not_private():
 
 # ------------------------------------------------------------ multiprogram
 def test_make_pair_disjoint_address_spaces():
-    mp = make_pair("GEMM", "AN", total_accesses=1000, num_ctas=16)
+    mp = make_mix(("GEMM", "AN"), total_accesses=1000, num_ctas=16)
     wa, wb = mp.programs
     max_a = max(max(c.keys) for k in wa.kernels for c in k.ctas)
     min_b = min(min(c.keys) for k in wb.kernels for c in k.ctas)
@@ -338,7 +338,7 @@ def test_make_pair_disjoint_address_spaces():
 
 
 def test_pair_placement_splits_clusters():
-    mp = make_pair("GEMM", "AN", total_accesses=400, num_ctas=16)
+    mp = make_mix(("GEMM", "AN"), total_accesses=400, num_ctas=16)
     # 10 SMs per cluster: first 5 run program 0.
     assert mp.program_of_sm(0, 10) == 0
     assert mp.program_of_sm(4, 10) == 0

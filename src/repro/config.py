@@ -415,7 +415,8 @@ class GPUConfig(_SerializableConfig):
         slices per memory controller so that bypassed MC-routers map each
         cluster onto a private slice.  Counts and sizes that the geometry
         divides by must be at least 1 and latencies at least 0; both are
-        checked before anything is derived from them.
+        checked before anything is derived from them.  A concentrated
+        crossbar's concentration must divide the SM and slice counts.
         """
         for name in self._DIVISORS:
             if getattr(self, name) < 1:
@@ -453,6 +454,12 @@ class GPUConfig(_SerializableConfig):
             raise ValueError(f"unknown address mapping {self.address_mapping!r}")
         if self.noc.topology not in ("hxbar", "full", "cxbar"):
             raise ValueError(f"unknown topology {self.noc.topology!r}")
+        if self.noc.topology == "cxbar":
+            c = self.noc.concentration
+            if c < 1 or self.num_sms % c or self.num_llc_slices % c:
+                raise ValueError(
+                    f"noc.concentration {c} does not divide "
+                    f"{self.num_sms} SMs / {self.num_llc_slices} slices")
         if self.cta_scheduler not in ("two_level_rr", "bcs", "dcs"):
             raise ValueError(f"unknown CTA scheduler {self.cta_scheduler!r}")
         if self.tier not in ("event", "batch"):

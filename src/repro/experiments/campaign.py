@@ -196,6 +196,11 @@ class RunSpec:
                     f"{name} must be a positive integer, got {value!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        for abbr in (self.benchmark, self.pair_with,
+                     *(entry[0] for entry in self.extra)):
+            if abbr is not None and abbr not in BENCHMARKS:
+                raise ValueError(f"unknown benchmark {abbr!r} "
+                                 f"(see `repro catalog`)")
         for name, flag in (("collect_locality", self.collect_locality),
                            ("with_energy", self.with_energy)):
             if not isinstance(flag, bool):
@@ -450,6 +455,51 @@ def spec_from_mix(mix, scale: float = 1.0, default_policy=None,
                         placement=placement, seed=seed, **kernels)
 
 
+def trace_key(spec: RunSpec) -> tuple:
+    """The fields that determine a spec's trace: ``(tenant abbreviations,
+    CTA count, access budget, kernel cap)``.
+
+    The budget is the integer the scale resolves to, so two scales that
+    round to one budget share a trace.  A single program's key has one
+    abbreviation and a co-run's has one per tenant, so the two kinds of
+    trace never collide.  :func:`spec_system`'s trace memo and
+    :meth:`Campaign.prefetch`'s task grouping both key on it.
+    """
+    abbrs = tuple(abbr for abbr, _, _ in spec.tenants())
+    num_ctas = spec.num_ctas if spec.num_ctas is not None \
+        else 2 * spec.cfg.num_sms
+    budget = _accesses_for(spec.benchmark, spec.scale) if len(abbrs) == 1 \
+        else _mix_accesses(spec.scale)
+    return abbrs, num_ctas, budget, spec.max_kernels
+
+
+#: The last trace this process built, as ``(trace_key, trace)``.
+_last_trace: Optional[tuple] = None
+
+
+def _trace(key: tuple):
+    """The trace for ``key``, served from a one-slot memo.
+
+    A miss drops the held trace before generating the next one, so a
+    process never holds two traces at once.  Sharing one trace between
+    systems is sound because the simulator only reads a workload.
+    """
+    global _last_trace
+    if _last_trace is not None and _last_trace[0] == key:
+        return _last_trace[1]
+    _last_trace = None
+    abbrs, num_ctas, budget, max_kernels = key
+    if len(abbrs) == 1:
+        trace = generate_workload(benchmark(abbrs[0]), num_ctas=num_ctas,
+                                  total_accesses=budget,
+                                  max_kernels=max_kernels)
+    else:
+        trace = make_mix(list(abbrs), total_accesses=budget,
+                         num_ctas=num_ctas, max_kernels=max_kernels)
+    _last_trace = (key, trace)
+    return trace
+
+
 def spec_system(spec: RunSpec,
                 probes: Optional[dict] = None) -> GPUSystem:
     """Build (but do not run) the simulated GPU a spec describes: the one
@@ -457,7 +507,10 @@ def spec_system(spec: RunSpec,
 
     One program gets its category's trace budget; co-running programs
     share :func:`~repro.workloads.multiprogram.make_mix` and the mix
-    budget.  A heterogeneous or consolidation mix becomes a
+    budget.  The trace comes from a one-slot per-process memo keyed on
+    :func:`trace_key`, so consecutive specs of one trace (a benchmark's
+    policies, grouped by :meth:`Campaign.prefetch`) generate it once.
+    A heterogeneous or consolidation mix becomes a
     :class:`~repro.scenario.Scenario` (consolidation adds admission times
     and latency tracking); any other spec runs under one global policy.
 
@@ -467,20 +520,8 @@ def spec_system(spec: RunSpec,
     injecting them changes nothing but the wall time.
     """
     tenants = spec.tenants()
-    num_ctas = spec.num_ctas if spec.num_ctas is not None \
-        else 2 * spec.cfg.num_sms
-    if len(tenants) == 1:
-        workload = generate_workload(
-            benchmark(spec.benchmark), num_ctas=num_ctas,
-            total_accesses=_accesses_for(spec.benchmark, spec.scale),
-            max_kernels=spec.max_kernels)
-        programs = (workload,)
-    else:
-        workload = make_mix(
-            [abbr for abbr, _, _ in tenants],
-            total_accesses=_mix_accesses(spec.scale), num_ctas=num_ctas,
-            max_kernels=spec.max_kernels)
-        programs = workload.programs
+    workload = _trace(trace_key(spec))
+    programs = (workload,) if len(tenants) == 1 else workload.programs
     if spec.mode_b is not None or spec.is_consolidation:
         times = None
         if spec.is_consolidation:
@@ -567,11 +608,23 @@ def _execute_spec_labeled(spec: RunSpec,
             label) from exc
 
 
-def _pool_worker(payload: dict) -> tuple[str, dict]:
-    """Module-level so it pickles under every multiprocessing start method."""
-    spec = RunSpec.from_dict(payload["spec"])
-    return spec.cache_key(), _execute_spec_labeled(spec,
-                                                   payload.get("probes"))
+def _pool_worker(payloads: list[dict]) -> list[tuple[str, object]]:
+    """``(content key, result dict or SpecExecutionError)`` per payload,
+    run back to back so that specs of one trace share it.
+
+    A failure comes back as a value, not raised: a raise would discard
+    the finished results of the rest of the task.  Module-level so it
+    pickles under every multiprocessing start method.
+    """
+    out: list[tuple[str, object]] = []
+    for payload in payloads:
+        spec = RunSpec.from_dict(payload["spec"])
+        try:
+            outcome = _execute_spec_labeled(spec, payload.get("probes"))
+        except SpecExecutionError as exc:
+            outcome = exc
+        out.append((spec.cache_key(), outcome))
+    return out
 
 
 def probe_specs_for(spec: RunSpec) -> Optional[list[RunSpec]]:
@@ -657,7 +710,21 @@ class Campaign:
         """Ensure every spec's result is memoized, running misses in bulk.
 
         Identical specs collapse to one execution; disk-cached results are
-        loaded instead of re-run; the remainder fans out over the pool.
+        loaded instead of re-run; the remainder runs grouped by
+        :func:`trace_key`, so consecutive specs of one trace hit
+        :func:`spec_system`'s trace memo.  Inline, the groups run one
+        after another.  Over the pool, each group is one task, split
+        into pieces of at most ``len // (4 * workers)`` specs (the
+        stdlib ``map`` chunk size, so every worker still gets about four
+        tasks), and the largest tasks go first, so the last ones to
+        finish are short.
+
+        A failing spec raises :class:`SpecExecutionError` naming its
+        label, and no finished spec is lost: inline, the specs run before
+        it stay memoized and stored; over the pool, every other spec
+        still runs and is finished, and the first failure received is
+        raised once the pool has drained.  A retried campaign resumes
+        instead of starting over.
         """
         todo: dict[str, RunSpec] = {}
         for spec in specs:
@@ -700,23 +767,34 @@ class Campaign:
                     if key not in self._memo}
             if not todo:
                 return
-        # A failing spec raises SpecExecutionError naming its label; specs
-        # finished before the failure stay memoized (and cached on disk), so
-        # a retried campaign resumes instead of starting over.
+        groups: dict[tuple, list[str]] = {}
+        for key, spec in todo.items():
+            groups.setdefault(trace_key(spec), []).append(key)
         if self.jobs == 1 or len(todo) == 1:
-            for key, spec in todo.items():
-                self._finish(key, spec,
-                             _execute_spec_labeled(spec, probes.get(key)))
+            for keys in groups.values():
+                for key in keys:
+                    self._finish(key, todo[key], _execute_spec_labeled(
+                        todo[key], probes.get(key)))
             return
+        workers = min(self.jobs, len(todo))
+        cap = max(1, len(todo) // (4 * workers))
+        tasks = [[{"spec": todo[key].to_dict(), "probes": probes.get(key)}
+                  for key in keys[start:start + cap]]
+                 for keys in groups.values()
+                 for start in range(0, len(keys), cap)]
+        tasks.sort(key=len, reverse=True)
+        failure: Optional[SpecExecutionError] = None
         # Fork-based workers inherit the imported simulator for free on
         # POSIX; spawn re-imports it, which is still correct, just slower.
-        ctx = get_context()
-        with ctx.Pool(processes=min(self.jobs, len(todo))) as pool:
-            payloads = [{"spec": spec.to_dict(), "probes": probes.get(key)}
-                        for key, spec in todo.items()]
-            for key, result_dict in pool.imap_unordered(_pool_worker,
-                                                        payloads):
-                self._finish(key, todo[key], result_dict)
+        with get_context().Pool(processes=workers) as pool:
+            for outcomes in pool.imap_unordered(_pool_worker, tasks):
+                for key, outcome in outcomes:
+                    if isinstance(outcome, SpecExecutionError):
+                        failure = failure or outcome
+                    else:
+                        self._finish(key, todo[key], outcome)
+        if failure is not None:
+            raise failure
 
     def _finish(self, key: str, spec: RunSpec, result_dict: dict) -> None:
         # Results always round-trip through the dict form so that a fresh

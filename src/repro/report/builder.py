@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.experiments import FIGURE_MODULES, figure_module, figure_sort_key
-from repro.experiments.campaign import Campaign
+from repro.experiments.campaign import Campaign, trace_key
 from repro.experiments.plotting import render_chart_file
 from repro.experiments.runner import experiment_config
 from repro.report import manifest as manifest_mod
@@ -138,8 +138,10 @@ class ReportBuilder:
         all_specs = [s for _, _, specs in specs_by_figure for s in specs]
         if progress:
             uniq = len({s.cache_key() for s in all_specs})
+            traces = len({trace_key(s) for s in all_specs})
             print(f"[report] {len(all_specs)} specs declared "
-                  f"({uniq} unique) across {len(modules)} figures")
+                  f"({uniq} unique, {traces} traces) "
+                  f"across {len(modules)} figures")
         self.campaign.prefetch(all_specs)
 
         figures = [self._build_figure(num, module, specs, progress)

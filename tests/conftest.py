@@ -1,4 +1,5 @@
-"""Shared test fixtures: an in-process campaign job server harness.
+"""Shared test fixtures: an in-process campaign job server harness, and
+a fault injected into spec execution.
 
 The service tests need a real :class:`~repro.service.server.JobServer`
 listening on a real socket while the test thread drives it through the
@@ -12,6 +13,7 @@ connections of the clients it handed out.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import threading
 
 import pytest
@@ -76,3 +78,38 @@ def job_server_factory():
     yield make
     for harness in harnesses:
         harness.stop()
+
+
+@pytest.fixture
+def failing_specs(monkeypatch):
+    """Make spec execution raise for every label added to the returned set.
+
+    The fault replaces ``repro.experiments.campaign._simulate_spec``, so
+    it fires inside ``execute_spec`` wherever that runs in this process.
+    Use :func:`forked_failing_specs` where pool or job-server workers
+    must raise too.
+    """
+    from repro.experiments import campaign
+
+    labels: set[str] = set()
+    simulate = campaign._simulate_spec
+
+    def faulty(spec, probes):
+        if spec.label() in labels:
+            raise RuntimeError(f"injected fault in {spec.label()}")
+        return simulate(spec, probes)
+
+    monkeypatch.setattr(campaign, "_simulate_spec", faulty)
+    return labels
+
+
+@pytest.fixture
+def forked_failing_specs(failing_specs):
+    """:func:`failing_specs` for campaign pool and job-server workers.
+
+    Workers inherit the fault by forking, so add the labels before the
+    pool or server starts work.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must fork to inherit the injected fault")
+    return failing_specs

@@ -71,6 +71,18 @@ def test_runspec_key_distinguishes_every_axis():
     assert base.cache_key() not in keys
 
 
+@pytest.mark.parametrize("abbr, make", [
+    ("ZZZ", lambda: RunSpec(benchmark="ZZZ", mode="shared",
+                            cfg=experiment_config())),
+    ("QQQ", lambda: RunSpec.pair("VA", "QQQ", "shared")),
+    ("XYZ", lambda: RunSpec.pair("VA", "GEMM", "shared",
+                                 extra=(("XYZ", "shared", None),))),
+], ids=["benchmark", "pair_with", "extra"])
+def test_unknown_benchmarks_are_rejected_where_the_spec_is_built(abbr, make):
+    with pytest.raises(ValueError, match=f"unknown benchmark '{abbr}'"):
+        make()
+
+
 # ------------------------------------------------- determinism + the cache
 def test_fresh_run_and_cache_hit_serialize_identically(tmp_path):
     cache = str(tmp_path / "cache")
@@ -285,15 +297,16 @@ def test_cli_compare_normalizes_to_shared(capsys):
 
 
 # ------------------------------------------------- worker failure labeling
-def test_failing_spec_names_itself_inline():
+def test_failing_spec_names_itself_inline(failing_specs):
     from repro.experiments.campaign import SpecExecutionError
 
-    bad = RunSpec(benchmark="ZZZ", mode="shared", cfg=experiment_config(),
+    bad = RunSpec(benchmark="VA", mode="shared", cfg=experiment_config(),
                   scale=TINY)
+    failing_specs.add(bad.label())
     campaign = Campaign(jobs=1)
     with pytest.raises(SpecExecutionError) as err:
         campaign.result(bad)
-    assert "ZZZ/shared" in str(err.value)
+    assert "VA/shared" in str(err.value)
     assert err.value.label == bad.label()
     # The memo holds no entry for the failed spec — a retry re-executes
     # instead of serving a corrupt record.
@@ -302,20 +315,23 @@ def test_failing_spec_names_itself_inline():
 
 # ------------------------------------------- spec-scoped garbage collection
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("abbr", ["VA", "ZZZ"], ids=["ok", "raises"])
-def test_execute_spec_restores_the_callers_gc_state(enabled, abbr):
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "raises"])
+def test_execute_spec_restores_the_callers_gc_state(enabled, raises,
+                                                    failing_specs):
     """The collector pause is scoped to the spec: whatever the caller had
     (enabled or disabled) is what it gets back, also when the spec
-    raises (``ZZZ`` is the unknown benchmark of the inline failing-spec
-    test above)."""
+    raises (an injected fault, as in the inline failing-spec test
+    above)."""
     from repro.experiments.campaign import execute_spec
 
-    spec = RunSpec.single(abbr, "shared", experiment_config(),
+    spec = RunSpec.single("VA", "shared", experiment_config(),
                           scale=TINY, max_kernels=1)
+    if raises:
+        failing_specs.add(spec.label())
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if abbr == "ZZZ":
+        if raises:
             with pytest.raises(Exception):
                 execute_spec(spec)
         else:
@@ -343,18 +359,19 @@ def test_execute_spec_frees_its_system_on_return():
     assert not systems() - before
 
 
-def test_failing_spec_names_itself_across_the_pool():
+def test_failing_spec_names_itself_across_the_pool(forked_failing_specs):
     from repro.experiments.campaign import SpecExecutionError
 
-    bad = [RunSpec(benchmark="ZZZ", mode=m, cfg=experiment_config(),
+    bad = [RunSpec(benchmark="VA", mode=m, cfg=experiment_config(),
                    scale=TINY) for m in ("shared", "private")]
+    forked_failing_specs.update(spec.label() for spec in bad)
     campaign = Campaign(jobs=2)
     with pytest.raises(SpecExecutionError) as err:
         campaign.results(bad)
-    assert "ZZZ/" in str(err.value)
+    assert "VA/" in str(err.value)
     assert all(spec.cache_key() not in campaign._memo for spec in bad)
     # The campaign stays usable after a worker death.
-    good = campaign.result(RunSpec.single("VA", "shared", scale=TINY))
+    good = campaign.result(RunSpec.single("VA", "adaptive", scale=TINY))
     assert good.cycles > 0
 
 
@@ -451,3 +468,82 @@ def test_every_spec_shape_is_pinned():
     """Every way a spec becomes a simulation reproduces its pinned result
     byte for byte (the goldens cover three policies and one pair)."""
     assert _shape_digests() == PINNED_DIGESTS
+
+
+# ------------------------------------------------ one trace per worker
+def test_a_campaign_generates_each_trace_once(monkeypatch):
+    """Figure 11 runs 17 benchmarks under three policies: sorted by
+    trace, the campaign's 51 specs generate 17 traces, even when they
+    arrive policy by policy."""
+    from repro.experiments import campaign as campaign_mod
+
+    calls = []
+    generate = campaign_mod.generate_workload
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].abbr)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(campaign_mod, "generate_workload", counting)
+    monkeypatch.setattr(campaign_mod, "_last_trace", None)
+    specs = sorted(fig11_adaptive_performance.specs(scale=PIN_SCALE),
+                   key=lambda spec: spec.mode)
+    assert len(specs) == 51
+    Campaign(jobs=1).results(specs)
+    assert len(calls) == len({campaign_mod.trace_key(s) for s in specs}) \
+        == 17
+
+
+def _trace_digest(trace) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for program in getattr(trace, "programs", (trace,)):
+        for kernel in program.kernels:
+            for cta in kernel.ctas:
+                digest.update(repr((cta.keys, cta.writes)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("make", [
+    lambda mode: RunSpec.single("GEMM", mode, scale=PIN_SCALE),
+    lambda mode: RunSpec.pair("GEMM", "SN", mode, scale=PIN_SCALE),
+], ids=["single", "pair"])
+def test_a_shared_trace_is_never_mutated(make):
+    """The memo hands one trace object to all three policies' systems;
+    none of them may write to it."""
+    from repro.experiments import campaign as campaign_mod
+    from repro.experiments.campaign import execute_spec, trace_key
+
+    specs = [make(mode) for mode in ("shared", "private", "adaptive")]
+    assert len({trace_key(spec) for spec in specs}) == 1
+    trace = campaign_mod._trace(trace_key(specs[0]))
+    before = _trace_digest(trace)
+    for spec in specs:
+        execute_spec(spec)
+        assert campaign_mod._last_trace[1] is trace
+    assert _trace_digest(trace) == before
+
+
+def test_a_failing_spec_loses_no_finished_spec_of_its_task(
+        tmp_path, forked_failing_specs):
+    """The pool runs one task per trace here, three policies each; one
+    spec fails in the middle of its task, and every other spec is still
+    memoized and stored."""
+    from repro.experiments.campaign import SpecExecutionError, trace_key
+
+    specs = sorted(fig11_adaptive_performance.specs(scale=PIN_SCALE),
+                   key=trace_key)
+    bad = specs[1]
+    assert trace_key(specs[0]) == trace_key(bad) == trace_key(specs[2])
+    forked_failing_specs.add(bad.label())
+    campaign = Campaign(jobs=2, cache_dir=str(tmp_path / "cache"))
+    with pytest.raises(SpecExecutionError) as err:
+        campaign.results(specs)
+    assert err.value.label == bad.label()
+    assert bad.cache_key() not in campaign._memo
+    assert campaign.executed == len(specs) - 1
+    for spec in specs:
+        if spec is not bad:
+            assert spec.cache_key() in campaign._memo
+            assert campaign.store.load(spec.cache_key()) is not None

@@ -107,6 +107,23 @@ def test_validate_accepts_a_zero_llc_latency():
     GPUConfig.baseline().replace(llc_latency_cycles=0).validate()
 
 
+@pytest.mark.parametrize("concentration", [3, 0, 5])
+def test_validate_rejects_a_cxbar_concentration_that_does_not_divide(
+        concentration):
+    """80 SMs and 64 slices: 3 divides neither, 5 divides only the SMs."""
+    bad = GPUConfig.baseline().replace(
+        noc=NoCConfig(topology="cxbar", concentration=concentration))
+    with pytest.raises(ValueError,
+                       match=f"concentration {concentration} does not divide"):
+        bad.validate()
+
+
+def test_validate_ignores_the_concentration_off_the_cxbar():
+    GPUConfig.baseline().replace(noc=NoCConfig(concentration=3)).validate()
+    GPUConfig.baseline().replace(
+        noc=NoCConfig(topology="cxbar", concentration=8)).validate()
+
+
 def test_noc_flits_for_bytes():
     noc = NoCConfig(channel_bytes=32)
     assert noc.flits_for_bytes(0) == 0

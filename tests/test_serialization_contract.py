@@ -156,15 +156,15 @@ def test_figure_11_cache_keys_are_pinned():
 
 # ---------------------------------------------------------------- RunSpec
 def run_spec_variants() -> dict[str, RunSpec]:
-    base = RunSpec(benchmark="bfs", mode="shared",
+    base = RunSpec(benchmark="VA", mode="shared",
                    cfg=GPUConfig.baseline())
     cfg2 = GPUConfig.baseline().replace(llc_assoc=8)
     return {
-        "benchmark": dataclasses.replace(base, benchmark="sssp"),
+        "benchmark": dataclasses.replace(base, benchmark="GEMM"),
         "mode": dataclasses.replace(base, mode="private"),
         "cfg": dataclasses.replace(base, cfg=cfg2),
         "scale": dataclasses.replace(base, scale=2.0),
-        "pair_with": dataclasses.replace(base, pair_with="mst"),
+        "pair_with": dataclasses.replace(base, pair_with="SN"),
         "num_ctas": dataclasses.replace(base, num_ctas=4),
         "max_kernels": dataclasses.replace(base, max_kernels=5),
         "collect_locality": dataclasses.replace(base,
@@ -173,21 +173,21 @@ def run_spec_variants() -> dict[str, RunSpec]:
         "policy_params": dataclasses.replace(
             base, mode="miss-rate-threshold",
             policy_params={"interval": 2_000}),
-        "mode_b": dataclasses.replace(base, pair_with="mst",
+        "mode_b": dataclasses.replace(base, pair_with="SN",
                                       mode_b="private"),
         "policy_params_b": dataclasses.replace(
-            base, pair_with="mst", mode_b="miss-rate-threshold",
+            base, pair_with="SN", mode_b="miss-rate-threshold",
             policy_params_b={"interval": 2_500}),
         "extra": dataclasses.replace(
-            base, pair_with="mst", extra=(("bc", "private", ()),)),
+            base, pair_with="SN", extra=(("AN", "private", ()),)),
         "arrivals": dataclasses.replace(
-            base, pair_with="mst", arrivals="poisson:gap=2000"),
+            base, pair_with="SN", arrivals="poisson:gap=2000"),
         "placement": dataclasses.replace(
-            base, pair_with="mst", placement="striped"),
+            base, pair_with="SN", placement="striped"),
         # seed canonicalizes to 0 without arrivals (a closed system draws
         # nothing), so its sentinel must ride an open-system spec.
         "seed": dataclasses.replace(
-            base, pair_with="mst", arrivals="poisson", seed=3),
+            base, pair_with="SN", arrivals="poisson", seed=3),
     }
 
 
@@ -204,7 +204,7 @@ def test_run_spec_every_field_round_trips():
 
 
 def test_run_spec_every_field_feeds_cache_key():
-    base = RunSpec(benchmark="bfs", mode="shared",
+    base = RunSpec(benchmark="VA", mode="shared",
                    cfg=GPUConfig.baseline())
     keys = {"<base>": base.cache_key()}
     # policy_params/policy_params_b variants change two fields at once
@@ -213,11 +213,11 @@ def test_run_spec_every_field_feeds_cache_key():
         "<mode=threshold>": dataclasses.replace(
             base, mode="miss-rate-threshold"),
         "<mode_b=threshold>": dataclasses.replace(
-            base, pair_with="mst", mode_b="miss-rate-threshold"),
+            base, pair_with="SN", mode_b="miss-rate-threshold"),
         # ...and the seed variant rides arrivals="poisson"; pin that
         # comparator so the seed itself is proven to feed the key.
         "<arrivals=poisson>": dataclasses.replace(
-            base, pair_with="mst", arrivals="poisson"),
+            base, pair_with="SN", arrivals="poisson"),
     }
     for name, spec in {**run_spec_variants(), **extra}.items():
         keys[name] = spec.cache_key()
@@ -228,7 +228,7 @@ def test_run_spec_every_field_feeds_cache_key():
 
 
 def test_run_spec_policy_params_alone_change_key():
-    base = RunSpec(benchmark="bfs", mode="miss-rate-threshold",
+    base = RunSpec(benchmark="VA", mode="miss-rate-threshold",
                    cfg=GPUConfig.baseline())
     tweaked = dataclasses.replace(base,
                                   policy_params={"interval": 2_000})
@@ -310,5 +310,5 @@ def test_run_result_defaults_round_trip():
 
 def test_policy_params_b_without_mode_b_rejected():
     with pytest.raises(ValueError, match="requires mode_b"):
-        RunSpec(benchmark="bfs", mode="shared", cfg=GPUConfig.baseline(),
+        RunSpec(benchmark="VA", mode="shared", cfg=GPUConfig.baseline(),
                 policy_params_b={"interval": 2_000})

@@ -20,9 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import NoCConfig
 from repro.experiments.campaign import execute_spec, spec_from_mix
-from repro.experiments.runner import experiment_config
 from repro.service import server as server_module
 from repro.service.client import ServiceClient, ServiceError
 
@@ -65,6 +63,8 @@ BAD_SPEC_FIELDS = (
     {"cfg.llc_latency_cycles": -3},
     {"policy_params": {"interval": 0}, "mode": "hysteresis"},
     {"placement": "striped"}, {"arrivals": "poisson"},  # no co-tenant
+    {"benchmark": "ZZZ"}, {"pair_with": "QQQ"},         # unknown benchmark
+    {"cfg.noc.topology": "cxbar", "cfg.noc.concentration": 3},
 )
 
 
@@ -122,29 +122,27 @@ def test_submit_poll_fetch_parity_coalesce_and_restart(job_server_factory,
 
 
 # ---------------------------------------------------------------- errors
-def test_failing_spec_becomes_an_error_job(job_server_factory):
-    """A spec that decodes but cannot simulate (a crossbar concentration
-    that does not divide the SMs, which only the topology checks) lands
-    in the error state: wait() raises, the status carries the cause, and
-    the result route says why there is none."""
+def test_failing_spec_becomes_an_error_job(job_server_factory,
+                                          forked_failing_specs):
+    """A spec that decodes but whose simulation raises (a fault injected
+    into spec execution, which the server's forked workers inherit)
+    lands in the error state: wait() raises, the status carries the
+    cause, and the result route says why there is none."""
+    broken = _tiny_spec()
+    forked_failing_specs.add(broken.label())
     harness = job_server_factory()
     client = harness.client()
-    bad_cfg = experiment_config(noc=NoCConfig(topology="cxbar",
-                                              concentration=3))
-    spec = _tiny_spec()
-    broken = type(spec).single(spec.benchmark, spec.mode, bad_cfg,
-                               scale=TINY, max_kernels=1)
     reply = client.submit_spec(broken)
     with pytest.raises(ServiceError, match="failed"):
         client.wait(reply["id"], timeout=60)
     status = client.job(reply["id"])
     assert status["state"] == "error"
-    assert "does not divide" in status["error"]
+    assert "injected fault" in status["error"]
     with pytest.raises(ServiceError) as exc:
         client.result(reply["id"])
     assert exc.value.status == 404
     assert exc.value.payload["state"] == "error"
-    assert "does not divide" in exc.value.payload["job_error"]
+    assert "injected fault" in exc.value.payload["job_error"]
 
 
 def test_wire_level_rejections(job_server_factory):

@@ -47,7 +47,8 @@ import statistics
 import sys
 
 from repro.config import PolicyConfig
-from repro.experiments import FIGURE_MODULES, figure_module, figure_sort_key
+from repro.experiments import FIGURE_MODULES, figure_module, figure_rows, \
+    figure_sort_key
 from repro.experiments.campaign import Campaign, RunSpec, spec_from_mix
 from repro.experiments.runner import experiment_config, print_rows, \
     scaled_policy_params
@@ -93,8 +94,19 @@ def _campaign_from(args: argparse.Namespace) -> Campaign:
                     cache_dir=getattr(args, "cache_dir", None))
 
 
+def _parse_jobs(text: str) -> int:
+    """``--jobs`` values: a worker count of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs {text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {value}")
+    return value
+
+
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_parse_jobs, default=1, metavar="N",
                         help="worker processes for the simulations")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk result cache (content-keyed JSON)")
@@ -350,19 +362,18 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     campaign = _campaign_from(args)
     numbers = (sorted(FIGURE_MODULES, key=figure_sort_key)
                if args.number == "all" else [args.number])
-    modules = [(num, figure_module(num)) for num in numbers]
+    modules = [figure_module(num) for num in numbers]
     # Declare every figure's specs up front: identical runs collapse to one
     # simulation across figures, and the whole batch shares the worker pool.
-    all_specs = []
-    for _, module in modules:
-        all_specs.extend(module.specs(scale=args.scale))
+    all_specs = [spec for module in modules
+                 for spec in module.specs(scale=args.scale)]
     campaign.prefetch(all_specs)
-    for i, (_, module) in enumerate(modules):
+    for i, module in enumerate(modules):
         if i:
             print()
-        module.main(scale=args.scale, campaign=campaign)
-    if len(modules) > 1:
-        print(f"\n{_campaign_summary(campaign, all_specs)}")
+        print(module.TITLE)
+        print_rows(figure_rows(module, args.scale, campaign))
+    print(f"\n{_campaign_summary(campaign, all_specs)}")
     return 0
 
 
@@ -370,8 +381,8 @@ def _campaign_summary(campaign: Campaign, specs: list[RunSpec]) -> str:
     """One-line accounting: how much work the campaign declared vs ran.
 
     Duplicates are counted from the declared batch itself (specs whose
-    content key repeats), not from the campaign's memo traffic — figure
-    drivers re-read memoized results freely, which is not deduplication.
+    content key repeats), not from the campaign's memo traffic — each
+    figure re-reads its prefetched results, which is not deduplication.
     """
     duplicates = len(specs) - len({spec.cache_key() for spec in specs})
     return (f"[campaign] {campaign.executed} simulations, "
@@ -530,7 +541,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.report.builder import ReportBuilder
 
     figures = ([tok.strip() for tok in args.figures.split(",") if tok.strip()]
-               if args.figures else None)
+               if args.figures is not None else None)
     formats = (["html", "md"] if args.format == "both"
                else [args.format])
     try:

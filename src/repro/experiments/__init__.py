@@ -1,18 +1,24 @@
 """Experiment drivers: one module per paper table/figure.
 
-Every driver is *self-describing*: besides ``specs(scale=...)`` — the
-declarative list of simulations it needs — and ``run(scale=...,
-campaign=...)`` returning row dicts in the same shape as the paper's plot,
-each figure module declares ``TITLE``/``SLUG``/``PAPER_CLAIM`` metadata, a
-``CHART = (label_key, value_keys)`` rendering hint, and
+Every figure driver declares its simulations once, as
+``cells(scale) -> {cell: RunSpec}`` (a cell is a tuple such as
+``(category, benchmark, mode)``; ``specs(scale)`` is the list view of the
+same mapping), and turns their results into row dicts in the shape of the
+paper's plot with ``rows({cell: RunResult})``.  :func:`figure_rows` joins
+the two through a :class:`~repro.experiments.campaign.Campaign`; ``repro
+figure``, ``repro report`` and the tests all read a figure that way.
+Tests narrow a figure by filtering its cells, and ``rows()`` reports only
+the cells it is given.
+
+Each figure module also declares ``TITLE``/``SLUG``/``PAPER_CLAIM``
+metadata, a ``CHART = (label_key, value_keys)`` rendering hint, and
 ``expected_trends()`` — the paper's qualitative claims as
 :class:`~repro.report.trends.Trend` checks that the report subsystem
 badges PASS/WARN per figure.
 
 The ``scale`` knob multiplies trace lengths so CI-speed smoke runs and
-paper-scale runs share one code path; the shared
-:class:`~repro.experiments.campaign.Campaign` deduplicates, caches, and
-parallelizes the simulations behind every driver.
+paper-scale runs share one code path; the shared campaign deduplicates,
+caches, and parallelizes the simulations behind every driver.
 """
 
 import importlib
@@ -68,6 +74,20 @@ def figure_module(number: str):
     return importlib.import_module(FIGURE_MODULES[number])
 
 
+def figure_rows(module, scale: float, campaign: Campaign) -> list[dict]:
+    """A figure's rows: its cells' results through ``campaign``, handed
+    to the driver's ``rows()``.
+
+    Args:
+        module: a figure driver (see :func:`figure_module`).
+        scale: trace-scale factor for every cell.
+        campaign: runs, or serves from memory and disk, each cell's spec.
+    """
+    cells = module.cells(scale)
+    results = campaign.results(list(cells.values()))
+    return module.rows(dict(zip(cells, results)))
+
+
 __all__ = [
     "Campaign",
     "RunSpec",
@@ -75,6 +95,7 @@ __all__ = [
     "FIGURE_MODULES",
     "experiment_config",
     "figure_module",
+    "figure_rows",
     "figure_sort_key",
     "scaled_adaptive_config",
 ]

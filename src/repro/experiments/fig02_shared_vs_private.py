@@ -3,8 +3,8 @@ benchmark category, with the paper's harmonic-mean (HM) summary bars."""
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.report.trends import Trend, category_row
 from repro.sim.stats import harmonic_mean
 from repro.workloads.catalog import CATEGORIES
@@ -20,7 +20,7 @@ CHART = ("benchmark", ["private_norm"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def private_wins(rows):
         hm = category_row(rows, "HM", "private")["private_norm"]
@@ -62,55 +62,42 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0,
-          categories: list[str] | None = None) -> list[RunSpec]:
-    """Every simulation this figure needs, declared up front."""
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(category, benchmark, mode)``."""
     cfg = experiment_config()
-    return [RunSpec.single(abbr, mode, cfg, scale=scale)
-            for category in (categories or list(CATEGORIES))
+    return {(category, abbr, mode): RunSpec.single(abbr, mode, cfg,
+                                                   scale=scale)
+            for category in CATEGORIES
             for abbr in CATEGORIES[category]
-            for mode in ("shared", "private")]
+            for mode in ("shared", "private")}
 
 
-def run(scale: float = 1.0, categories: list[str] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
     """Rows: benchmark, category, shared/private IPC, normalized private."""
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, categories))
-    cfg = experiment_config()
-    rows = []
-    for category in categories or list(CATEGORIES):
+    out = []
+    for category, benchmarks in nested(results).items():
         speedups = []
-        for abbr in CATEGORIES[category]:
-            shared = campaign.result(
-                RunSpec.single(abbr, "shared", cfg, scale=scale))
-            private = campaign.result(
-                RunSpec.single(abbr, "private", cfg, scale=scale))
+        for abbr, by_mode in benchmarks.items():
+            shared, private = by_mode["shared"], by_mode["private"]
             norm = private.ipc / shared.ipc
             speedups.append(norm)
-            rows.append({
+            out.append({
                 "benchmark": abbr,
                 "category": category,
                 "shared_ipc": shared.ipc,
                 "private_ipc": private.ipc,
                 "private_norm": norm,
             })
-        rows.append({
+        out.append({
             "benchmark": "HM",
             "category": category,
             "shared_ipc": float("nan"),
             "private_ipc": float("nan"),
             "private_norm": harmonic_mean(speedups),
         })
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+    return out

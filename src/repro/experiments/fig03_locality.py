@@ -3,8 +3,8 @@ LLC lines touched by 1 / 2 / 3-4 / 5-8 clusters per 1000-cycle window."""
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.report.trends import Trend, category_row
 from repro.workloads.catalog import CATEGORIES
 
@@ -21,7 +21,7 @@ CHART = ("benchmark", BUCKETS)
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def fractions_sum(rows):
         for row in rows:
@@ -69,46 +69,31 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0,
-          categories: list[str] | None = None) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed ``(category, benchmark)``."""
     cfg = experiment_config()
-    return [RunSpec.single(abbr, "shared", cfg, scale=scale,
-                           collect_locality=True)
-            for category in (categories or list(CATEGORIES))
-            for abbr in CATEGORIES[category]]
+    return {(category, abbr): RunSpec.single(abbr, "shared", cfg,
+                                             scale=scale,
+                                             collect_locality=True)
+            for category in CATEGORIES
+            for abbr in CATEGORIES[category]}
 
 
-def run(scale: float = 1.0, categories: list[str] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, categories))
-    cfg = experiment_config()
-    rows = []
-    for category in categories or list(CATEGORIES):
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    out = []
+    for category, benchmarks in nested(results).items():
         sums = [0.0] * 4
-        count = 0
-        for abbr in CATEGORIES[category]:
-            res = campaign.result(
-                RunSpec.single(abbr, "shared", cfg, scale=scale,
-                               collect_locality=True))
+        for abbr, res in benchmarks.items():
             fr = res.locality_fractions or [0.0] * 4
             row = {"benchmark": abbr, "category": category}
             row.update({b: f for b, f in zip(BUCKETS, fr)})
-            rows.append(row)
+            out.append(row)
             sums = [s + f for s, f in zip(sums, fr)]
-            count += 1
         avg = {"benchmark": "AVG", "category": category}
-        avg.update({b: s / max(count, 1) for b, s in zip(BUCKETS, sums)})
-        rows.append(avg)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+        avg.update({b: s / len(benchmarks) for b, s in zip(BUCKETS, sums)})
+        out.append(avg)
+    return out

@@ -10,8 +10,8 @@ crossbar (H-Xbar) at equal bisection bandwidth on (a) normalized IPC,
 from __future__ import annotations
 
 from repro.config import NoCConfig
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.noc import NoCPowerModel, make_topology
 from repro.report.trends import Trend
 from repro.sim.stats import harmonic_mean
@@ -33,7 +33,7 @@ def _design(rows: list[dict], bandwidth: str, design: str) -> dict:
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def less_area(rows):
         full = _design(rows, "BW", "Full Xbar")["area_mm2"]
@@ -92,13 +92,18 @@ def expected_trends() -> list[Trend]:
               "over the BW design", narrower_saves_power),
     ]
 
-#: (bandwidth label, [(name, topology, channel_bytes, concentration), ...])
-PAIRINGS = [
-    ("BW",   [("Full Xbar", "full", 32, 2), ("H-Xbar", "hxbar", 32, 2)]),
-    ("BW/2", [("C-Xbar c2", "cxbar", 32, 2), ("H-Xbar", "hxbar", 16, 2)]),
-    ("BW/4", [("C-Xbar c4", "cxbar", 32, 4), ("H-Xbar", "hxbar", 8, 2)]),
-    ("BW/8", [("C-Xbar c8", "cxbar", 32, 8), ("H-Xbar", "hxbar", 4, 2)]),
-]
+#: (bandwidth label, design name) -> (topology, channel_bytes,
+#: concentration), in presentation order; the first design is the baseline.
+DESIGNS = {
+    ("BW", "Full Xbar"): ("full", 32, 2),
+    ("BW", "H-Xbar"): ("hxbar", 32, 2),
+    ("BW/2", "C-Xbar c2"): ("cxbar", 32, 2),
+    ("BW/2", "H-Xbar"): ("hxbar", 16, 2),
+    ("BW/4", "C-Xbar c4"): ("cxbar", 32, 4),
+    ("BW/4", "H-Xbar"): ("hxbar", 8, 2),
+    ("BW/8", "C-Xbar c8"): ("cxbar", 32, 8),
+    ("BW/8", "H-Xbar"): ("hxbar", 4, 2),
+}
 
 #: One representative workload per category drives the timing comparison.
 WORKLOADS = ["RN", "GEMM", "BS"]
@@ -110,49 +115,43 @@ def _cfg_for(topology: str, channel: int, concentration: int):
                                            concentration=concentration))
 
 
-def specs(scale: float = 1.0,
-          workloads: list[str] | None = None) -> list[RunSpec]:
-    workloads = workloads or WORKLOADS
-    return [RunSpec.single(abbr, "shared", _cfg_for(topo, channel, conc),
-                           scale=scale, with_energy=True)
-            for _, designs in PAIRINGS
-            for _, topo, channel, conc in designs
-            for abbr in workloads]
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(bandwidth, design, benchmark)``."""
+    return {(bandwidth, name, abbr): RunSpec.single(
+                abbr, "shared", _cfg_for(*design), scale=scale,
+                with_energy=True)
+            for (bandwidth, name), design in DESIGNS.items()
+            for abbr in WORKLOADS}
 
 
-def run(scale: float = 1.0, workloads: list[str] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    workloads = workloads or WORKLOADS
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, workloads))
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
     model = NoCPowerModel()
-    rows = []
+    out = []
     baseline_ipc: dict[str, float] = {}
-    baseline_power: float | None = None
-
-    for bw_label, designs in PAIRINGS:
-        for name, topo, channel, conc in designs:
-            cfg = _cfg_for(topo, channel, conc)
-            ipcs = []
+    baseline_power = 0.0
+    for bandwidth, designs in nested(results).items():
+        for name, benchmarks in designs.items():
+            ipcs = {}
             energy_pj = 0.0
             cycles = 0.0
-            for abbr in workloads:
-                res = campaign.result(
-                    RunSpec.single(abbr, "shared", cfg, scale=scale,
-                                   with_energy=True))
-                ipcs.append(res.ipc)
+            for abbr, res in benchmarks.items():
+                ipcs[abbr] = res.ipc
                 energy_pj += res.energy.noc_total
                 cycles += res.cycles
+            cfg = _cfg_for(*DESIGNS[bandwidth, name])
             area = model.area(make_topology(cfg).inventory())
             power = energy_pj / max(cycles, 1e-9)
-            if not baseline_ipc:
-                baseline_ipc = {w: i for w, i in zip(workloads, ipcs)}
-            if baseline_power is None:
-                baseline_power = power
+            if not out:  # the first design is the baseline
+                baseline_ipc, baseline_power = ipcs, power
             norm_ipc = harmonic_mean([i / baseline_ipc[w]
-                                      for w, i in zip(workloads, ipcs)])
-            rows.append({
-                "bandwidth": bw_label,
+                                      for w, i in ipcs.items()])
+            out.append({
+                "bandwidth": bandwidth,
                 "design": name,
                 "norm_ipc": norm_ipc,
                 "area_mm2": area.total,
@@ -162,15 +161,4 @@ def run(scale: float = 1.0, workloads: list[str] | None = None,
                 "area_other": area.other,
                 "norm_power": power / baseline_power,
             })
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+    return out

@@ -3,8 +3,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import geomean_speedup
 from repro.report.trends import Trend, category_row
 from repro.sim.stats import harmonic_mean
@@ -21,7 +21,7 @@ CHART = ("benchmark", ["shared_norm", "private_norm", "adaptive_norm"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def beats_statics(rows):
         bench = [r for r in rows if r["benchmark"] != "HM"]
@@ -74,50 +74,38 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0,
-          categories: list[str] | None = None) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(category, benchmark, mode)``."""
     cfg = experiment_config()
-    return [RunSpec.single(abbr, mode, cfg, scale=scale)
-            for category in (categories or list(CATEGORIES))
+    return {(category, abbr, mode): RunSpec.single(abbr, mode, cfg,
+                                                   scale=scale)
+            for category in CATEGORIES
             for abbr in CATEGORIES[category]
-            for mode in MODES]
+            for mode in MODES}
 
 
-def run(scale: float = 1.0, categories: list[str] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, categories))
-    cfg = experiment_config()
-    rows = []
-    for category in categories or list(CATEGORIES):
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    out = []
+    for category, benchmarks in nested(results).items():
         norms = {m: [] for m in MODES}
-        for abbr in CATEGORIES[category]:
-            results = {m: campaign.result(RunSpec.single(abbr, m, cfg,
-                                                         scale=scale))
-                       for m in MODES}
-            base = results["shared"].ipc
+        for abbr, by_mode in benchmarks.items():
+            base = by_mode["shared"].ipc
             row = {"benchmark": abbr, "category": category}
             for m in MODES:
-                row[f"{m}_norm"] = results[m].ipc / base
-                norms[m].append(results[m].ipc / base)
+                row[f"{m}_norm"] = by_mode[m].ipc / base
+                norms[m].append(by_mode[m].ipc / base)
             row["adaptive_time_in_private"] = (
-                results["adaptive"].time_in_private
-                / results["adaptive"].cycles)
-            rows.append(row)
+                by_mode["adaptive"].time_in_private
+                / by_mode["adaptive"].cycles)
+            out.append(row)
         hm_row = {"benchmark": "HM", "category": category,
                   "adaptive_time_in_private": float("nan")}
         for m in MODES:
             hm_row[f"{m}_norm"] = harmonic_mean(norms[m])
-        rows.append(hm_row)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+        out.append(hm_row)
+    return out

@@ -3,8 +3,8 @@ workloads under shared, private, and adaptive LLCs."""
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.report.trends import Trend, summary_row, value_at_least
 from repro.sim.stats import harmonic_mean
 from repro.workloads.catalog import CATEGORIES
@@ -20,7 +20,7 @@ CHART = ("benchmark", ["shared_resp", "private_resp", "adaptive_resp"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows.
+    """The figure's paper-claimed trends, checked against ``rows()``.
 
     The ``HM(ratio)`` summary row holds each mode's harmonic-mean response
     rate *relative to shared*, so the shared column is identically 1.
@@ -59,41 +59,29 @@ def expected_trends() -> list[Trend]:
     ]
 
 
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed ``(benchmark, mode)``."""
+    cfg = experiment_config()
+    return {(abbr, mode): RunSpec.single(abbr, mode, cfg, scale=scale)
+            for abbr in CATEGORIES["private"] for mode in MODES}
+
+
 def specs(scale: float = 1.0) -> list[RunSpec]:
-    cfg = experiment_config()
-    return [RunSpec.single(abbr, mode, cfg, scale=scale)
-            for abbr in CATEGORIES["private"] for mode in MODES]
+    return list(cells(scale).values())
 
 
-def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale))
-    cfg = experiment_config()
-    rows = []
+def rows(results: dict) -> list[dict]:
+    out = []
     ratios = {m: [] for m in MODES}
-    for abbr in CATEGORIES["private"]:
-        results = {m: campaign.result(RunSpec.single(abbr, m, cfg,
-                                                     scale=scale))
-                   for m in MODES}
-        base = results["shared"].llc_response_rate
+    for abbr, by_mode in nested(results).items():
+        base = by_mode["shared"].llc_response_rate
         row = {"benchmark": abbr}
         for m in MODES:
-            row[f"{m}_resp"] = results[m].llc_response_rate
-            ratios[m].append(results[m].llc_response_rate / base)
-        rows.append(row)
+            row[f"{m}_resp"] = by_mode[m].llc_response_rate
+            ratios[m].append(by_mode[m].llc_response_rate / base)
+        out.append(row)
     hm = {"benchmark": "HM(ratio)"}
     for m in MODES:
         hm[f"{m}_resp"] = harmonic_mean(ratios[m])
-    rows.append(hm)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+    out.append(hm)
+    return out

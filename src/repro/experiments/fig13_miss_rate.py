@@ -4,8 +4,8 @@ shared, private, and adaptive LLCs — the private organization inflates it
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.report.trends import Trend, summary_row
 from repro.workloads.catalog import CATEGORIES
 
@@ -20,7 +20,7 @@ CHART = ("benchmark", ["shared_miss", "private_miss", "adaptive_miss"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def private_inflates(rows):
         avg = summary_row(rows, "benchmark", "AVG")
@@ -64,39 +64,27 @@ def expected_trends() -> list[Trend]:
     ]
 
 
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed ``(benchmark, mode)``."""
+    cfg = experiment_config()
+    return {(abbr, mode): RunSpec.single(abbr, mode, cfg, scale=scale)
+            for abbr in CATEGORIES["shared"] for mode in MODES}
+
+
 def specs(scale: float = 1.0) -> list[RunSpec]:
-    cfg = experiment_config()
-    return [RunSpec.single(abbr, mode, cfg, scale=scale)
-            for abbr in CATEGORIES["shared"] for mode in MODES]
+    return list(cells(scale).values())
 
 
-def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale))
-    cfg = experiment_config()
-    rows = []
+def rows(results: dict) -> list[dict]:
+    out = []
     sums = {m: 0.0 for m in MODES}
-    for abbr in CATEGORIES["shared"]:
-        results = {m: campaign.result(RunSpec.single(abbr, m, cfg,
-                                                     scale=scale))
-                   for m in MODES}
+    for abbr, by_mode in nested(results).items():
         row = {"benchmark": abbr}
         for m in MODES:
-            row[f"{m}_miss"] = results[m].llc_miss_rate
-            sums[m] += results[m].llc_miss_rate
-        rows.append(row)
-    n = len(CATEGORIES["shared"])
-    rows.append({"benchmark": "AVG",
-                 **{f"{m}_miss": sums[m] / n for m in MODES}})
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+            row[f"{m}_miss"] = by_mode[m].llc_miss_rate
+            sums[m] += by_mode[m].llc_miss_rate
+        out.append(row)
+    n = len(out)
+    out.append({"benchmark": "AVG",
+                **{f"{m}_miss": sums[m] / n for m in MODES}})
+    return out

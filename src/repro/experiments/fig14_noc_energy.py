@@ -4,8 +4,8 @@ buffer/crossbar/links/other split, plus the total-system energy change."""
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.report.trends import Trend, summary_row, value_at_most
 from repro.workloads.catalog import CATEGORIES
 
@@ -20,7 +20,7 @@ CHART = ("benchmark", ["noc_norm", "system_norm"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def saving_size(rows):
         value = summary_row(rows, "benchmark", "AVG")["noc_norm"]
@@ -53,36 +53,36 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(category, benchmark, mode)``."""
     cfg = experiment_config()
-    return [RunSpec.single(abbr, mode, cfg, scale=scale, with_energy=True)
+    return {(category, abbr, mode): RunSpec.single(abbr, mode, cfg,
+                                                   scale=scale,
+                                                   with_energy=True)
             for category in ("private", "neutral")
             for abbr in CATEGORIES[category]
-            for mode in ("shared", "adaptive")]
+            for mode in ("shared", "adaptive")}
 
 
-def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale))
-    cfg = experiment_config()
-    rows = []
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    out = []
     noc_savings = []
     system_savings = []
-    for category in ("private", "neutral"):
-        for abbr in CATEGORIES[category]:
-            shared = campaign.result(
-                RunSpec.single(abbr, "shared", cfg, scale=scale,
-                               with_energy=True))
-            adaptive = campaign.result(
-                RunSpec.single(abbr, "adaptive", cfg, scale=scale,
-                               with_energy=True))
+    for category, benchmarks in nested(results).items():
+        for abbr, by_mode in benchmarks.items():
+            shared, adaptive = by_mode["shared"], by_mode["adaptive"]
             base = shared.energy.noc_total
             adp = adaptive.energy.noc
             noc_norm = adp.total / base
             system_norm = adaptive.energy.total / shared.energy.total
             noc_savings.append(1 - noc_norm)
             system_savings.append(1 - system_norm)
-            rows.append({
+            out.append({
                 "benchmark": abbr,
                 "category": category,
                 "noc_norm": noc_norm,
@@ -92,23 +92,12 @@ def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
                 "other": adp.other / base,
                 "system_norm": system_norm,
             })
-    n = len(rows)
-    rows.append({
+    n = len(out)
+    out.append({
         "benchmark": "AVG", "category": "-",
         "noc_norm": 1 - sum(noc_savings) / n,
         "buffer": float("nan"), "crossbar": float("nan"),
         "links": float("nan"), "other": float("nan"),
         "system_norm": 1 - sum(system_savings) / n,
     })
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+    return out

@@ -8,8 +8,8 @@ the full GPU under the shared LLC baseline.
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import system_throughput
 from repro.report.trends import Trend, value_at_least
 from repro.workloads.multiprogram import all_shared_private_pairs
@@ -24,7 +24,7 @@ CHART = ("pair", ["shared_stp", "adaptive_stp"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
     return [
         Trend("adaptive_at_least_cost_neutral",
               "Per-program mode routing is at least cost-neutral on STP "
@@ -38,59 +38,47 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0,
-          pairs: list[tuple[str, str]] | None = None) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs: ``("alone", benchmark)`` for
+    each program's solo baseline and ``("pair", a, b, mode)`` for each
+    co-run."""
     cfg = experiment_config()
-    pairs = pairs or all_shared_private_pairs()
-    out = [RunSpec.single(abbr, "shared", cfg, scale=scale, max_kernels=1)
-           for abbr in sorted({a for p in pairs for a in p})]
+    pairs = all_shared_private_pairs()
+    out = {("alone", abbr): RunSpec.single(abbr, "shared", cfg, scale=scale,
+                                           max_kernels=1)
+           for abbr in sorted({a for p in pairs for a in p})}
     # Declared per-program through the Scenario API: both programs run the
     # same policy, which canonicalizes to the historical one-policy spec —
     # same cache keys, so pre-Scenario figure campaigns still dedupe.
-    out += [RunSpec.pair(a, b, mode, cfg, scale=scale, mode_b=mode)
-            for a, b in pairs for mode in ("shared", "adaptive")]
+    out.update({("pair", a, b, mode): RunSpec.pair(a, b, mode, cfg,
+                                                   scale=scale, mode_b=mode)
+                for a, b in pairs for mode in ("shared", "adaptive")})
     return out
 
 
-def run(scale: float = 1.0, pairs: list[tuple[str, str]] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    cfg = experiment_config()
-    pairs = pairs or all_shared_private_pairs()
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, pairs))
-    alone: dict[str, float] = {}
-    for abbr in {a for p in pairs for a in p}:
-        alone[abbr] = campaign.result(
-            RunSpec.single(abbr, "shared", cfg, scale=scale,
-                           max_kernels=1)).ipc
-    rows = []
-    for a, b in pairs:
-        row = {"pair": f"{a}+{b}"}
-        for mode in ("shared", "adaptive"):
-            res = campaign.result(RunSpec.pair(a, b, mode, cfg, scale=scale))
-            ipcs = {p.name: p.ipc for p in res.programs}
-            row[f"{mode}_stp"] = system_throughput(
-                [ipcs[a], ipcs[b]], [alone[a], alone[b]])
-        row["gain"] = row["adaptive_stp"] / row["shared_stp"]
-        rows.append(row)
-    rows.sort(key=lambda r: r["shared_stp"])
-    n = len(rows)
-    rows.append({
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    runs = nested(results)
+    alone = {abbr: res.ipc for abbr, res in runs["alone"].items()}
+    out = []
+    for a, partners in runs["pair"].items():
+        for b, by_mode in partners.items():
+            row = {"pair": f"{a}+{b}"}
+            for mode in ("shared", "adaptive"):
+                ipcs = {p.name: p.ipc for p in by_mode[mode].programs}
+                row[f"{mode}_stp"] = system_throughput(
+                    [ipcs[a], ipcs[b]], [alone[a], alone[b]])
+            row["gain"] = row["adaptive_stp"] / row["shared_stp"]
+            out.append(row)
+    out.sort(key=lambda r: r["shared_stp"])
+    n = len(out)
+    out.append({
         "pair": "AVG",
-        "shared_stp": sum(r["shared_stp"] for r in rows) / n,
-        "adaptive_stp": sum(r["adaptive_stp"] for r in rows) / n,
-        "gain": sum(r["gain"] for r in rows) / n,
+        "shared_stp": sum(r["shared_stp"] for r in out) / n,
+        "adaptive_stp": sum(r["adaptive_stp"] for r in out) / n,
+        "gain": sum(r["gain"] for r in out) / n,
     })
-    return rows
-
-
-def main(scale: float = 1.0, pairs=None,
-         campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, pairs, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+    return out

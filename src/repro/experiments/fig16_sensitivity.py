@@ -10,8 +10,8 @@ bar pairs.
 from __future__ import annotations
 
 from repro.config import GPUConfig, NoCConfig
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import geomean_speedup
 from repro.report.trends import Trend
 from repro.sim.stats import harmonic_mean
@@ -28,7 +28,7 @@ CHART = ("point", ["adaptive_over_shared"])
 
 
 def expected_trends() -> list[Trend]:
-    """The figure's paper-claimed trends, checked against ``run()`` rows."""
+    """The figure's paper-claimed trends, checked against ``rows()``."""
 
     def gain_survives(rows):
         gm = geomean_speedup([r["adaptive_over_shared"] for r in rows])
@@ -64,83 +64,51 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def sweep_configs(groups: list[str] | None = None
-                  ) -> list[tuple[str, str, GPUConfig]]:
+def sweep_configs() -> list[tuple[str, str, GPUConfig]]:
     """The sensitivity sweep, declared as ``(group, label, config)`` points."""
     points: list[tuple[str, str, GPUConfig]] = []
-
-    def want(group: str) -> bool:
-        return groups is None or group in groups
-
-    if want("address_mapping"):
-        for label, mapping in [("PAE", "pae"), ("Hynix", "hynix")]:
-            points.append(("address_mapping", label,
-                           experiment_config(address_mapping=mapping)))
-    if want("channel_width"):
-        for width in (64, 32, 16):
-            points.append(("channel_width", f"{width}B",
-                           experiment_config(noc=NoCConfig(channel_bytes=width))))
-    if want("sm_count"):
-        for sms in (40, 80, 160):
-            clusters = sms // 10  # keep 10 SMs per cluster, as in the paper
-            points.append(("sm_count", f"{sms} SMs",
-                           experiment_config(num_sms=sms,
-                                             num_clusters=clusters,
-                                             llc_slices_per_mc=clusters)))
-    if want("l1_size"):
-        for kb in (48, 64, 96, 128):
-            points.append(("l1_size", f"{kb}KB",
-                           experiment_config(l1_size_kb=kb)))
-    if want("cta_scheduler"):
-        for label, policy in [("RR", "two_level_rr"), ("BCS", "bcs"),
-                              ("DCS", "dcs")]:
-            points.append(("cta_scheduler", label,
-                           experiment_config(cta_scheduler=policy)))
+    for label, mapping in [("PAE", "pae"), ("Hynix", "hynix")]:
+        points.append(("address_mapping", label,
+                       experiment_config(address_mapping=mapping)))
+    for width in (64, 32, 16):
+        points.append(("channel_width", f"{width}B",
+                       experiment_config(noc=NoCConfig(channel_bytes=width))))
+    for sms in (40, 80, 160):
+        clusters = sms // 10  # keep 10 SMs per cluster, as in the paper
+        points.append(("sm_count", f"{sms} SMs",
+                       experiment_config(num_sms=sms,
+                                         num_clusters=clusters,
+                                         llc_slices_per_mc=clusters)))
+    for kb in (48, 64, 96, 128):
+        points.append(("l1_size", f"{kb}KB",
+                       experiment_config(l1_size_kb=kb)))
+    for label, policy in [("RR", "two_level_rr"), ("BCS", "bcs"),
+                          ("DCS", "dcs")]:
+        points.append(("cta_scheduler", label,
+                       experiment_config(cta_scheduler=policy)))
     return points
 
 
-def specs(scale: float = 1.0, workloads: list[str] | None = None,
-          groups: list[str] | None = None) -> list[RunSpec]:
-    workloads = workloads or WORKLOADS
-    return [RunSpec.single(abbr, mode, cfg, scale=scale)
-            for _, _, cfg in sweep_configs(groups)
-            for abbr in workloads
-            for mode in ("shared", "adaptive")]
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(group, point, benchmark, mode)``."""
+    return {(group, label, abbr, mode): RunSpec.single(abbr, mode, cfg,
+                                                       scale=scale)
+            for group, label, cfg in sweep_configs()
+            for abbr in WORKLOADS
+            for mode in ("shared", "adaptive")}
 
 
-def sensitivity_points(scale: float = 1.0,
-                       workloads: list[str] | None = None,
-                       groups: list[str] | None = None,
-                       campaign: Campaign | None = None) -> list[dict]:
-    workloads = workloads or WORKLOADS
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, workloads, groups))
-    rows = []
-    for group, label, cfg in sweep_configs(groups):
-        gains = []
-        for abbr in workloads:
-            shared = campaign.result(
-                RunSpec.single(abbr, "shared", cfg, scale=scale))
-            adaptive = campaign.result(
-                RunSpec.single(abbr, "adaptive", cfg, scale=scale))
-            gains.append(adaptive.ipc / shared.ipc)
-        rows.append({"group": group, "point": label,
-                     "adaptive_over_shared": harmonic_mean(gains)})
-    return rows
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
 
 
-def run(scale: float = 1.0, workloads: list[str] | None = None,
-        groups: list[str] | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    return sensitivity_points(scale, workloads, groups, campaign)
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+def rows(results: dict) -> list[dict]:
+    out = []
+    for group, points in nested(results).items():
+        for label, benchmarks in points.items():
+            gains = [by_mode["adaptive"].ipc / by_mode["shared"].ipc
+                     for by_mode in benchmarks.values()]
+            out.append({"group": group, "point": label,
+                        "adaptive_over_shared": harmonic_mean(gains)})
+    return out

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from repro.consolidate.metrics import jains_fairness
 from repro.consolidate.mixgen import sample_mix
-from repro.experiments.campaign import Campaign, RunSpec, spec_from_mix
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec, spec_from_mix
+from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import system_throughput
 from repro.report.trends import Trend, value_at_least
 
@@ -62,10 +62,6 @@ def _mix_spec(policy: str, arrivals: str | None, cfg,
                          max_kernels=1, arrivals=arrivals, seed=MIX_SEED)
 
 
-def _solo_spec(abbr: str, cfg, scale: float) -> RunSpec:
-    return RunSpec.single(abbr, "shared", cfg, scale=scale, max_kernels=1)
-
-
 def expected_trends() -> list[Trend]:
     def no_tenant_starved(rows):
         """Every tenant keeps a usable share of its solo throughput in
@@ -98,30 +94,35 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs: ``("alone", benchmark)`` for
+    each tenant's solo baseline and ``("mix", load, policy)`` per grid
+    cell."""
     cfg = experiment_config()
-    out = [_solo_spec(abbr, cfg, scale) for abbr in _tenant_abbrs()]
-    out += [_mix_spec(policy, arrivals, cfg, scale)
-            for _label, arrivals in LOADS for policy in POLICIES]
+    out = {("alone", abbr): RunSpec.single(abbr, "shared", cfg, scale=scale,
+                                           max_kernels=1)
+           for abbr in _tenant_abbrs()}
+    out.update({("mix", load, policy): _mix_spec(policy, arrivals, cfg,
+                                                 scale)
+                for load, arrivals in LOADS for policy in POLICIES})
     return out
 
 
-def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    cfg = experiment_config()
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale))
-    abbrs = _tenant_abbrs()
-    alone = {abbr: campaign.result(_solo_spec(abbr, cfg, scale)).ipc
-             for abbr in abbrs}
-    rows = []
-    for load, arrivals in LOADS:
-        for policy in POLICIES:
-            res = campaign.result(_mix_spec(policy, arrivals, cfg, scale))
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    runs = nested(results)
+    alone = {abbr: res.ipc for abbr, res in runs["alone"].items()}
+    out = []
+    for load, by_policy in runs["mix"].items():
+        for policy, res in by_policy.items():
             ipcs = [p.ipc for p in res.programs]
-            solos = [alone[abbr] for abbr in abbrs]
+            solos = [alone[p.name] for p in res.programs]
             speedups = [ipc / solo for ipc, solo in zip(ipcs, solos)]
             p99s = [p.latency["p99"] for p in res.programs]
-            rows.append({
+            out.append({
                 "cell": f"{load}/{policy}",
                 "load": load,
                 "policy": policy,
@@ -131,21 +132,10 @@ def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
                 "mean_p99": sum(p99s) / len(p99s),
                 "worst_p99": max(p99s),
             })
-    n = len(rows)
+    n = len(out)
     avg = {"cell": "AVG", "load": "all", "policy": "all"}
     for key in ("weighted_speedup", "fairness", "min_speedup", "mean_p99",
                 "worst_p99"):
-        avg[key] = sum(r[key] for r in rows) / n
-    rows.append(avg)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+        avg[key] = sum(r[key] for r in out) / n
+    out.append(avg)
+    return out

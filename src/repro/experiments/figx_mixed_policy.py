@@ -19,8 +19,8 @@ uniform pair specs deduplicating against Figure 15's campaign.
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import system_throughput
 from repro.report.trends import Trend, value_at_least
 from repro.workloads.catalog import benchmark
@@ -99,52 +99,44 @@ def expected_trends() -> list[Trend]:
     ]
 
 
-def specs(scale: float = 1.0) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs: ``("alone", benchmark)`` for
+    each program's solo baseline and ``("pair", kind, a, b, column)`` per
+    grid cell."""
     cfg = experiment_config()
     abbrs = sorted({x for a, b, _ in _pairs() for x in (a, b)})
-    out = [RunSpec.single(abbr, "shared", cfg, scale=scale, max_kernels=1)
-           for abbr in abbrs]
-    out += [_pair_spec(a, b, column, cfg, scale)
-            for a, b, _kind in _pairs() for column in COLUMNS]
+    out = {("alone", abbr): RunSpec.single(abbr, "shared", cfg, scale=scale,
+                                           max_kernels=1)
+           for abbr in abbrs}
+    out.update({("pair", kind, a, b, column): _pair_spec(a, b, column, cfg,
+                                                         scale)
+                for a, b, kind in _pairs() for column in COLUMNS})
     return out
 
 
-def run(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    cfg = experiment_config()
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale))
-    alone = {}
-    for a, b, _kind in _pairs():
-        for abbr in (a, b):
-            if abbr not in alone:
-                alone[abbr] = campaign.result(
-                    RunSpec.single(abbr, "shared", cfg, scale=scale,
-                                   max_kernels=1)).ipc
-    rows = []
-    for a, b, kind in _pairs():
-        row = {"pair": f"{a}+{b}", "kind": kind}
-        for column in COLUMNS:
-            res = campaign.result(_pair_spec(a, b, column, cfg, scale))
-            ipcs = {p.name: p.ipc for p in res.programs}
-            row[f"{column}_stp"] = system_throughput(
-                [ipcs[a], ipcs[b]], [alone[a], alone[b]])
-        row["matched_gain"] = row["matched_stp"] / row["shared_stp"]
-        rows.append(row)
-    n = len(rows)
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    runs = nested(results)
+    alone = {abbr: res.ipc for abbr, res in runs["alone"].items()}
+    out = []
+    for kind, pairs in runs["pair"].items():
+        for a, partners in pairs.items():
+            for b, by_column in partners.items():
+                row = {"pair": f"{a}+{b}", "kind": kind}
+                for column in COLUMNS:
+                    ipcs = {p.name: p.ipc
+                            for p in by_column[column].programs}
+                    row[f"{column}_stp"] = system_throughput(
+                        [ipcs[a], ipcs[b]], [alone[a], alone[b]])
+                row["matched_gain"] = row["matched_stp"] / row["shared_stp"]
+                out.append(row)
+    n = len(out)
     avg = {"pair": "AVG", "kind": "all"}
     for column in COLUMNS:
-        avg[f"{column}_stp"] = sum(r[f"{column}_stp"] for r in rows) / n
-    avg["matched_gain"] = sum(r["matched_gain"] for r in rows) / n
-    rows.append(avg)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+        avg[f"{column}_stp"] = sum(r[f"{column}_stp"] for r in out) / n
+    avg["matched_gain"] = sum(r["matched_gain"] for r in out) / n
+    out.append(avg)
+    return out

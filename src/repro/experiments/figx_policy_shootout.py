@@ -16,8 +16,8 @@ column; a ``GM`` summary row carries geomean normalized IPC.
 
 from __future__ import annotations
 
-from repro.experiments.campaign import Campaign, RunSpec
-from repro.experiments.runner import experiment_config, print_rows, \
+from repro.experiments.campaign import RunSpec
+from repro.experiments.runner import experiment_config, nested, \
     scaled_policy_params
 from repro.metrics.perf import geomean_speedup
 from repro.report.trends import Trend
@@ -128,11 +128,6 @@ def _summary(rows) -> dict:
     raise KeyError("no GM summary row")
 
 
-def _benchmarks(categories: dict | None) -> list[tuple[str, str]]:
-    table = categories or BENCHMARKS
-    return [(abbr, cat) for cat, abbrs in table.items() for abbr in abbrs]
-
-
 def _column_spec(abbr: str, policy: str, cfg, scale: float) -> RunSpec:
     """One shootout cell: legacy spelling for the triad (cross-figure
     dedup) and scale-derived window parameters for the interval policies
@@ -143,48 +138,37 @@ def _column_spec(abbr: str, policy: str, cfg, scale: float) -> RunSpec:
                           or None)
 
 
-def specs(scale: float = 1.0,
-          categories: dict | None = None) -> list[RunSpec]:
+def cells(scale: float = 1.0) -> dict[tuple, RunSpec]:
+    """Every simulation this figure needs, keyed
+    ``(category, benchmark, policy)``."""
     cfg = experiment_config()
-    return [_column_spec(abbr, policy, cfg, scale)
-            for abbr, _cat in _benchmarks(categories)
-            for policy in POLICIES]
+    return {(category, abbr, policy): _column_spec(abbr, policy, cfg, scale)
+            for category, abbrs in BENCHMARKS.items()
+            for abbr in abbrs
+            for policy in POLICIES}
 
 
-def run(scale: float = 1.0, categories: dict | None = None,
-        campaign: Campaign | None = None) -> list[dict]:
-    campaign = campaign or Campaign()
-    campaign.prefetch(specs(scale, categories))
-    cfg = experiment_config()
-    rows = []
+def specs(scale: float = 1.0) -> list[RunSpec]:
+    return list(cells(scale).values())
+
+
+def rows(results: dict) -> list[dict]:
+    out = []
     norms: dict[str, list[float]] = {p: [] for p in POLICIES}
-    for abbr, category in _benchmarks(categories):
-        results = {p: campaign.result(_column_spec(abbr, p, cfg, scale))
-                   for p in POLICIES}
-        base = results["static-shared"].ipc
-        row = {"benchmark": abbr, "category": category}
-        for p in POLICIES:
-            row[f"{p}_norm"] = results[p].ipc / base
-            norms[p].append(row[f"{p}_norm"])
-        for p in DYNAMIC_POLICIES:
-            row[f"{p}_transitions"] = results[p].transitions
-        rows.append(row)
+    for category, benchmarks in nested(results).items():
+        for abbr, by_policy in benchmarks.items():
+            base = by_policy["static-shared"].ipc
+            row = {"benchmark": abbr, "category": category}
+            for p in POLICIES:
+                row[f"{p}_norm"] = by_policy[p].ipc / base
+                norms[p].append(row[f"{p}_norm"])
+            for p in DYNAMIC_POLICIES:
+                row[f"{p}_transitions"] = by_policy[p].transitions
+            out.append(row)
     gm = {"benchmark": "GM", "category": "all"}
     for p in POLICIES:
         gm[f"{p}_norm"] = geomean_speedup(norms[p])
     for p in DYNAMIC_POLICIES:
-        gm[f"{p}_transitions"] = sum(r[f"{p}_transitions"]
-                                     for r in rows)
-    rows.append(gm)
-    return rows
-
-
-def main(scale: float = 1.0, campaign: Campaign | None = None) -> list[dict]:
-    rows = run(scale, campaign=campaign)
-    print(TITLE)
-    print_rows(rows)
-    return rows
-
-
-if __name__ == "__main__":
-    main()
+        gm[f"{p}_transitions"] = sum(r[f"{p}_transitions"] for r in out)
+    out.append(gm)
+    return out

@@ -120,7 +120,7 @@ def render_chart_file(rows: Sequence[Mapping], label_key: str,
     """Write a grouped bar chart for ``rows`` next to ``path_base``.
 
     Args:
-        rows: row dicts from a figure driver's ``run()``.
+        rows: row dicts from a figure driver's ``rows()``.
         label_key: the column naming each bar group.
         value_keys: the numeric columns, one bar per key per group.
         title: chart heading.

@@ -1,5 +1,6 @@
 """Shared experiment settings: the scaled config and policy windows, the
-trace budgets, and the plain-text row table.
+trace budgets, the cell grouping the figure drivers read results through,
+and the plain-text row table.
 
 Nothing here runs a simulation: a run is a
 :class:`~repro.experiments.campaign.RunSpec`, which
@@ -96,6 +97,22 @@ def _accesses_for(abbr: str, scale: float) -> int:
 def _mix_accesses(scale: float) -> int:
     """Per-program trace budget of a co-run (pair or consolidation mix)."""
     return max(4_000, int(60_000 * scale))
+
+
+def nested(results: dict) -> dict:
+    """``{(a, b, ..., z): value}`` regrouped as ``{a: {b: ... {z: value}}}``.
+
+    Figure drivers key their cells by tuples; their ``rows()`` walk this
+    view, so every level keeps the order the cells were declared in, and
+    a test that filters cells out gets rows for only the cells it kept.
+    """
+    out: dict = {}
+    for cell, value in results.items():
+        node = out
+        for part in cell[:-1]:
+            node = node.setdefault(part, {})
+        node[cell[-1]] = value
+    return out
 
 
 def print_rows(rows: list[dict], columns: Optional[list[str]] = None) -> None:

@@ -25,7 +25,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.experiments import FIGURE_MODULES, figure_module, figure_sort_key
+from repro.experiments import FIGURE_MODULES, figure_module, figure_rows, \
+    figure_sort_key
 from repro.experiments.campaign import Campaign, trace_key
 from repro.experiments.plotting import render_chart_file
 from repro.experiments.runner import experiment_config
@@ -96,7 +97,9 @@ class ReportBuilder:
         campaign: the shared campaign to execute specs through; supply a
             ``Campaign(jobs=..., cache_dir=...)`` to parallelize / memoize.
         formats: any subset of ``{"html", "md"}``.
-        figures: figure numbers to include (default: the full registry).
+        figures: figure numbers to include (default: the full registry);
+            an empty list, a repeated figure or an unknown one raises
+            ``ValueError``.
     """
 
     def __init__(self, out_dir: str, scale: float = 1.0,
@@ -111,6 +114,12 @@ class ReportBuilder:
         unknown_fig = [n for n in numbers if n not in FIGURE_MODULES]
         if unknown_fig:
             raise ValueError(f"unknown figures: {unknown_fig}")
+        if not numbers:
+            raise ValueError("no figures requested")
+        repeated = sorted({n for n in numbers if numbers.count(n) > 1},
+                          key=figure_sort_key)
+        if repeated:
+            raise ValueError(f"figures requested more than once: {repeated}")
         self.out_dir = out_dir
         self.scale = scale
         self.campaign = campaign or Campaign()
@@ -159,7 +168,7 @@ class ReportBuilder:
     # ------------------------------------------------------- per figure
     def _build_figure(self, number: str, module, specs,
                       progress: bool) -> FigureReport:
-        rows = module.run(scale=self.scale, campaign=self.campaign)
+        rows = figure_rows(module, self.scale, self.campaign)
         trends = evaluate_trends(module.expected_trends(), rows)
         status = overall_status(trends)
         cache_keys = sorted({spec.cache_key() for spec in specs})

@@ -70,7 +70,7 @@ def evaluate_trends(trends: Sequence[Trend],
 
     Args:
         trends: the figure's declared :class:`Trend` list.
-        rows: the row dicts the figure's ``run()`` produced.
+        rows: the row dicts the figure's ``rows()`` produced.
 
     Returns:
         One :class:`TrendResult` per trend, in declaration order.

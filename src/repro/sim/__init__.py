@@ -11,15 +11,10 @@ depends on.
 
 from repro.sim.engine import Engine, Event
 from repro.sim.server import BandwidthServer, LatencyLink
-from repro.sim.stats import Counter, Histogram, IntervalAccumulator, RateTracker
 
 __all__ = [
     "Engine",
     "Event",
     "BandwidthServer",
     "LatencyLink",
-    "Counter",
-    "Histogram",
-    "IntervalAccumulator",
-    "RateTracker",
 ]

@@ -1,120 +1,8 @@
-"""Statistics primitives shared by all subsystems."""
+"""Summary means: harmonic (the paper's HM bars) and geometric."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-
-class Counter:
-    """A named monotonically increasing counter with interval support.
-
-    ``mark()`` snapshots the current value so profiling phases can read the
-    delta accumulated during the phase (used by the adaptive controller)."""
-
-    __slots__ = ("name", "value", "_mark")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value: float = 0.0
-        self._mark: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def mark(self) -> None:
-        """Start a new measurement interval."""
-        self._mark = self.value
-
-    @property
-    def since_mark(self) -> float:
-        return self.value - self._mark
-
-    def reset(self) -> None:
-        self.value = 0.0
-        self._mark = 0.0
-
-
-class Histogram:
-    """Bucketed histogram over explicit bucket upper bounds.
-
-    ``bounds=[1, 2, 4, 8]`` yields buckets ``<=1, <=2, <=4, <=8, >8``.
-    """
-
-    def __init__(self, bounds: Iterable[float], name: str = ""):
-        self.name = name
-        self.bounds = sorted(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-
-    def add(self, value: float, weight: int = 1) -> None:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += weight
-                break
-        else:
-            self.counts[-1] += weight
-        self.total += weight
-
-    def fraction(self, index: int) -> float:
-        """Fraction of samples in bucket ``index`` (0 when empty)."""
-        if self.total == 0:
-            return 0.0
-        return self.counts[index] / self.total
-
-    def fractions(self) -> list[float]:
-        return [self.fraction(i) for i in range(len(self.counts))]
-
-
-class IntervalAccumulator:
-    """Accumulates a time-weighted mean of a piecewise-constant signal.
-
-    Used for averages like "responses per cycle" where the denominator is
-    simulated time rather than sample count.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.weighted_sum = 0.0
-        self.elapsed = 0.0
-
-    def add_span(self, value: float, span: float) -> None:
-        if span < 0:
-            raise ValueError("negative span")
-        self.weighted_sum += value * span
-        self.elapsed += span
-
-    def mean(self) -> float:
-        if self.elapsed == 0:
-            return 0.0
-        return self.weighted_sum / self.elapsed
-
-
-class RateTracker:
-    """Counts discrete happenings and reports them per cycle.
-
-    The LLC response rate of Figure 12 is ``RateTracker`` output: flits
-    supplied by all LLC slices divided by elapsed cycles.
-    """
-
-    __slots__ = ("name", "count", "_start")
-
-    def __init__(self, name: str = "", start: float = 0.0):
-        self.name = name
-        self.count: float = 0.0
-        self._start = start
-
-    def add(self, amount: float = 1.0) -> None:
-        self.count += amount
-
-    def rate(self, now: float) -> float:
-        span = now - self._start
-        if span <= 0:
-            return 0.0
-        return self.count / span
-
-    def restart(self, now: float) -> None:
-        self.count = 0.0
-        self._start = now
+from typing import Iterable
 
 
 def harmonic_mean(values: Iterable[float]) -> float:
@@ -143,18 +31,3 @@ def geometric_mean(values: Iterable[float]) -> float:
             raise ValueError(f"geometric mean requires positive values, got {v}")
         prod *= v
     return prod ** (1.0 / len(vals))
-
-
-def weighted_mean(values: Iterable[float], weights: Optional[Iterable[float]] = None) -> float:
-    vals = list(values)
-    if not vals:
-        return 0.0
-    if weights is None:
-        return sum(vals) / len(vals)
-    wts = list(weights)
-    if len(wts) != len(vals):
-        raise ValueError("values and weights must have equal length")
-    total_w = sum(wts)
-    if total_w == 0:
-        return 0.0
-    return sum(v * w for v, w in zip(vals, wts)) / total_w

@@ -1,5 +1,5 @@
-"""Shared test fixtures: an in-process campaign job server harness, and
-a fault injected into spec execution.
+"""Shared test fixtures: an in-process campaign job server harness, a
+fault injected into spec execution, and part of a figure's rows.
 
 The service tests need a real :class:`~repro.service.server.JobServer`
 listening on a real socket while the test thread drives it through the
@@ -113,3 +113,22 @@ def forked_failing_specs(failing_specs):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers must fork to inherit the injected fault")
     return failing_specs
+
+
+@pytest.fixture
+def figure_subset_rows():
+    """Rows of a figure driver over only the cells ``keep`` accepts.
+
+    Call as ``figure_subset_rows(module, scale, keep, campaign=None)``.
+    A driver's ``rows()`` reports just the cells it is given, so this is
+    how a test simulates part of a figure.
+    """
+    from repro.experiments.campaign import Campaign
+
+    def rows(module, scale, keep, campaign=None):
+        cells = {cell: spec for cell, spec in module.cells(scale).items()
+                 if keep(cell)}
+        results = (campaign or Campaign()).results(list(cells.values()))
+        return module.rows(dict(zip(cells, results)))
+
+    return rows

@@ -8,8 +8,8 @@ import os
 import pytest
 
 from repro.cli import main, sweep_config
-from repro.config import GPUConfig
-from repro.experiments import fig02_shared_vs_private, fig11_adaptive_performance, fig12_response_rate
+from repro.config import GPUConfig, canonical_key
+from repro.experiments import fig02_shared_vs_private, fig11_adaptive_performance, fig12_response_rate, figure_rows
 from repro.experiments.campaign import CACHE_VERSION, Campaign, RunSpec
 from repro.experiments.fig16_sensitivity import sweep_configs
 from repro.experiments.runner import experiment_config
@@ -160,6 +160,14 @@ def test_structurally_corrupt_cache_entry_is_re_run(tmp_path):
 
 
 # ------------------------------------------------------------------ dedup
+#: ``canonical_key`` of the figure rows the tests below compute.
+ROW_DIGESTS = {
+    "fig02/private": "bc199ea43e7979f1401da4bd9eea3eee7ae0a2ad897b21ed2b2583ccfc4a9106",
+    "fig11/private": "34606335ab7b212830dc0b8c702ff530b5a3ad8477dab1038b7efa7fc5a35743",
+    "fig12": "52e78db66dce9a42c4319bcb82cb80ee9b5c118e76af0071239e7e6a817ee5c7",
+}
+
+
 def test_duplicate_specs_execute_once():
     campaign = Campaign()
     spec = RunSpec.single("VA", "shared", scale=TINY)
@@ -169,33 +177,40 @@ def test_duplicate_specs_execute_once():
     assert results[0] is results[1] is results[2]
 
 
-def test_figures_11_and_12_share_their_private_category_runs():
+def test_figures_11_and_12_share_their_private_category_runs(
+        figure_subset_rows):
     campaign = Campaign()
-    fig11_adaptive_performance.run(scale=TINY, categories=["private"],
-                                   campaign=campaign)
+    rows11 = figure_subset_rows(fig11_adaptive_performance, TINY,
+                                lambda cell: cell[0] == "private", campaign)
     first = campaign.executed
     assert first == 15  # 5 private-friendly benchmarks x 3 modes
-    fig12_response_rate.run(scale=TINY, campaign=campaign)
+    rows12 = figure_rows(fig12_response_rate, TINY, campaign)
     assert campaign.executed == first  # identical specs: zero new runs
+    assert canonical_key(rows11) == ROW_DIGESTS["fig11/private"]
+    assert canonical_key(rows12) == ROW_DIGESTS["fig12"]
 
 
-def test_warm_figure_rerun_performs_zero_new_simulations(tmp_path):
+def test_warm_figure_rerun_performs_zero_new_simulations(
+        tmp_path, figure_subset_rows):
     cache = str(tmp_path / "cache")
+
+    def private_rows(campaign):
+        return figure_subset_rows(fig02_shared_vs_private, TINY,
+                                  lambda cell: cell[0] == "private",
+                                  campaign)
+
     cold = Campaign(cache_dir=cache)
-    rows_cold = fig02_shared_vs_private.run(scale=TINY,
-                                            categories=["private"],
-                                            campaign=cold)
+    rows_cold = private_rows(cold)
     assert cold.executed == 10  # 5 benchmarks x {shared, private}
 
     warm = Campaign(cache_dir=cache)
-    rows_warm = fig02_shared_vs_private.run(scale=TINY,
-                                            categories=["private"],
-                                            campaign=warm)
+    rows_warm = private_rows(warm)
     assert warm.executed == 0
     assert warm.cache_hits == 10
     # identical rows, keys and values (HM rows hold NaN: compare via repr,
     # which is exact for floats and treats NaN == NaN)
     assert repr(rows_warm) == repr(rows_cold)
+    assert canonical_key(rows_cold) == ROW_DIGESTS["fig02/private"]
 
 
 # ------------------------------------------------------------- parallelism

@@ -21,9 +21,11 @@ from repro.experiments import (
     fig14_noc_energy,
     fig15_multiprogram,
     fig16_sensitivity,
+    figure_rows,
     tables,
 )
-from repro.experiments.campaign import RunSpec, execute_spec
+from repro.config import canonical_key
+from repro.experiments.campaign import Campaign, RunSpec, execute_spec
 from repro.experiments.runner import (
     DEFAULT_ACCESSES,
     experiment_config,
@@ -31,6 +33,21 @@ from repro.experiments.runner import (
 )
 
 TINY = 0.05
+
+#: ``canonical_key`` of the rows each figure subset below produces: any
+#: change to a driver's arithmetic, or to which runs feed which row, shows.
+ROW_DIGESTS = {
+    "fig02/neutral": "9def99460e4764b05759e9d4302a10c666b74993e43fdb29d3e4c835849b6660",
+    "fig03/private": "35c3e6d6e0311c29ce0a3bdbcfb64197ba59b43d1586f3ba46d8614a53e76e4d",
+    "fig07/RN": "247ba778961cacf1b6a712026fdbd566d038d79213b8ffaae135d080996aae60",
+    "fig11/private": "34606335ab7b212830dc0b8c702ff530b5a3ad8477dab1038b7efa7fc5a35743",
+    "fig12": "52e78db66dce9a42c4319bcb82cb80ee9b5c118e76af0071239e7e6a817ee5c7",
+    "fig13": "624d71f55f3903f89a95e8a6550f93e438a7fd719a17ef59fe312c5f3976e676",
+    "fig14": "d9ec4b1507851d16a77f9dfbaa9ee55308bdbd1a803ce782b8e10fb0321bcbc3",
+    "fig15/GEMM+AN": "52842f5f2b7f8ac7585ce23616a0a4abb305eede79f10217f6b0f4474c40e31b",
+    "fig16/SN/address_mapping": "5d2351fb6b9c69e1f40f18df37b6a27dafbf3ab9b5e226fedf1d6c6545a9dc11",
+    "fig16/SN/sm_count": "12c32db96afb615d3289d4f5165ee2fc245d59f4144e9e59428a94ba4d77ce52",
+}
 
 
 def test_runner_experiment_config_overrides():
@@ -62,30 +79,38 @@ def test_print_rows_formats(capsys):
     assert "(no rows)" in capsys.readouterr().out
 
 
-def test_fig2_rows_have_hm_per_category():
-    rows = fig02_shared_vs_private.run(scale=TINY, categories=["neutral"])
+def test_fig2_rows_have_hm_per_category(figure_subset_rows):
+    rows = figure_subset_rows(fig02_shared_vs_private, TINY,
+                              lambda cell: cell[0] == "neutral")
+    assert canonical_key(rows) == ROW_DIGESTS["fig02/neutral"]
     assert rows[-1]["benchmark"] == "HM"
     assert not math.isnan(rows[-1]["private_norm"])
     assert len(rows) == 7  # 6 benchmarks + HM
 
 
-def test_fig3_rows_fractions_sum():
-    rows = fig03_locality.run(scale=TINY, categories=["private"])
+def test_fig3_rows_fractions_sum(figure_subset_rows):
+    rows = figure_subset_rows(fig03_locality, TINY,
+                              lambda cell: cell[0] == "private")
+    assert canonical_key(rows) == ROW_DIGESTS["fig03/private"]
     for r in rows:
         total = sum(r[b] for b in fig03_locality.BUCKETS)
         assert total == pytest.approx(1.0, abs=1e-6) or total == 0.0
 
 
-def test_fig7_rows_cover_pairings():
-    rows = fig07_noc_design_space.run(scale=TINY, workloads=["VA"])
+def test_fig7_rows_cover_pairings(figure_subset_rows):
+    rows = figure_subset_rows(fig07_noc_design_space, TINY,
+                              lambda cell: cell[2] == "RN")
+    assert canonical_key(rows) == ROW_DIGESTS["fig07/RN"]
     assert len(rows) == 8
     assert rows[0]["design"] == "Full Xbar"
     assert rows[0]["norm_ipc"] == pytest.approx(1.0)
     assert all(r["area_mm2"] > 0 for r in rows)
 
 
-def test_fig11_rows_modes():
-    rows = fig11_adaptive_performance.run(scale=TINY, categories=["private"])
+def test_fig11_rows_modes(figure_subset_rows):
+    rows = figure_subset_rows(fig11_adaptive_performance, TINY,
+                              lambda cell: cell[0] == "private")
+    assert canonical_key(rows) == ROW_DIGESTS["fig11/private"]
     hm = rows[-1]
     assert hm["benchmark"] == "HM"
     for m in ("shared", "private", "adaptive"):
@@ -93,41 +118,50 @@ def test_fig11_rows_modes():
 
 
 def test_fig12_rows():
-    rows = fig12_response_rate.run(scale=TINY)
+    rows = figure_rows(fig12_response_rate, TINY, Campaign())
+    assert canonical_key(rows) == ROW_DIGESTS["fig12"]
     assert rows[-1]["benchmark"] == "HM(ratio)"
     assert rows[-1]["shared_resp"] == pytest.approx(1.0)
 
 
 def test_fig13_rows():
-    rows = fig13_miss_rate.run(scale=TINY)
+    rows = figure_rows(fig13_miss_rate, TINY, Campaign())
+    assert canonical_key(rows) == ROW_DIGESTS["fig13"]
     assert rows[-1]["benchmark"] == "AVG"
     assert 0.0 <= rows[-1]["shared_miss"] <= 1.0
 
 
 def test_fig14_rows():
-    rows = fig14_noc_energy.run(scale=TINY)
+    rows = figure_rows(fig14_noc_energy, TINY, Campaign())
+    assert canonical_key(rows) == ROW_DIGESTS["fig14"]
     assert rows[-1]["benchmark"] == "AVG"
     body = [r for r in rows if r["benchmark"] != "AVG"]
     assert len(body) == 11  # 5 private-friendly + 6 neutral
     assert all(r["noc_norm"] > 0 for r in body)
 
 
-def test_fig15_rows():
-    rows = fig15_multiprogram.run(scale=TINY, pairs=[("GEMM", "AN")])
+def test_fig15_rows(figure_subset_rows):
+    rows = figure_subset_rows(fig15_multiprogram, TINY,
+                              lambda cell: set(cell[1:3]) <= {"GEMM", "AN"})
+    assert canonical_key(rows) == ROW_DIGESTS["fig15/GEMM+AN"]
     assert rows[-1]["pair"] == "AVG"
     assert rows[0]["shared_stp"] > 0
 
 
-def test_fig16_group_filter():
-    rows = fig16_sensitivity.run(scale=TINY, workloads=["SN"],
-                                 groups=["address_mapping"])
+def test_fig16_group_filter(figure_subset_rows):
+    rows = figure_subset_rows(
+        fig16_sensitivity, TINY,
+        lambda cell: cell[0] == "address_mapping" and cell[2] == "SN")
+    assert canonical_key(rows) == ROW_DIGESTS["fig16/SN/address_mapping"]
     assert {r["point"] for r in rows} == {"PAE", "Hynix"}
     assert all(r["adaptive_over_shared"] > 0 for r in rows)
 
 
-def test_fig16_sm_scaling_configs_are_valid():
-    rows = fig16_sensitivity.run(scale=TINY, workloads=["SN"],
-                                 groups=["sm_count"])
+def test_fig16_sm_scaling_configs_are_valid(figure_subset_rows):
+    rows = figure_subset_rows(
+        fig16_sensitivity, TINY,
+        lambda cell: cell[0] == "sm_count" and cell[2] == "SN")
+    assert canonical_key(rows) == ROW_DIGESTS["fig16/SN/sm_count"]
     assert {r["point"] for r in rows} == {"40 SMs", "80 SMs", "160 SMs"}
 
 

@@ -74,7 +74,7 @@ def test_rows_to_html_escapes():
 
 
 # --------------------------------------------------------------------- CLI
-def test_parser_commands():
+def test_parser_commands(capsys):
     parser = build_parser()
     args = parser.parse_args(["run", "VA", "--policy", "shared"])
     assert args.benchmark == "VA"
@@ -84,7 +84,15 @@ def test_parser_commands():
         parser.parse_args(["run", "NOPE"])
     with pytest.raises(SystemExit):
         parser.parse_args(["bogus"])
-
+    for verb in (["run", "VA"], ["compare", "VA"], ["figure", "13"],
+                 ["report"], ["sweep"]):
+        for jobs, message in (("0", "jobs must be >= 1"),
+                              ("-2", "jobs must be >= 1"),
+                              ("two", "not an integer")):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*verb, "--jobs", jobs])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0

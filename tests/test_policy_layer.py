@@ -4,7 +4,8 @@ threading."""
 
 import pytest
 
-from repro.config import AdaptiveConfig, GPUConfig, PolicyConfig
+from repro.config import AdaptiveConfig, GPUConfig, PolicyConfig, \
+    canonical_key
 from repro.experiments.campaign import CACHE_VERSION, Campaign, RunSpec
 from repro.gpu.system import GPUSystem
 from repro.policy import (
@@ -350,15 +351,17 @@ def test_cli_sweep_modes_accept_any_registered_name(capsys):
 
 
 # ------------------------------------------------------------- shootout
-def test_policy_shootout_driver(tmp_path):
+def test_policy_shootout_driver(tmp_path, figure_subset_rows):
     from repro.experiments import figx_policy_shootout as shootout
     from repro.report.trends import ERROR, evaluate_trends
 
-    categories = {"shared": ["GEMM"], "private": ["SN"]}
     campaign = Campaign(cache_dir=str(tmp_path))
-    rows = shootout.run(scale=TINY, categories=categories,
-                        campaign=campaign)
+    rows = figure_subset_rows(shootout, TINY,
+                              lambda cell: cell[1] in ("GEMM", "SN"),
+                              campaign)
     assert [r["benchmark"] for r in rows] == ["GEMM", "SN", "GM"]
+    assert canonical_key(rows) == (
+        "ef2ebe60d02650be7aa8c16180b9fc96bfd33660ead5328aae99c1593aef836b")
     for row in rows:
         for policy in shootout.POLICIES:
             assert row[f"{policy}_norm"] > 0

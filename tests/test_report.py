@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.config import canonical_key
 from repro.experiments import FIGURE_MODULES, figure_module
 from repro.experiments.campaign import Campaign
 from repro.report.builder import ReportBuilder
@@ -123,6 +124,10 @@ def mini_report(tmp_path_factory):
 def test_report_smoke_pages(mini_report):
     result, out, _ = mini_report
     assert [f.number for f in result.figures] == MINI_FIGURES
+    assert [canonical_key(f.rows) for f in result.figures] == [
+        "4d9da7c4537745ef2296e8faa37f84ca72790c06ad9c6d9cc306a122d7274cf5",
+        "c1f94a46aa812073fa319151dd32e5bca9f84602df2237fc3227fb9721376950",
+    ]
     for fmt in ("html", "md"):
         assert os.path.exists(os.path.join(out, f"index.{fmt}"))
     for fig in result.figures:
@@ -194,6 +199,10 @@ def test_builder_rejects_unknown_inputs(tmp_path):
         ReportBuilder(str(tmp_path), figures=["99"])
     with pytest.raises(ValueError):
         ReportBuilder(str(tmp_path), formats=["pdf"])
+    with pytest.raises(ValueError, match="no figures"):
+        ReportBuilder(str(tmp_path), figures=[])
+    with pytest.raises(ValueError, match="more than once"):
+        ReportBuilder(str(tmp_path), figures=["13", "12", "13"])
 
 
 # -------------------------------------------------------------------- CLI
@@ -213,6 +222,13 @@ def test_cli_report_rejects_unknown_figure(tmp_path, capsys):
     code = main(["report", "--figures", "99", "--out", str(tmp_path)])
     assert code == 2
     assert "unknown figures" in capsys.readouterr().err
+    for figures, message in ((",", "no figures"), ("", "no figures"),
+                             ("13,13", "more than once")):
+        code = main(["report", "--figures", figures, "--out",
+                     str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)  # nothing built
 
 
 def test_cli_scale_presets():

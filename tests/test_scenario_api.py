@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.config import AdaptiveConfig, GPUConfig
+from repro.config import AdaptiveConfig, GPUConfig, canonical_key
 from repro.experiments.campaign import (
     Campaign,
     RunSpec,
@@ -396,11 +396,14 @@ def test_bandit_per_program_in_mix():
 
 # -------------------------------------------------------- mixed experiment
 def test_mixed_policy_experiment_driver(tmp_path):
+    from repro.experiments import figure_rows
     from repro.experiments import figx_mixed_policy as mixed
     from repro.report.trends import ERROR, evaluate_trends
 
     campaign = Campaign(cache_dir=str(tmp_path))
-    rows = mixed.run(scale=TINY, campaign=campaign)
+    rows = figure_rows(mixed, TINY, campaign)
+    assert canonical_key(rows) == (
+        "eef049ea16512626c7da629475cc132b1a0210a952bc1c9d2f55caf571ef28fa")
     assert rows[-1]["pair"] == "AVG"
     kinds = {r["kind"] for r in rows[:-1]}
     assert kinds == {"homogeneous", "heterogeneous"}

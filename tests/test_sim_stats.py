@@ -3,74 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Counter, Histogram, IntervalAccumulator, RateTracker
-from repro.sim.stats import geometric_mean, harmonic_mean, weighted_mean
-
-
-def test_counter_add_and_mark():
-    c = Counter("hits")
-    c.add()
-    c.add(4)
-    assert c.value == 5
-    c.mark()
-    c.add(2)
-    assert c.since_mark == 2
-    assert c.value == 7
-    c.reset()
-    assert c.value == 0
-
-
-def test_histogram_bucket_assignment():
-    h = Histogram([1, 2, 4, 8])
-    for v in [1, 2, 3, 4, 5, 8, 9]:
-        h.add(v)
-    # buckets: <=1, <=2, <=4, <=8, >8
-    assert h.counts == [1, 1, 2, 2, 1]
-    assert h.total == 7
-
-
-def test_histogram_fractions_sum_to_one():
-    h = Histogram([1, 2, 4, 8])
-    for v in range(20):
-        h.add(v)
-    assert sum(h.fractions()) == pytest.approx(1.0)
-
-
-def test_histogram_empty_fraction_is_zero():
-    h = Histogram([1])
-    assert h.fraction(0) == 0.0
-
-
-def test_histogram_weighted_add():
-    h = Histogram([2])
-    h.add(1, weight=5)
-    h.add(10, weight=5)
-    assert h.fractions() == [0.5, 0.5]
-
-
-def test_interval_accumulator_time_weighted_mean():
-    acc = IntervalAccumulator()
-    acc.add_span(1.0, 10.0)
-    acc.add_span(3.0, 10.0)
-    assert acc.mean() == pytest.approx(2.0)
-
-
-def test_interval_accumulator_empty_and_negative():
-    acc = IntervalAccumulator()
-    assert acc.mean() == 0.0
-    with pytest.raises(ValueError):
-        acc.add_span(1.0, -1.0)
-
-
-def test_rate_tracker():
-    r = RateTracker(start=100.0)
-    r.add(50)
-    assert r.rate(200.0) == pytest.approx(0.5)
-    assert r.rate(100.0) == 0.0
-    r.restart(200.0)
-    assert r.count == 0.0
-    r.add(10)
-    assert r.rate(210.0) == pytest.approx(1.0)
+from repro.sim.stats import geometric_mean, harmonic_mean
 
 
 def test_harmonic_mean_known_value():
@@ -85,15 +18,6 @@ def test_geometric_mean_known_value():
     assert geometric_mean([]) == 0.0
     with pytest.raises(ValueError):
         geometric_mean([-1.0])
-
-
-def test_weighted_mean():
-    assert weighted_mean([1, 3]) == 2
-    assert weighted_mean([1, 3], [3, 1]) == pytest.approx(1.5)
-    assert weighted_mean([], None) == 0.0
-    assert weighted_mean([1], [0]) == 0.0
-    with pytest.raises(ValueError):
-        weighted_mean([1, 2], [1])
 
 
 @given(st.lists(st.floats(0.01, 100), min_size=1, max_size=30))

@@ -53,7 +53,7 @@ from repro.experiments.campaign import Campaign, RunSpec, spec_from_mix
 from repro.experiments.runner import experiment_config, print_rows, \
     scaled_policy_params
 from repro.policy import available_policies, canonical_policy_name, \
-    policy_class
+    canonical_policy_params, policy_class
 from repro.scenario import parse_mix
 from repro.workloads.analysis import characterize, verify_category
 from repro.workloads.catalog import ALL_ABBRS, BENCHMARKS, build
@@ -117,8 +117,7 @@ def _parse_policy_arg(text: str) -> PolicyConfig:
     registry so typos fail at parse time, not mid-simulation."""
     try:
         pc = PolicyConfig.from_spec(text)
-        canonical_policy_name(pc.name)
-        policy_class(pc.name).canonical_params(pc.params_dict())
+        canonical_policy_params(pc.name, pc.params_dict())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return pc
@@ -143,9 +142,7 @@ def _parse_mix_arg(text: str) -> list[tuple[str, PolicyConfig]]:
                 raise ValueError(f"unknown benchmark {abbr!r} in mix "
                                  f"(see `repro catalog`)")
             if policy is not None:
-                canonical_policy_name(policy.name)
-                policy_class(policy.name).canonical_params(
-                    policy.params_dict())
+                canonical_policy_params(policy.name, policy.params_dict())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return entries

@@ -5,7 +5,8 @@
 * :mod:`repro.core.sampler` — online profiling state (ATD + LSP counters);
 * :mod:`repro.core.bandwidth_model` — the LSP/bandwidth performance model of
   Section 4.4;
-* :mod:`repro.core.controller` — the epoch/profile state machine applying
+* :mod:`repro.core.controller` — the mode-controller skeleton every
+  dynamic policy shares, and the epoch/profile state machine applying
   transition Rules #1–#3;
 * :mod:`repro.core.reconfig` — the drain/flush/power-gate sequence and its
   cycle cost.
@@ -19,7 +20,7 @@ from repro.core.bandwidth_model import (
     Decision,
     decide_mode,
 )
-from repro.core.controller import AdaptiveController
+from repro.core.controller import AdaptiveController, ModeController
 from repro.core.reconfig import ReconfigCost, Reconfigurator
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "Decision",
     "decide_mode",
     "AdaptiveController",
+    "ModeController",
     "ReconfigCost",
     "Reconfigurator",
 ]

@@ -1,6 +1,13 @@
-"""Adaptive LLC controller: the epoch/profile/decide state machine.
+"""LLC mode controllers: one skeleton, and the paper's adaptive controller.
 
-Timeline (Section 4.3):
+:class:`ModeController` is the bookkeeping every dynamic policy's
+per-program controller shares: the current mode, the reconfigurator that
+prices each transition, the mode history and decision record, and the
+engine events the controller owns (cancelled by :meth:`shutdown`, since a
+recurring event would otherwise keep the simulation alive forever).
+Subclasses add only their decision logic.
+
+:class:`AdaptiveController` is the paper's (Section 4.3):
 
 * the LLC starts shared; a profiling phase runs for ``profile_cycles``;
 * at phase end, Rules #1/#2 (via :func:`repro.core.bandwidth_model.decide_mode`)
@@ -8,10 +15,6 @@ Timeline (Section 4.3):
   cost;
 * at every ``epoch_cycles`` boundary and at every kernel launch the LLC
   reverts to shared (Rule #3) and profiling restarts.
-
-The controller owns its scheduled engine events so a finishing workload can
-cancel them (otherwise the recurring epoch event would keep the simulation
-alive forever).
 """
 
 from __future__ import annotations
@@ -26,25 +29,27 @@ from repro.core.sampler import ProfilingState
 from repro.sim.engine import Engine, Event
 
 
-class AdaptiveController:
-    """Drives one application's LLC mode.
+class ModeController:
+    """Drives one program's LLC mode; subclasses decide when to switch.
 
-    ``on_transition(now, mode, cost)`` is invoked after every mode change so
-    the system can stall its SMs for ``cost.stall_cycles``.
+    ``on_transition(now, mode, cost)`` is invoked after every mode change
+    so the system can stall its SMs for ``cost.stall_cycles``.
+    ``force_shared`` pins the program shared (the atomics policy, Section
+    4.1): subclasses must not decide while it is set.
     """
+
+    #: Per-access profiling state; ``None`` keeps the hot path idle.
+    profiler: Optional[ProfilingState] = None
 
     def __init__(self, cfg: GPUConfig, engine: Engine, system,
                  on_transition: Optional[Callable] = None,
                  force_shared: bool = False):
         self.cfg = cfg
-        self.acfg = cfg.adaptive
         self.engine = engine
         self.system = system
         self.on_transition = on_transition
-        # Atomics policy (Section 4.1): pin shared if the workload needs it.
         self.force_shared = force_shared
         self.mode = LLCMode.SHARED
-        self.profiler = ProfilingState(cfg)
         self.reconfigurator = Reconfigurator(cfg.adaptive)
         self.decisions: list[tuple[float, Decision]] = []
         self.mode_history: list[tuple[float, LLCMode, str]] = []
@@ -53,15 +58,22 @@ class AdaptiveController:
 
     # --------------------------------------------------------------- wiring
     def start(self, now: float) -> None:
-        """Begin the first epoch (called once when the workload launches)."""
+        """Begin governing (called once, at the first kernel launch)."""
         if self._started:
             return
         self._started = True
         self.mode_history.append((now, self.mode, "start"))
-        self._begin_epoch(now)
+        self._begin(now)
+
+    def _begin(self, now: float) -> None:
+        """Subclass hook: schedule the first decision."""
+
+    def on_kernel_launch(self, now: float) -> None:
+        """A kernel launches; the default ignores all but the first."""
+        self.start(now)
 
     def shutdown(self) -> None:
-        """Cancel pending epoch/profile events (workload finished)."""
+        """Cancel the pending events (workload finished)."""
         for ev in self._events:
             ev.cancel()
         self._events.clear()
@@ -69,7 +81,50 @@ class AdaptiveController:
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
         self._events.append(self.engine.schedule_after(delay, fn))
 
+    def _transition(self, now: float, to_mode: LLCMode, reason: str) -> None:
+        cost = self.reconfigurator.transition(self.system, now, to_mode)
+        self.mode = to_mode
+        self.mode_history.append((now, to_mode, reason))
+        if self.on_transition is not None:
+            self.on_transition(now, to_mode, cost)
+
+    # ---------------------------------------------------------------- stats
+    @property
+    def transitions(self) -> int:
+        return self.reconfigurator.transitions
+
+    @property
+    def total_stall_cycles(self) -> float:
+        return self.reconfigurator.total_stall_cycles
+
+    def time_in_private(self, end_time: float) -> float:
+        """Cycles spent in private mode up to ``end_time``."""
+        total = 0.0
+        current_mode = LLCMode.SHARED
+        current_start = 0.0
+        for when, mode, _reason in self.mode_history:
+            if current_mode is LLCMode.PRIVATE:
+                total += when - current_start
+            current_mode = mode
+            current_start = when
+        if current_mode is LLCMode.PRIVATE:
+            total += end_time - current_start
+        return total
+
+
+class AdaptiveController(ModeController):
+    """The paper's controller: profile shared, decide by Rules #1/#2,
+    revert at epochs and kernel launches (Rule #3)."""
+
+    def __init__(self, cfg: GPUConfig, engine: Engine, system, **kwargs):
+        super().__init__(cfg, engine, system, **kwargs)
+        self.acfg = cfg.adaptive
+        self.profiler = ProfilingState(cfg)
+
     # ---------------------------------------------------------------- rules
+    def _begin(self, now: float) -> None:
+        self._begin_epoch(now)
+
     def _begin_epoch(self, now: float) -> None:
         if self.mode is LLCMode.PRIVATE:
             self._transition(now, LLCMode.SHARED, "rule3_epoch")
@@ -117,34 +172,3 @@ class AdaptiveController:
         self.decisions.append((now, decision))
         if decision.mode is LLCMode.PRIVATE and self.mode is LLCMode.SHARED:
             self._transition(now, LLCMode.PRIVATE, decision.rule)
-
-    # ----------------------------------------------------------- transition
-    def _transition(self, now: float, to_mode: LLCMode, reason: str) -> None:
-        cost = self.reconfigurator.transition(self.system, now, to_mode)
-        self.mode = to_mode
-        self.mode_history.append((now, to_mode, reason))
-        if self.on_transition is not None:
-            self.on_transition(now, to_mode, cost)
-
-    # ---------------------------------------------------------------- stats
-    @property
-    def transitions(self) -> int:
-        return self.reconfigurator.transitions
-
-    @property
-    def total_stall_cycles(self) -> float:
-        return self.reconfigurator.total_stall_cycles
-
-    def time_in_private(self, end_time: float) -> float:
-        """Cycles spent in private mode up to ``end_time``."""
-        total = 0.0
-        current_mode = LLCMode.SHARED
-        current_start = 0.0
-        for when, mode, _reason in self.mode_history:
-            if current_mode is LLCMode.PRIVATE:
-                total += when - current_start
-            current_mode = mode
-            current_start = when
-        if current_mode is LLCMode.PRIVATE:
-            total += end_time - current_start
-        return total

@@ -331,8 +331,16 @@ class RunSpec:
         return cls(**kwargs)
 
     def cache_key(self) -> str:
-        """Stable content hash: identical simulations hash identically."""
-        return canonical_key(self.to_dict())
+        """Stable content hash: identical simulations hash identically.
+
+        The spec is frozen, so the key is computed once per instance and
+        kept beside the fields (not as one: the fields are what it hashes).
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = canonical_key(self.to_dict())
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     @property
     def is_consolidation(self) -> bool:
@@ -669,7 +677,8 @@ class Campaign:
     """Executes :class:`RunSpec` batches with dedup, caching, parallelism.
 
     Args:
-        jobs: worker-pool width (1 = run inline, no pool).
+        jobs: worker-pool width, an integer >= 1 (1 = run inline, no
+            pool); anything else raises ``ValueError``.
         cache_dir: enables the on-disk JSON cache (a
             :class:`~repro.experiments.store.ResultStore`); records are
             written atomically and corrupt entries are quarantined, so
@@ -687,7 +696,11 @@ class Campaign:
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None):
         from repro.experiments.store import ResultStore
 
-        self.jobs = max(1, int(jobs))
+        if isinstance(jobs, bool) or not isinstance(jobs, int):
+            raise ValueError(f"jobs must be an integer, got {jobs!r}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         self.cache_dir = cache_dir
         self.executed = 0
         self.cache_hits = 0

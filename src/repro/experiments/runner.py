@@ -56,9 +56,6 @@ def experiment_config(**overrides) -> GPUConfig:
 #: policies never see enough full windows to act.
 INTERVAL_REFERENCE_SCALE = 0.25
 
-#: Registered policies whose window parameters scale with the trace.
-_INTERVAL_POLICIES = ("miss-rate-threshold", "hysteresis", "bandit")
-
 
 def scaled_policy_params(policy: str, scale: float,
                          params: Optional[dict] = None) -> dict:
@@ -70,17 +67,20 @@ def scaled_policy_params(policy: str, scale: float,
     silently stay static — the same problem
     :func:`scaled_adaptive_config` solves for the paper controller.  This
     shrinks ``interval`` and ``min_samples`` proportionally (with floors)
-    for the interval-window policies; explicitly supplied parameters
-    always win, and non-interval policies pass through untouched.
+    for the interval-window policies (subclasses of
+    :class:`~repro.policy.interval.IntervalPolicy`); explicitly supplied
+    parameters always win, and other policies pass through untouched.
     """
-    from repro.policy import canonical_policy_name, policy_class
+    from repro.policy import policy_class
+    from repro.policy.interval import IntervalPolicy
 
     out = dict(params or {})
-    name = canonical_policy_name(policy)
-    if name not in _INTERVAL_POLICIES or scale >= INTERVAL_REFERENCE_SCALE:
+    cls = policy_class(policy)
+    if not issubclass(cls, IntervalPolicy) \
+            or scale >= INTERVAL_REFERENCE_SCALE:
         return out
     factor = scale / INTERVAL_REFERENCE_SCALE
-    schema = policy_class(name).param_schema()
+    schema = cls.param_schema()
     out.setdefault("interval",
                    max(200, round(schema["interval"].default * factor)))
     out.setdefault("min_samples",

@@ -922,19 +922,16 @@ class GPUSystem:
         dram_reads = sum(mc.read_requests for mc in self.mcs)
         dram_writes = sum(mc.write_requests for mc in self.mcs)
 
-        if len(self._policy_bindings) == 1:
-            policy_stats = self._policy_bindings[0][0].collect_stats(cycles)
-        else:
-            # Per-program policies: aggregate in program order, mirroring
-            # the one-policy fold exactly (same float accumulation order).
-            policy_stats = PolicyStats()
-            for pol, _scope in self._policy_bindings:
-                part = pol.collect_stats(cycles)
-                policy_stats.transitions += part.transitions
-                policy_stats.stall_cycles += part.stall_cycles
-                policy_stats.time_in_private += part.time_in_private
-                policy_stats.mode_history.extend(part.mode_history)
-                policy_stats.decisions.extend(part.decisions)
+        # Aggregate the bindings in program order (one binding folds to
+        # its own stats: 0.0 + x is x).
+        policy_stats = PolicyStats()
+        for pol, _scope in self._policy_bindings:
+            part = pol.collect_stats(cycles)
+            policy_stats.transitions += part.transitions
+            policy_stats.stall_cycles += part.stall_cycles
+            policy_stats.time_in_private += part.time_in_private
+            policy_stats.mode_history.extend(part.mode_history)
+            policy_stats.decisions.extend(part.decisions)
 
         gated = 0.0
         if hasattr(self.topology, "gated_time"):

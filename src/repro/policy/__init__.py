@@ -14,27 +14,29 @@ Importing this package registers the built-in policies:
 ``oracle-static``         best-of-both-statics via auxiliary probe runs
 ========================  ====================================================
 
-Resolve names through :func:`create_policy` / :func:`policy_class`, parse
-CLI specs (``name:k=v,...``) with :func:`parse_policy_spec`, and list the
-registry with :func:`available_policies` (the ``repro policy list`` verb).
-New policies subclass :class:`LLCPolicy` and register with the
-:func:`register_policy` decorator; see ``docs/ARCHITECTURE.md`` ("Policy
-layer").
+``miss-rate-threshold`` is ``hysteresis`` at ``dwell=1`` under its own
+parameter and rule names.
+
+Resolve names through :func:`create_policy` / :func:`policy_class`,
+validate parameters with :func:`canonical_policy_params`, parse CLI specs
+(``name:k=v,...``) with :meth:`repro.config.PolicyConfig.from_spec`, and
+list the registry with :func:`available_policies` (the ``repro policy
+list`` verb).  New policies subclass :class:`LLCPolicy` and register with
+the :func:`register_policy` decorator.  A dynamic policy installs one
+controller per program, a subclass of
+:class:`~repro.core.controller.ModeController` that adds only its
+decision; a policy that decides every ``interval`` cycles subclasses
+:class:`~repro.policy.interval.IntervalPolicy` and its
+:class:`~repro.policy.interval.IntervalModeController` instead.  See
+``docs/ARCHITECTURE.md`` ("Policy layer").
 """
 
-from repro.policy.base import (
-    LLCPolicy,
-    PolicyParam,
-    PolicyStats,
-    mode_time_in_private,
-)
+from repro.policy.base import LLCPolicy, PolicyParam, PolicyStats
 from repro.policy.registry import (
     available_policies,
     canonical_policy_name,
     canonical_policy_params,
     create_policy,
-    format_policy_spec,
-    parse_policy_spec,
     policy_class,
     register_policy,
 )
@@ -55,9 +57,6 @@ __all__ = [
     "canonical_policy_name",
     "canonical_policy_params",
     "create_policy",
-    "format_policy_spec",
-    "mode_time_in_private",
-    "parse_policy_spec",
     "policy_class",
     "register_policy",
 ]

@@ -27,8 +27,9 @@ import random
 from typing import Optional
 
 from repro.core.modes import LLCMode
-from repro.policy.base import LLCPolicy, PolicyParam
-from repro.policy.interval import IntervalModeController
+from repro.policy.base import PolicyParam
+from repro.policy.interval import (INTERVAL, MIN_SAMPLES,
+                                   IntervalModeController, IntervalPolicy)
 from repro.policy.registry import register_policy
 
 _ARMS = (LLCMode.SHARED, LLCMode.PRIVATE)
@@ -42,40 +43,21 @@ class _BanditController(IntervalModeController):
         self._reward_sum = {arm: 0.0 for arm in _ARMS}
         self._reward_windows = {arm: 0 for arm in _ARMS}
         self._seen_instructions = 0.0
+        self._window_instructions = 0.0
 
-    # ------------------------------------------------------------- window
     def _baseline(self) -> None:
         super()._baseline()
-        self._seen_instructions = sum(
-            self.system.sms[s].retired_instructions
-            for s in self.prog.sm_ids)
+        retired = sum(self.system.sms[s].retired_instructions
+                      for s in self.prog.sm_ids)
+        self._window_instructions = retired - self._seen_instructions
+        self._seen_instructions = retired
 
-    def _tick(self) -> None:
-        now = self.engine.now
-        prev_acc = self._seen_accesses
-        prev_hits = self._seen_hits
-        prev_instr = self._seen_instructions
-        arm = self.mode
-        self._baseline()
-        window = self._seen_accesses - prev_acc
-        if window >= self.min_samples and not self.force_shared:
-            # Credit the finished window to the arm that produced it.
-            reward = (self._seen_instructions - prev_instr) \
-                / self.interval_cycles
-            self._reward_sum[arm] += reward
-            self._reward_windows[arm] += 1
-            miss_rate = 1.0 - (self._seen_hits - prev_hits) / window
-            verdict = self._choose_arm()
-            if verdict is not None:
-                to_mode, rule = verdict
-                self.decisions.append((now, self._decision(to_mode, rule,
-                                                           miss_rate)))
-                self._transition(now, to_mode, rule)
-        self._events.append(self.engine.schedule_after(self.interval_cycles,
-                                                       self._tick))
-
-    # ------------------------------------------------------------- policy
-    def _choose_arm(self) -> Optional[tuple[LLCMode, str]]:
+    def evaluate(self, miss_rate: float
+                 ) -> Optional[tuple[LLCMode, str]]:
+        # Credit the finished window to the arm that produced it.
+        self._reward_sum[self.mode] += \
+            self._window_instructions / self.interval_cycles
+        self._reward_windows[self.mode] += 1
         if self.rng.random() < self.epsilon:
             target = _ARMS[self.rng.randrange(len(_ARMS))]
             rule = "bandit_explore"
@@ -92,12 +74,9 @@ class _BanditController(IntervalModeController):
             return None
         return target, rule
 
-    def evaluate(self, miss_rate: float):  # pragma: no cover - unused hook
-        raise NotImplementedError("bandit overrides _tick directly")
-
 
 @register_policy
-class BanditPolicy(LLCPolicy):
+class BanditPolicy(IntervalPolicy):
     """Epsilon-greedy arm selection between the two static organizations,
     rewarded by each program's own windowed IPC."""
 
@@ -105,29 +84,15 @@ class BanditPolicy(LLCPolicy):
     DESCRIPTION = ("epsilon-greedy over {shared, private}, rewarded by "
                    "per-program windowed IPC; seeded and deterministic")
     PARAMS = (
-        PolicyParam("interval", int, 1_500,
-                    "cycles per observation window / arm pull",
-                    bounds=(1, None)),
+        INTERVAL,
         PolicyParam("epsilon", float, 0.1,
                     "exploration probability per window",
                     bounds=(0.0, 1.0)),
         PolicyParam("seed", int, 17,
                     "RNG seed (mixed with the program id)"),
-        PolicyParam("min_samples", int, 128,
-                    "minimum LLC accesses per window to act on",
-                    bounds=(1, None)),
+        MIN_SAMPLES,
     )
+    CONTROLLER = _BanditController
 
-    def setup(self) -> None:
-        system = self.system
-        system.enable_program_counters()
-        p = self.params
-        for prog in self.programs:
-            prog.controller = _BanditController(
-                system.cfg, system.engine, system, prog,
-                interval_cycles=p["interval"],
-                min_samples=p["min_samples"],
-                on_transition=system.transition_hook(prog),
-                force_shared=prog.workload.uses_atomics,
-                epsilon=p["epsilon"], seed=p["seed"],
-            )
+    def controller_params(self) -> dict:
+        return {"epsilon": self.params["epsilon"], "seed": self.params["seed"]}

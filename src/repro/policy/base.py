@@ -15,9 +15,9 @@ registered components instead of an if/elif ladder inside
 
 Per-program *mode driving* happens through controller objects a policy
 installs on each :class:`~repro.gpu.system._ProgramContext` (attribute
-``controller``).  Any object with the small duck-typed surface below works
-(the paper's :class:`~repro.core.controller.AdaptiveController` already
-does):
+``controller``).  Every built-in dynamic policy's controller subclasses
+:class:`~repro.core.controller.ModeController`, which provides the surface
+the system reads and leaves only the decision to the subclass:
 
 * ``mode`` — the program's current :class:`~repro.core.modes.LLCMode`;
 * ``on_kernel_launch(now)`` / ``shutdown()`` — lifecycle;
@@ -33,9 +33,7 @@ path byte-for-byte identical to the pre-policy-layer simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from repro.core.modes import LLCMode
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -104,22 +102,6 @@ class PolicyStats:
     time_in_private: float = 0.0
     mode_history: list = field(default_factory=list)
     decisions: list = field(default_factory=list)
-
-
-def mode_time_in_private(history: Sequence[tuple], end_time: float) -> float:
-    """Cycles spent private up to ``end_time`` given ``(when, mode, reason)``
-    history entries (the same fold :class:`AdaptiveController` applies)."""
-    total = 0.0
-    current_mode = LLCMode.SHARED
-    current_start = 0.0
-    for when, mode, _reason in history:
-        if current_mode is LLCMode.PRIVATE:
-            total += when - current_start
-        current_mode = mode
-        current_start = when
-    if current_mode is LLCMode.PRIVATE:
-        total += end_time - current_start
-    return total
 
 
 class LLCPolicy:

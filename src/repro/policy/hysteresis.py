@@ -6,7 +6,7 @@ pays for it.  This variant requires the switch condition to hold for
 ``dwell`` *consecutive* evaluation windows before committing, damping
 oscillation at the cost of reaction latency — the classic
 stability/agility trade the shootout lets you sweep (``--policy
-hysteresis:dwell=4``).
+hysteresis:dwell=4``).  At ``dwell=1`` it is ``miss-rate-threshold``.
 """
 
 from __future__ import annotations
@@ -14,26 +14,29 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.modes import LLCMode
-from repro.policy.base import LLCPolicy, PolicyParam
-from repro.policy.interval import IntervalModeController
+from repro.policy.base import PolicyParam
+from repro.policy.interval import (INTERVAL, MIN_SAMPLES,
+                                   IntervalModeController, IntervalPolicy)
 from repro.policy.registry import register_policy
 
 
 class _HysteresisController(IntervalModeController):
-    def __init__(self, *args, low: float, high: float, dwell: int, **kwargs):
+    def __init__(self, *args, low: float, high: float, dwell: int,
+                 rule: str, **kwargs):
         super().__init__(*args, **kwargs)
         self.low = low
         self.high = high
         self.dwell = dwell
+        self.rule = rule
         self._pending: Optional[LLCMode] = None
         self._streak = 0
 
     def evaluate(self, miss_rate: float
                  ) -> Optional[tuple[LLCMode, str]]:
         if self.mode is LLCMode.SHARED and miss_rate <= self.low:
-            target, rule = LLCMode.PRIVATE, "hysteresis_low"
+            target, rule = LLCMode.PRIVATE, f"{self.rule}_low"
         elif self.mode is LLCMode.PRIVATE and miss_rate >= self.high:
-            target, rule = LLCMode.SHARED, "hysteresis_high"
+            target, rule = LLCMode.SHARED, f"{self.rule}_high"
         else:
             self._pending = None
             self._streak = 0
@@ -50,7 +53,7 @@ class _HysteresisController(IntervalModeController):
 
 
 @register_policy
-class HysteresisPolicy(LLCPolicy):
+class HysteresisPolicy(IntervalPolicy):
     """Threshold policy that waits ``dwell`` consecutive windows before
     switching, trading reaction speed for transition-cost stability."""
 
@@ -58,30 +61,19 @@ class HysteresisPolicy(LLCPolicy):
     DESCRIPTION = ("miss-rate thresholds with a consecutive-window dwell "
                    "before any transition")
     PARAMS = (
-        PolicyParam("interval", int, 1_500,
-                    "cycles between miss-rate evaluations",
-                    bounds=(1, None)),
+        INTERVAL,
         PolicyParam("low", float, 0.35,
                     "shared-mode miss rate at or below which to arm private"),
         PolicyParam("high", float, 0.60,
                     "private-mode miss rate at or above which to arm shared"),
         PolicyParam("dwell", int, 2,
-                    "consecutive qualifying windows required to switch"),
-        PolicyParam("min_samples", int, 128,
-                    "minimum LLC accesses per window to act on",
+                    "consecutive qualifying windows required to switch",
                     bounds=(1, None)),
+        MIN_SAMPLES,
     )
+    CONTROLLER = _HysteresisController
 
-    def setup(self) -> None:
-        system = self.system
-        system.enable_program_counters()
+    def controller_params(self) -> dict:
         p = self.params
-        for prog in self.programs:
-            prog.controller = _HysteresisController(
-                system.cfg, system.engine, system, prog,
-                interval_cycles=p["interval"],
-                min_samples=p["min_samples"],
-                on_transition=system.transition_hook(prog),
-                force_shared=prog.workload.uses_atomics,
-                low=p["low"], high=p["high"], dwell=p["dwell"],
-            )
+        return {"low": p["low"], "high": p["high"], "dwell": p["dwell"],
+                "rule": "hysteresis"}

@@ -1,14 +1,21 @@
-"""Interval-tick controller machinery for lightweight heuristic policies.
+"""Interval-window policies: a controller that decides every few cycles.
 
-:class:`IntervalModeController` is the reusable per-program driver behind
+:class:`IntervalModeController` is the per-program driver behind
 ``miss-rate-threshold``, ``hysteresis`` and ``bandit``: an engine event
 fires every ``interval`` cycles, the controller reads *its own program's*
 LLC hit/miss counters accumulated since the previous tick (the system
 slices the counters by program when a policy enables them — no per-access
-hooks beyond two integer increments), and a subclass decides whether to
-flip the program's mode.  Transitions pay the full
-:class:`~repro.core.reconfig.Reconfigurator` cost and stall the SMs
+hooks beyond two integer increments), and a subclass's :meth:`evaluate`
+decides whether to flip the program's mode.  The mode bookkeeping is
+:class:`~repro.core.controller.ModeController`'s, so transitions pay the
+full :class:`~repro.core.reconfig.Reconfigurator` cost and stall the SMs
 through the system's transition hook, exactly like the paper's controller.
+
+:class:`IntervalPolicy` is the registered-policy side: it declares the
+shared window parameters (:data:`INTERVAL`, :data:`MIN_SAMPLES`) and
+installs one ``CONTROLLER`` per program; a subclass supplies only the
+controller class and its decision parameters
+(:meth:`IntervalPolicy.controller_params`).
 
 Because the observation window is the live organization's own miss rate,
 these policies are deliberately *cheaper and dumber* than paper-adaptive
@@ -21,70 +28,47 @@ controllers chased each other's miss rates).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.config import GPUConfig
 from repro.core.bandwidth_model import Decision
+from repro.core.controller import ModeController
 from repro.core.modes import LLCMode
-from repro.core.reconfig import Reconfigurator
-from repro.policy.base import mode_time_in_private
-from repro.sim.engine import Engine, Event
+from repro.policy.base import LLCPolicy, PolicyParam
+
+#: Window length every interval policy declares first.
+INTERVAL = PolicyParam("interval", int, 1_500,
+                       "cycles per observation window", bounds=(1, None))
+#: Sample floor every interval policy declares last.
+MIN_SAMPLES = PolicyParam("min_samples", int, 128,
+                          "minimum LLC accesses per window to act on",
+                          bounds=(1, None))
 
 
-class IntervalModeController:
+class IntervalModeController(ModeController):
     """Drives one program's LLC mode from its windowed miss rates.
-
-    Exposes the controller surface
-    :class:`~repro.gpu.system.GPUSystem` expects (``mode``,
-    ``on_kernel_launch``, ``shutdown``, the bookkeeping properties, and
-    ``profiler = None`` so the per-access profiling hook stays idle).
 
     ``prog`` is the :class:`~repro.gpu.system._ProgramContext` whose
     ``llc_accesses``/``llc_hits`` counters the controller observes; the
     installing policy must call
     :meth:`~repro.gpu.system.GPUSystem.enable_program_counters` so the
-    system maintains them.
+    system maintains them.  ``profiler`` stays ``None``, so the
+    per-access profiling hook stays idle.
     """
 
-    profiler = None  # no per-access observation: hot path stays untouched
-
-    def __init__(self, cfg: GPUConfig, engine: Engine, system, prog,
-                 interval_cycles: int, min_samples: int,
-                 on_transition: Optional[Callable] = None,
-                 force_shared: bool = False):
-        self.cfg = cfg
-        self.engine = engine
-        self.system = system
+    def __init__(self, cfg, engine, system, prog, interval_cycles: int,
+                 min_samples: int, **kwargs):
+        super().__init__(cfg, engine, system, **kwargs)
         self.prog = prog
         self.interval_cycles = interval_cycles
         self.min_samples = min_samples
-        self.on_transition = on_transition
-        self.force_shared = force_shared
-        self.mode = LLCMode.SHARED
-        self.reconfigurator = Reconfigurator(cfg.adaptive)
-        self.decisions: list[tuple[float, Decision]] = []
-        self.mode_history: list[tuple[float, LLCMode, str]] = []
-        self._events: list[Event] = []
-        self._started = False
         self._seen_accesses = 0
         self._seen_hits = 0
 
-    # --------------------------------------------------------------- hooks
-    def on_kernel_launch(self, now: float) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.mode_history.append((now, self.mode, "start"))
-        self._baseline()
-        self._events.append(self.engine.schedule_after(self.interval_cycles,
-                                                       self._tick))
-
-    def shutdown(self) -> None:
-        for ev in self._events:
-            ev.cancel()
-        self._events.clear()
-
     # --------------------------------------------------------------- ticks
+    def _begin(self, now: float) -> None:
+        self._baseline()
+        self._schedule(self.interval_cycles, self._tick)
+
     def _baseline(self) -> None:
         self._seen_accesses = self.prog.llc_accesses
         self._seen_hits = self.prog.llc_hits
@@ -102,8 +86,7 @@ class IntervalModeController:
                 self.decisions.append((now, self._decision(to_mode, rule,
                                                            miss_rate)))
                 self._transition(now, to_mode, rule)
-        self._events.append(self.engine.schedule_after(self.interval_cycles,
-                                                       self._tick))
+        self._schedule(self.interval_cycles, self._tick)
 
     def evaluate(self, miss_rate: float
                  ) -> Optional[tuple[LLCMode, str]]:
@@ -122,21 +105,33 @@ class IntervalModeController:
                         private_miss_rate=private_mr,
                         shared_bw=0.0, private_bw=0.0)
 
-    def _transition(self, now: float, to_mode: LLCMode, reason: str) -> None:
-        cost = self.reconfigurator.transition(self.system, now, to_mode)
-        self.mode = to_mode
-        self.mode_history.append((now, to_mode, reason))
-        if self.on_transition is not None:
-            self.on_transition(now, to_mode, cost)
 
-    # --------------------------------------------------------------- stats
-    @property
-    def transitions(self) -> int:
-        return self.reconfigurator.transitions
+class IntervalPolicy(LLCPolicy):
+    """A policy that installs one ``CONTROLLER`` per governed program.
 
-    @property
-    def total_stall_cycles(self) -> float:
-        return self.reconfigurator.total_stall_cycles
+    Subclasses declare ``PARAMS`` as ``(INTERVAL, ..., MIN_SAMPLES)`` and
+    return the controller's own keyword arguments from
+    :meth:`controller_params`.
+    """
 
-    def time_in_private(self, end_time: float) -> float:
-        return mode_time_in_private(self.mode_history, end_time)
+    #: The :class:`IntervalModeController` subclass to install.
+    CONTROLLER: type[IntervalModeController]
+
+    def controller_params(self) -> dict:
+        """Decision keyword arguments for ``CONTROLLER`` (beyond the
+        window and the system wiring)."""
+        raise NotImplementedError
+
+    def setup(self) -> None:
+        system = self.system
+        system.enable_program_counters()
+        p = self.params
+        for prog in self.programs:
+            prog.controller = self.CONTROLLER(
+                system.cfg, system.engine, system, prog,
+                interval_cycles=p["interval"],
+                min_samples=p["min_samples"],
+                on_transition=system.transition_hook(prog),
+                force_shared=prog.workload.uses_atomics,
+                **self.controller_params(),
+            )

@@ -31,6 +31,7 @@ from repro.core.bandwidth_model import Decision
 from repro.core.modes import LLCMode
 from repro.policy.base import LLCPolicy, PolicyParam, PolicyStats
 from repro.policy.registry import register_policy
+from repro.policy.static import StaticPrivatePolicy
 
 
 @register_policy
@@ -88,7 +89,6 @@ class OracleStaticPolicy(LLCPolicy):
 
     # ----------------------------------------------------------- lifecycle
     def setup(self) -> None:
-        system = self.system
         if any(p.workload.uses_atomics for p in self.programs):
             self.chosen = LLCMode.SHARED  # Section 4.1: atomics pin shared
         else:
@@ -110,17 +110,14 @@ class OracleStaticPolicy(LLCPolicy):
                 private_miss_rate=private["llc_miss_rate"],
                 shared_bw=shared["ipc"], private_bw=private["ipc"])))
         if self.chosen is LLCMode.PRIVATE:
-            for prog in self.programs:
-                prog.static_mode = LLCMode.PRIVATE
-            if len(self.programs) == len(system.programs):
-                for sl in system.llc_slices:
-                    sl.set_write_policy(write_through=True)
-            system.update_bypass(0.0)
+            # The winner runs as static-private would, on these programs.
+            StaticPrivatePolicy.setup(self)
 
     def collect_stats(self, cycles: float) -> PolicyStats:
-        stats = super().collect_stats(cycles)
+        if self.chosen is LLCMode.PRIVATE:
+            stats = StaticPrivatePolicy.collect_stats(self, cycles)
+        else:
+            stats = PolicyStats()
         stats.mode_history = [(0.0, self.chosen.value, "oracle_static")]
         stats.decisions = list(self._decisions)
-        if self.chosen is LLCMode.PRIVATE:
-            stats.time_in_private = cycles * len(self.programs)
         return stats

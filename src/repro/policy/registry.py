@@ -1,4 +1,4 @@
-"""Name → class registry for LLC policies, plus the CLI spec grammar.
+"""Name → class registry for LLC policies.
 
 Policies register with the :func:`register_policy` class decorator; every
 consumer — :class:`~repro.gpu.system.GPUSystem`, the campaign layer, the
@@ -6,8 +6,9 @@ consumer — :class:`~repro.gpu.system.GPUSystem`, the campaign layer, the
 this one table.  Aliases keep the historical string triad
 (``"shared"``/``"private"``/``"adaptive"``) working unchanged.
 
-The CLI grammar is ``NAME[:key=value,key=value,...]`` with JSON-typed
-values (bare words fall back to strings), e.g.::
+The CLI grammar, parsed by :meth:`~repro.config.PolicyConfig.from_spec`,
+is ``NAME[:key=value,key=value,...]`` with JSON-typed values (bare words
+fall back to strings), e.g.::
 
     --policy hysteresis:dwell=3,low=0.3
     --policy paper-adaptive
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import PolicyConfig
 from repro.policy.base import LLCPolicy
 
 _REGISTRY: dict[str, type[LLCPolicy]] = {}
@@ -73,21 +73,3 @@ def canonical_policy_params(name: str, params: Optional[dict]) -> dict:
     """Schema-coerced parameter dict for cache keys (defaults NOT filled,
     so later-added defaults cannot silently re-key old specs)."""
     return policy_class(name).canonical_params(params, fill_defaults=False)
-
-
-def parse_policy_spec(text: str) -> tuple[str, dict]:
-    """Parse ``NAME[:k=v,...]`` into ``(name, params)``.
-
-    One grammar, one implementation: this delegates to
-    :meth:`~repro.config.PolicyConfig.from_spec`.  The name is *not*
-    resolved here — callers validate through
-    :func:`canonical_policy_name` so parse errors and unknown-name errors
-    stay distinguishable.
-    """
-    pc = PolicyConfig.from_spec(text)
-    return pc.name, pc.params_dict()
-
-
-def format_policy_spec(name: str, params: Optional[dict] = None) -> str:
-    """Inverse of :func:`parse_policy_spec` (stable, sorted params)."""
-    return PolicyConfig.of(name, params).spec()

@@ -48,9 +48,7 @@ class StaticPrivatePolicy(LLCPolicy):
         system.update_bypass(0.0)
 
     def collect_stats(self, cycles: float) -> PolicyStats:
-        stats = super().collect_stats(cycles)
-        # The governed programs spend the whole run private (the system
-        # divides by the total program count when it reports
-        # time_in_private).
-        stats.time_in_private = cycles * len(self.programs)
-        return stats
+        # No controllers, so nothing to fold: the governed programs spend
+        # the whole run private (the system divides by the total program
+        # count when it reports time_in_private).
+        return PolicyStats(time_in_private=cycles * len(self.programs))

@@ -51,6 +51,10 @@ def test_runspec_round_trip_and_key_stability():
     clone = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert clone == spec
     assert clone.cache_key() == spec.cache_key()
+    # the frozen spec hashes once: a repeat call returns the same string
+    # object, and the kept key is no field (equality and to_dict ignore it)
+    assert spec.cache_key() is spec.cache_key()
+    assert spec.cache_key() == canonical_key(spec.to_dict())
 
 
 def test_runspec_key_distinguishes_every_axis():
@@ -175,6 +179,12 @@ def test_duplicate_specs_execute_once():
     assert campaign.executed == 1
     assert campaign.memo_hits == 2
     assert results[0] is results[1] is results[2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True, None])
+def test_campaign_rejects_a_pool_width_that_is_not_a_positive_int(jobs):
+    with pytest.raises(ValueError, match="jobs must be"):
+        Campaign(jobs=jobs)
 
 
 def test_figures_11_and_12_share_their_private_category_runs(

@@ -13,7 +13,6 @@ from repro.policy import (
     available_policies,
     canonical_policy_name,
     create_policy,
-    parse_policy_spec,
     policy_class,
 )
 from repro.workloads.catalog import build
@@ -80,6 +79,11 @@ def test_param_schema_validation():
     for ok in (0, 1):
         assert create_policy("bandit", {"epsilon": ok}).params["epsilon"] \
             == float(ok)
+    # dwell counts windows: zero or fewer would silently act as one
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="'dwell' must be >= 1"):
+            create_policy("hysteresis", {"dwell": bad})
+    assert create_policy("hysteresis", {"dwell": 1}).params["dwell"] == 1
     # int widens to float where the schema says float
     policy = create_policy("hysteresis", {"low": 0})
     assert policy.params["low"] == 0.0
@@ -89,17 +93,19 @@ def test_param_schema_validation():
 
 
 def test_parse_policy_spec_grammar():
-    assert parse_policy_spec("hysteresis") == ("hysteresis", {})
-    name, params = parse_policy_spec("hysteresis:dwell=3,low=0.3")
-    assert name == "hysteresis"
-    assert params == {"dwell": 3, "low": 0.3}
+    assert PolicyConfig.from_spec("hysteresis") == \
+        PolicyConfig.of("hysteresis")
+    pc = PolicyConfig.from_spec("hysteresis:dwell=3,low=0.3")
+    assert pc.name == "hysteresis"
+    assert pc.params_dict() == {"dwell": 3, "low": 0.3}
+    assert pc.spec() == "hysteresis:dwell=3,low=0.3"
     # bare words fall back to strings
-    assert parse_policy_spec("oracle-static:metric=ipc")[1] == \
-        {"metric": "ipc"}
+    assert PolicyConfig.from_spec("oracle-static:metric=ipc") \
+        .params_dict() == {"metric": "ipc"}
     with pytest.raises(ValueError, match="key=value"):
-        parse_policy_spec("hysteresis:dwell")
+        PolicyConfig.from_spec("hysteresis:dwell")
     with pytest.raises(ValueError, match="no name"):
-        parse_policy_spec(":dwell=3")
+        PolicyConfig.from_spec(":dwell=3")
 
 
 # ------------------------------------------------- GPUSystem threading
@@ -192,7 +198,16 @@ def test_hysteresis_dwell_damps_transitions():
     threshold = run("SN", "miss-rate-threshold", n=30_000,
                     policy_params={"interval": 800, "go_private_below": 0.5,
                                    "revert_above": 0.6})
-    assert eager.transitions <= threshold.transitions + 1  # dwell=1 ~ bare
+    # miss-rate-threshold is hysteresis at dwell=1 under other names
+    assert threshold.transitions >= 1
+    rename = {"threshold_low": "hysteresis_low",
+              "threshold_high": "hysteresis_high"}
+    renamed = {**threshold.to_dict(), "mode": "hysteresis"}
+    renamed["mode_history"] = [[t, m, rename.get(r, r)]
+                               for t, m, r in renamed["mode_history"]]
+    renamed["decisions"] = [[t, {**d, "rule": rename[d["rule"]]}]
+                            for t, d in renamed["decisions"]]
+    assert renamed == eager.to_dict()
 
 
 def test_oracle_static_picks_the_better_static():
@@ -312,7 +327,7 @@ def test_cli_run_rejects_bad_policy_spec():
         main(["run", "VA", "--policy", "hysteresis:bogus=1"])
     for spec in ("hysteresis:interval=0", "miss-rate-threshold:interval=0",
                  "bandit:interval=0", "hysteresis:min_samples=-1",
-                 "bandit:epsilon=7"):
+                 "bandit:epsilon=7", "hysteresis:dwell=0"):
         with pytest.raises(SystemExit) as exc:
             main(["run", "VA", "--policy", spec, "--scale", "smoke"])
         assert exc.value.code == 2, spec

@@ -1,12 +1,14 @@
-"""The rule abstraction: parameter schemas and the per-file check surface.
+"""The rule abstraction: the rule registry and the per-file check surface.
 
-Mirrors the LLC-policy layer deliberately — a rule is a registered class
-with a ``NAME``, a one-line ``DESCRIPTION``, a declared :class:`RuleParam`
-schema, and one hook (:meth:`Rule.check`).  The registry and the
-``NAME[:k=v,...]`` spec grammar live in :mod:`repro.analysis.registry`.
+A rule is a registered :class:`~repro.analysis.registry.Component` like
+an LLC policy: a ``NAME``, a one-line ``DESCRIPTION``, a declared
+:class:`~repro.analysis.registry.Param` schema, and one hook
+(:meth:`Rule.check`).  :data:`RULES` is its registry; the built-in rules
+register when :mod:`repro.analysis.rules` is imported, which the lookup
+functions here do on first use.
 
 The analysis package imports nothing from the simulator, so it can be
-type-checked strictly and run on broken trees.
+type-checked strictly.
 """
 
 from __future__ import annotations
@@ -16,43 +18,7 @@ from dataclasses import dataclass
 
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import FilePragmas
-
-
-@dataclass(frozen=True)
-class RuleParam:
-    """One declared, typed rule parameter (the ``k=v`` of a rule spec).
-
-    Attributes:
-        name: parameter key as given in ``--rules name:key=value``.
-        type: expected Python type (``int``/``float``/``bool``/``str``).
-        default: value used when omitted.
-        doc: one-line description for ``repro check --list-rules``.
-    """
-
-    name: str
-    type: type
-    default: object
-    doc: str = ""
-
-    def coerce(self, value: object) -> object:
-        """Validate ``value`` against the schema, widening int → float.
-
-        Raises:
-            ValueError: on a type mismatch.
-        """
-        if self.type is float and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        if self.type is int and isinstance(value, bool):
-            raise ValueError(
-                f"rule parameter {self.name!r} expects int, "
-                f"got bool {value!r}")
-        if not isinstance(value, self.type):
-            raise ValueError(
-                f"rule parameter {self.name!r} expects "
-                f"{self.type.__name__}, got {value!r} "
-                f"({type(value).__name__})")
-        return value
+from repro.analysis.registry import Component, Registry
 
 
 @dataclass
@@ -82,66 +48,57 @@ class SourceFile:
                        rule=rule, message=message)
 
 
-class Rule:
+class Rule(Component):
     """Base class for registered static-analysis rules.
 
     Subclasses set ``NAME`` and ``DESCRIPTION``, optionally declare
-    ``PARAMS``, and implement :meth:`check`.  Construction validates and
-    coerces keyword parameters against ``PARAMS``; canonical values land
-    in ``self.params``.
+    ``PARAMS``, and implement :meth:`check`.
     """
 
-    #: Canonical registered name (the ``--rules`` key).
-    NAME: str = ""
-    #: One-line description shown by ``repro check --list-rules``.
-    DESCRIPTION: str = ""
-    #: Declared parameter schema.
-    PARAMS: tuple[RuleParam, ...] = ()
-
-    def __init__(self, **params: object) -> None:
-        self.params: dict[str, object] = self.canonical_params(params)
-
-    @classmethod
-    def param_schema(cls) -> dict[str, RuleParam]:
-        return {p.name: p for p in cls.PARAMS}
-
-    @classmethod
-    def canonical_params(cls, params: dict[str, object] | None
-                         ) -> dict[str, object]:
-        """Validate/coerce ``params``; every declared parameter is present
-        in the result (defaults fill the gaps).
-
-        Raises:
-            ValueError: for unknown parameter names or type mismatches.
-        """
-        schema = cls.param_schema()
-        given = dict(params or {})
-        unknown = set(given) - set(schema)
-        if unknown:
-            raise ValueError(
-                f"rule {cls.NAME!r} has no parameters {sorted(unknown)} "
-                f"(available: {sorted(schema) or 'none'})")
-        out: dict[str, object] = {name: schema[name].coerce(value)
-                                  for name, value in given.items()}
-        for name, spec in schema.items():
-            out.setdefault(name, spec.default)
-        return out
+    KIND = "check rule"
 
     def check(self, src: SourceFile) -> list[Finding]:
         """Findings for one file (pragma/baseline filtering happens in the
         checker, not here — rules report everything they see)."""
         raise NotImplementedError
 
-    @classmethod
-    def describe(cls) -> dict[str, object]:
-        """Registry metadata row for ``repro check --list-rules``."""
-        return {
-            "name": cls.NAME,
-            "description": cls.DESCRIPTION,
-            "params": [{"name": p.name, "type": p.type.__name__,
-                        "default": p.default, "doc": p.doc}
-                       for p in cls.PARAMS],
-        }
+
+#: Registered check rules (the ``--rules`` names).
+RULES: Registry[Rule] = Registry(Rule)
+register_rule = RULES.register
+
+
+def _rules() -> Registry[Rule]:
+    """:data:`RULES` with the built-in rules loaded.  Their modules
+    register on import, done here rather than at package import so that
+    importing the analysis package for its registry stays cheap."""
+    import repro.analysis.rules  # noqa: F401  (registers on import)
+
+    return RULES
+
+
+def available_rules() -> dict[str, type[Rule]]:
+    """Canonical name → rule class, sorted by name."""
+    return _rules().available()
+
+
+def rule_class(name: str) -> type[Rule]:
+    """The rule class registered under ``name``.
+
+    Raises:
+        ValueError: for unregistered names.
+    """
+    return _rules().resolve(name)
+
+
+def create_rule(spec: str) -> Rule:
+    """Instantiate a rule from its ``NAME[:k=v,...]`` spec."""
+    return _rules().from_spec(spec)
+
+
+def default_rules() -> list[Rule]:
+    """One instance of every registered rule with default parameters."""
+    return [cls() for cls in available_rules().values()]
 
 
 def call_name(node: ast.expr) -> str | None:

@@ -25,12 +25,11 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.base import Rule, SourceFile
+from repro.analysis.base import Rule, SourceFile, default_rules
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.config import is_sim_path
 from repro.analysis.findings import Finding
 from repro.analysis.pragmas import scan_pragmas
-from repro.analysis.registry import default_rules
 
 
 @dataclass

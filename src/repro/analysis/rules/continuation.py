@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Rule, SourceFile, call_name
+from repro.analysis.base import Rule, SourceFile, call_name, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
 
 _SCHEDULE_CALLS = ("schedule_call", "schedule_after_call")
 

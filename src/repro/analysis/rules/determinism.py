@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Rule, SourceFile, call_name, dotted_name
+from repro.analysis.base import (Rule, SourceFile, call_name, dotted_name,
+                                 register_rule)
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
 
 #: Builtins that consume an iterable without exposing its order.
 _ORDER_INSENSITIVE = frozenset({

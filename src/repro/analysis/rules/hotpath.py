@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Rule, RuleParam, SourceFile
+from repro.analysis.base import Rule, SourceFile, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import Param
 
 _COMP_KIND = {
     ast.ListComp: "list comprehension",
@@ -145,8 +145,8 @@ class HotPathRule(Rule):
     DESCRIPTION = ("closures, comprehensions and __dict__-carrying "
                    "classes in '# repro: hot-path' modules")
     PARAMS = (
-        RuleParam("slots", bool, True,
-                  "also require __slots__ on classes in hot modules"),
+        Param("slots", bool, True,
+              "also require __slots__ on classes in hot modules"),
     )
 
     def check(self, src: SourceFile) -> list[Finding]:

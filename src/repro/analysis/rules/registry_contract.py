@@ -1,20 +1,22 @@
 """``registry``: the LLC-policy registry contract.
 
-Policies resolve by name through :mod:`repro.policy.registry`; the CLI,
-campaign specs and the job server all construct them from
-``NAME[:k=v,...]`` strings.  A policy class that drifts from the registry
-contract fails at a distance — an unregistered class silently disappears
-from ``repro policy --list`` and every spec that names it, and a
-``self.params`` key with no :class:`PolicyParam` declaration bypasses
-validation, type coercion, and the canonical-params hash that feeds run
-content keys.
+Policies resolve by name through the ``POLICIES`` registry of
+:mod:`repro.policy.base`; the CLI, campaign specs and the job server all
+construct them from ``NAME[:k=v,...]`` strings.  A policy class that
+drifts from the registry contract fails at a distance — an unregistered
+class silently disappears from ``repro policy list`` and every spec that
+names it, and a ``self.params`` key with no :class:`Param` declaration
+bypasses validation, type coercion, and the canonical-params hash that
+feeds run content keys.
 
-Checked, for every class whose bases include ``LLCPolicy``:
+Checked, for every subclass of a policy base (``LLCPolicy``, or any base
+named ``...Policy``: the policy layer's bases follow that convention, so
+``IntervalPolicy``'s subclasses are covered wherever it is defined):
 
 * a class declaring a non-empty ``NAME`` carries the
   ``@register_policy`` decorator (name without registration is the
   classic copy-paste omission);
-* ``PARAMS`` entries are ``PolicyParam("name", ...)`` calls with unique
+* ``PARAMS`` entries are ``Param("name", ...)`` calls with unique
   first-argument strings;
 * an overriding ``__init__``'s named parameters (beyond ``self``) are
   all declared in ``PARAMS`` — the registry constructs policies with
@@ -31,13 +33,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Rule, SourceFile, call_name
+from repro.analysis.base import Rule, SourceFile, call_name, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
 
 
 def _is_policy_class(cls: ast.ClassDef) -> bool:
-    return any(call_name(base) == "LLCPolicy" for base in cls.bases)
+    return any((call_name(base) or "").endswith("Policy")
+               for base in cls.bases)
 
 
 def _class_assign(cls: ast.ClassDef, name: str) -> ast.expr | None:
@@ -54,7 +56,7 @@ def _class_assign(cls: ast.ClassDef, name: str) -> ast.expr | None:
 
 
 def _declared_param_names(params: ast.expr) -> list[str | None]:
-    """First-argument strings of the ``PolicyParam(...)`` calls in a
+    """First-argument strings of the ``Param(...)`` calls in a
     ``PARAMS`` tuple; None marks entries that are not statically
     readable."""
     if not isinstance(params, (ast.Tuple, ast.List)):
@@ -62,7 +64,7 @@ def _declared_param_names(params: ast.expr) -> list[str | None]:
     names: list[str | None] = []
     for elt in params.elts:
         if isinstance(elt, ast.Call) \
-                and call_name(elt.func) == "PolicyParam" \
+                and call_name(elt.func) == "Param" \
                 and elt.args \
                 and isinstance(elt.args[0], ast.Constant) \
                 and isinstance(elt.args[0].value, str):
@@ -139,7 +141,7 @@ class RegistryContractRule(Rule):
                 cls, "registry",
                 f"policy class {cls.name} declares NAME but is not "
                 f"decorated with @register_policy; it will be invisible "
-                f"to policy specs and 'repro policy --list'"))
+                f"to policy specs and 'repro policy list'"))
 
         params_value = _class_assign(cls, "PARAMS")
         declared = _declared_param_names(params_value) \

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import Rule, SourceFile, call_name
+from repro.analysis.base import Rule, SourceFile, call_name, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

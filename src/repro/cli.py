@@ -45,6 +45,7 @@ import json
 import math
 import statistics
 import sys
+from typing import Callable
 
 from repro.config import PolicyConfig
 from repro.experiments import FIGURE_MODULES, figure_module, figure_rows, \
@@ -148,28 +149,22 @@ def _parse_mix_arg(text: str) -> list[tuple[str, PolicyConfig]]:
     return entries
 
 
-def _parse_arrivals_arg(text: str) -> str:
-    """``--arrivals NAME[:k=v,...]`` values, validated against the arrival
-    registry at parse time (the spec string itself is what travels)."""
-    from repro.consolidate.arrivals import create_arrivals
+def _consolidation_spec_arg(registry: str) -> Callable[[str], str]:
+    """Parser of ``--arrivals``/``--placement NAME[:k=v,...]`` values: the
+    spec is checked against the :mod:`repro.consolidate` registry named
+    ``registry`` at parse time, and the spec text itself is what travels.
+    The package is imported on first use, so other verbs never load it."""
 
-    try:
-        create_arrivals(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
+    def parse(text: str) -> str:
+        from repro import consolidate
 
+        try:
+            getattr(consolidate, registry).from_spec(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return text
 
-def _parse_placement_arg(text: str) -> str:
-    """``--placement NAME[:k=v,...]`` values, validated against the
-    placement registry at parse time."""
-    from repro.consolidate.placement import create_placement
-
-    try:
-        create_placement(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
+    return parse
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -759,12 +754,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample an N-tenant mix from the catalog "
                             "categories (seeded by --seed) instead of "
                             "naming one with --mix")
-    p_run.add_argument("--arrivals", type=_parse_arrivals_arg, default=None,
-                       metavar="NAME[:k=v,...]",
+    p_run.add_argument("--arrivals",
+                       type=_consolidation_spec_arg("ARRIVALS"),
+                       default=None, metavar="NAME[:k=v,...]",
                        help="arrival process for a multi-program run "
                             "(closed/poisson/diurnal/bursty; "
                             "default: closed, everyone at time zero)")
-    p_run.add_argument("--placement", type=_parse_placement_arg,
+    p_run.add_argument("--placement",
+                       type=_consolidation_spec_arg("PLACEMENTS"),
                        default=None, metavar="NAME[:k=v,...]",
                        help="SM-placement policy for a multi-program run "
                             "(cluster-split/striped/fill-first/"

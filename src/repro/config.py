@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis.registry import format_spec, parse_spec
+
 
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
@@ -155,7 +157,8 @@ class PolicyConfig(_SerializableConfig):
     ``params`` is a sorted tuple of ``(key, value)`` pairs so the config
     stays hashable and serializes canonically.  Validation against the
     policy's declared schema happens at instantiation time (the registry
-    owns the schemas; this module stays dependency-free).
+    owns the schemas; this module imports only the stdlib and the
+    grammar of :mod:`repro.analysis.registry`).
     """
 
     name: str = "static-shared"
@@ -174,29 +177,9 @@ class PolicyConfig(_SerializableConfig):
 
     @staticmethod
     def from_spec(text: str) -> "PolicyConfig":
-        """Parse the CLI grammar ``NAME[:key=value,...]``.
-
-        Values parse as JSON; bare words fall back to strings.
-        """
-        name, sep, rest = text.partition(":")
-        name = name.strip()
-        if not name:
-            raise ValueError(f"policy spec {text!r} has no name")
-        params = {}
-        if sep and rest.strip():
-            for token in rest.split(","):
-                key, eq, raw = token.partition("=")
-                key = key.strip()
-                if not eq or not key:
-                    raise ValueError(
-                        f"policy parameter {token!r} is not of the form "
-                        f"key=value (in {text!r})")
-                try:
-                    value = json.loads(raw.strip())
-                except ValueError:
-                    value = raw.strip()
-                params[key] = value
-        return PolicyConfig.of(name, params)
+        """Parse the CLI grammar ``NAME[:key=value,...]``
+        (:func:`~repro.analysis.registry.parse_spec`)."""
+        return PolicyConfig.of(*parse_spec(text))
 
     def params_dict(self) -> dict:
         return {k: v for k, v in self.params}
@@ -204,10 +187,7 @@ class PolicyConfig(_SerializableConfig):
     def spec(self) -> str:
         """The canonical CLI-grammar rendering (inverse of
         :meth:`from_spec`)."""
-        if not self.params:
-            return self.name
-        body = ",".join(f"{k}={json.dumps(v)}" for k, v in self.params)
-        return f"{self.name}:{body}"
+        return format_spec(self.name, self.params_dict())
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": self.params_dict()}

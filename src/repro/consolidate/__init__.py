@@ -6,8 +6,7 @@ consolidation study the paper never ran:
 
 * :mod:`~repro.consolidate.placement` — pluggable SM-placement policies
   (``cluster-split`` reproduces the Figure 9 rule; ``striped``,
-  ``dedicated-cluster`` and ``fill-first`` explore alternatives) behind the
-  same ``NAME[:k=v,...]`` spec grammar as LLC policies;
+  ``dedicated-cluster`` and ``fill-first`` explore alternatives);
 * :mod:`~repro.consolidate.arrivals` — seeded, deterministic arrival
   processes (``closed``, ``poisson``, ``diurnal``, ``bursty``) under which
   tenants are admitted mid-run;
@@ -17,26 +16,36 @@ consolidation study the paper never ran:
   percentiles, slowdown vs a cached solo run, weighted speedup and Jain's
   fairness index.
 
+Placements and arrival processes are two instances (:data:`PLACEMENTS`,
+:data:`ARRIVALS`) of the component registry LLC policies use
+(:mod:`repro.analysis.registry`): the same
+:class:`~repro.analysis.registry.Param` schema, ``NAME[:k=v,...]`` spec
+grammar and lookup.  Their canonical specs drop default parameters, and
+the default spec canonicalizes to ``None``.
+
 Everything here is pure (no simulator imports): the runner layer feeds the
 derived arrival times and placement instance into
 :class:`~repro.scenario.Scenario`, which :class:`~repro.gpu.system.
 GPUSystem` consumes.
 """
 
-from repro.consolidate.arrivals import (ArrivalProcess, arrival_times,
-                                        available_arrivals,
+from repro.consolidate.arrivals import (ARRIVALS, ArrivalProcess,
+                                        arrival_times, available_arrivals,
                                         canonical_arrivals_spec,
                                         create_arrivals)
 from repro.consolidate.metrics import (jains_fairness, latency_percentiles,
                                        slowdown, weighted_speedup)
 from repro.consolidate.mixgen import sample_mix
-from repro.consolidate.placement import (PlacementPolicy, available_placements,
+from repro.consolidate.placement import (PLACEMENTS, Placement,
+                                         available_placements,
                                          canonical_placement_spec,
                                          create_placement)
 
 __all__ = [
+    "ARRIVALS",
     "ArrivalProcess",
-    "PlacementPolicy",
+    "PLACEMENTS",
+    "Placement",
     "arrival_times",
     "available_arrivals",
     "available_placements",

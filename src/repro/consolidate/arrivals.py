@@ -7,7 +7,10 @@ admits its first tenant immediately; the deadlock detector in
 time zero).  The runner schedules one admission event per later tenant, so
 the same spec + seed reproduces the same simulation byte for byte.
 
-Processes share the LLC policies' ``NAME[:k=v,...]`` spec grammar:
+Processes are registered in :data:`ARRIVALS`, one instance of the
+component registry LLC policies use (:mod:`repro.analysis.registry`), so
+they share its :class:`~repro.analysis.registry.Param` schema and
+``NAME[:k=v,...]`` spec grammar:
 
 * ``closed`` — everyone present at time zero (the legacy co-run shape);
 * ``poisson`` — memoryless inter-arrival gaps of mean ``gap`` cycles;
@@ -24,36 +27,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Type
+from typing import List, Optional
 
-from repro.config import PolicyConfig
-from repro.policy.base import PolicyParam
+from repro.analysis.registry import Component, Param, Registry
 
 
-class ArrivalProcess:
+class ArrivalProcess(Component):
     """Base class for registered arrival processes."""
 
-    #: Canonical registered name.
-    NAME: str = ""
-    #: Alternate names that resolve to this process.
-    ALIASES: tuple[str, ...] = ()
-    #: One-line description for listings.
-    DESCRIPTION: str = ""
-    #: Declared parameter schema.
-    PARAMS: tuple[PolicyParam, ...] = ()
-
-    def __init__(self, **params: object) -> None:
-        schema = {p.name: p for p in self.PARAMS}
-        unknown = set(params) - set(schema)
-        if unknown:
-            raise ValueError(
-                f"arrival process {self.NAME!r} has no parameters "
-                f"{sorted(unknown)} (available: {sorted(schema) or 'none'})")
-        self.params: Dict[str, object] = {
-            name: schema[name].coerce(value)
-            for name, value in params.items()}
-        for name, spec in schema.items():
-            self.params.setdefault(name, spec.default)
+    KIND = "arrival process"
 
     def _float(self, key: str) -> float:
         value = self.params[key]
@@ -69,14 +51,16 @@ class ArrivalProcess:
         """Admission time per tenant (nondecreasing, ``times[0] == 0.0``)."""
         raise NotImplementedError
 
-    def spec(self) -> str:
-        """Canonical ``NAME[:k=v,...]`` rendering, defaults elided."""
-        schema = {p.name: p for p in self.PARAMS}
-        explicit = {k: v for k, v in self.params.items()
-                    if schema[k].default != v}
-        return PolicyConfig.of(self.NAME, explicit).spec()
+
+#: Every registered arrival process; an empty spec means ``closed``.
+ARRIVALS: Registry[ArrivalProcess] = Registry(ArrivalProcess,
+                                              default="closed")
+available_arrivals = ARRIVALS.available
+create_arrivals = ARRIVALS.from_spec
+canonical_arrivals_spec = ARRIVALS.canonical_spec
 
 
+@ARRIVALS.register
 class ClosedArrivals(ArrivalProcess):
     """Everyone present at time zero — the legacy closed-system co-run."""
 
@@ -87,13 +71,14 @@ class ClosedArrivals(ArrivalProcess):
         return [0.0] * n_tenants
 
 
+@ARRIVALS.register
 class PoissonArrivals(ArrivalProcess):
     """Memoryless open-system arrivals with mean inter-arrival ``gap``."""
 
     NAME = "poisson"
     PARAMS = (
-        PolicyParam("gap", float, 4000.0,
-                    "mean inter-arrival gap in core cycles"),
+        Param("gap", float, 4000.0,
+              "mean inter-arrival gap in core cycles"),
     )
     DESCRIPTION = "exponential inter-arrival gaps of mean `gap` cycles"
 
@@ -111,6 +96,7 @@ class PoissonArrivals(ArrivalProcess):
         return out
 
 
+@ARRIVALS.register
 class DiurnalArrivals(ArrivalProcess):
     """Poisson arrivals under a sinusoidally swinging rate.
 
@@ -121,13 +107,13 @@ class DiurnalArrivals(ArrivalProcess):
 
     NAME = "diurnal"
     PARAMS = (
-        PolicyParam("gap", float, 4000.0,
-                    "off-peak mean inter-arrival gap in core cycles"),
-        PolicyParam("period", float, 20000.0,
-                    "cycles per load-curve period"),
-        PolicyParam("peak", float, 4.0,
-                    "peak-to-trough arrival-rate ratio (>= 1)",
-                    bounds=(1.0, None)),
+        Param("gap", float, 4000.0,
+              "off-peak mean inter-arrival gap in core cycles"),
+        Param("period", float, 20000.0,
+              "cycles per load-curve period"),
+        Param("peak", float, 4.0,
+              "peak-to-trough arrival-rate ratio (>= 1)",
+              bounds=(1.0, None)),
     )
     DESCRIPTION = "Poisson arrivals whose rate follows a sinusoidal day"
 
@@ -149,15 +135,16 @@ class DiurnalArrivals(ArrivalProcess):
         return out
 
 
+@ARRIVALS.register
 class BurstyArrivals(ArrivalProcess):
     """Simultaneous groups of ``burst`` tenants, gaps jittered on ``gap``."""
 
     NAME = "bursty"
     PARAMS = (
-        PolicyParam("burst", int, 2, "tenants admitted per burst",
-                    bounds=(1, None)),
-        PolicyParam("gap", float, 8000.0,
-                    "mean cycles between bursts (jittered +/- 50%)"),
+        Param("burst", int, 2, "tenants admitted per burst",
+              bounds=(1, None)),
+        Param("gap", float, 8000.0,
+              "mean cycles between bursts (jittered +/- 50%)"),
     )
     DESCRIPTION = "tenants arrive in simultaneous bursts"
 
@@ -179,72 +166,16 @@ class BurstyArrivals(ArrivalProcess):
         return out
 
 
-_REGISTRY: Dict[str, Type[ArrivalProcess]] = {}
-
-DEFAULT_ARRIVALS = ClosedArrivals.NAME
-
-
-def register_arrivals(cls: Type[ArrivalProcess]) -> Type[ArrivalProcess]:
-    """Register an arrival-process class under its NAME and ALIASES."""
-    for name in (cls.NAME, *cls.ALIASES):
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"arrival process name {name!r} already "
-                             f"registered by {existing.NAME!r}")
-        _REGISTRY[name] = cls
-    return cls
-
-
-for _cls in (ClosedArrivals, PoissonArrivals, DiurnalArrivals,
-             BurstyArrivals):
-    register_arrivals(_cls)
-
-
-def available_arrivals() -> Dict[str, Type[ArrivalProcess]]:
-    """Canonical name → class for every registered arrival process."""
-    return {cls.NAME: cls for cls in _REGISTRY.values()}
-
-
-def create_arrivals(spec: Optional[str]) -> ArrivalProcess:
-    """Instantiate an arrival process from ``NAME[:k=v,...]`` spec text
-    (``None``/empty means ``closed``).
-
-    Raises:
-        ValueError: unknown name, a parameter outside the schema, or a
-        parameter value outside the process's range.
-    """
-    if not spec:
-        spec = DEFAULT_ARRIVALS
-    config = PolicyConfig.from_spec(spec)
-    cls = _REGISTRY.get(config.name)
-    if cls is None:
-        raise ValueError(
-            f"unknown arrival process {config.name!r} "
-            f"(available: {sorted(available_arrivals())})")
-    return cls(**config.params_dict())
-
-
-def canonical_arrivals_spec(spec: Optional[str]) -> Optional[str]:
-    """Canonical spec text, or ``None`` for a default-parameter ``closed``
-    process (which is exactly the legacy scenario path and must key
-    identically to it)."""
-    if not spec:
-        return None
-    rendered = create_arrivals(spec).spec()
-    if rendered == DEFAULT_ARRIVALS:
-        return None
-    return rendered
-
-
 def arrival_times(spec: Optional[str], n_tenants: int,
                   seed: int) -> List[float]:
     """Admission times for ``n_tenants`` under ``spec``, seeded.
 
     The first tenant is always admitted at 0.0 and times are validated
-    nondecreasing — the contract :class:`~repro.gpu.system.GPUSystem`
-    assumes when scheduling admission events.
+    finite and nondecreasing — the contract
+    :class:`~repro.gpu.system.GPUSystem` assumes when scheduling admission
+    events.
     """
-    process = create_arrivals(spec)
+    process = ARRIVALS.from_spec(spec)
     out = process.times(n_tenants, random.Random(seed))
     if len(out) != n_tenants:
         raise ValueError(
@@ -252,6 +183,9 @@ def arrival_times(spec: Optional[str], n_tenants: int,
             f"for {n_tenants} tenants")
     if out and out[0] != 0.0:
         raise ValueError("first admission must be at time 0.0")
+    if not all(math.isfinite(t) for t in out):
+        raise ValueError(f"arrival process {process.NAME!r} produced "
+                         f"non-finite admission times")
     if any(b < a for a, b in zip(out, out[1:])):
         raise ValueError("admission times must be nondecreasing")
     return out

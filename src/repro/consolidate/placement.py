@@ -3,9 +3,11 @@
 The Figure 9 experiment hard-codes one placement — split every cluster in
 half between the two co-runners — as ``program_of_sm`` inside
 :class:`~repro.workloads.multiprogram.MultiProgramWorkload`.  This module
-lifts that rule into a registry of placement policies sharing the LLC
-policies' ``NAME[:k=v,...]`` spec grammar, so consolidation experiments can
-sweep placement the way they sweep policy.
+lifts that rule into :data:`PLACEMENTS`, one instance of the component
+registry LLC policies use (:mod:`repro.analysis.registry`: the same
+:class:`~repro.analysis.registry.Param` schema and ``NAME[:k=v,...]``
+grammar), so consolidation experiments can sweep placement the way they
+sweep policy.
 
 A placement maps ``(num_sms, sms_per_cluster, n_tenants)`` to a per-SM
 tenant assignment.  ``cluster-split`` reproduces the paper's rule exactly
@@ -16,41 +18,19 @@ locality against spatial isolation in different ways.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import List
 
-from repro.config import PolicyConfig
-from repro.policy.base import PolicyParam
+from repro.analysis.registry import Component, Param, Registry
 
 
-class PlacementPolicy:
+class Placement(Component):
     """Base class for registered SM-placement policies.
 
-    Subclasses set ``NAME`` (the registry key), optionally ``ALIASES`` and
-    ``PARAMS`` (the same :class:`~repro.policy.base.PolicyParam` schema the
-    LLC policies declare), and implement :meth:`assign`.
+    Subclasses set ``NAME``, optionally ``ALIASES`` and ``PARAMS``, and
+    implement :meth:`assign`.
     """
 
-    #: Canonical registered name.
-    NAME: str = ""
-    #: Alternate names that resolve to this placement.
-    ALIASES: tuple[str, ...] = ()
-    #: One-line description for listings.
-    DESCRIPTION: str = ""
-    #: Declared parameter schema.
-    PARAMS: tuple[PolicyParam, ...] = ()
-
-    def __init__(self, **params: object) -> None:
-        schema = {p.name: p for p in self.PARAMS}
-        unknown = set(params) - set(schema)
-        if unknown:
-            raise ValueError(
-                f"placement {self.NAME!r} has no parameters "
-                f"{sorted(unknown)} (available: {sorted(schema) or 'none'})")
-        self.params: Dict[str, object] = {
-            name: schema[name].coerce(value)
-            for name, value in params.items()}
-        for name, spec in schema.items():
-            self.params.setdefault(name, spec.default)
+    KIND = "placement"
 
     def assign(self, num_sms: int, sms_per_cluster: int,
                n_tenants: int) -> List[int]:
@@ -61,14 +41,6 @@ class PlacementPolicy:
                 least one SM under this placement.
         """
         raise NotImplementedError
-
-    def spec(self) -> str:
-        """Canonical ``NAME[:k=v,...]`` rendering of this instance,
-        defaults elided (the grammar's normal form)."""
-        schema = {p.name: p for p in self.PARAMS}
-        explicit = {k: v for k, v in self.params.items()
-                    if schema[k].default != v}
-        return PolicyConfig.of(self.NAME, explicit).spec()
 
     def _check_coverage(self, assignment: List[int],
                         n_tenants: int) -> List[int]:
@@ -81,6 +53,14 @@ class PlacementPolicy:
         return assignment
 
 
+#: Every registered placement; an empty spec means ``cluster-split``.
+PLACEMENTS: Registry[Placement] = Registry(Placement,
+                                           default="cluster-split")
+available_placements = PLACEMENTS.available
+create_placement = PLACEMENTS.from_spec
+canonical_placement_spec = PLACEMENTS.canonical_spec
+
+
 def cluster_split_boundaries(sms_per_cluster: int,
                              n_tenants: int) -> List[int]:
     """Per-cluster tenant boundaries: tenant ``t`` owns in-cluster
@@ -90,7 +70,8 @@ def cluster_split_boundaries(sms_per_cluster: int,
     return [t * sms_per_cluster // n_tenants for t in range(n_tenants + 1)]
 
 
-class ClusterSplitPlacement(PlacementPolicy):
+@PLACEMENTS.register
+class ClusterSplitPlacement(Placement):
     """Split every cluster between the tenants (the Figure 9 rule)."""
 
     NAME = "cluster-split"
@@ -114,14 +95,15 @@ class ClusterSplitPlacement(PlacementPolicy):
         return self._check_coverage(out, n_tenants)
 
 
-class StripedPlacement(PlacementPolicy):
+@PLACEMENTS.register
+class StripedPlacement(Placement):
     """Round-robin SMs across tenants (maximal interleaving)."""
 
     NAME = "striped"
     DESCRIPTION = "SM i belongs to tenant (i + phase) mod N"
     PARAMS = (
-        PolicyParam("phase", int, 0,
-                    "rotation offset applied before the modulo"),
+        Param("phase", int, 0,
+              "rotation offset applied before the modulo"),
     )
 
     def assign(self, num_sms: int, sms_per_cluster: int,
@@ -132,7 +114,8 @@ class StripedPlacement(PlacementPolicy):
         return self._check_coverage(out, n_tenants)
 
 
-class FillFirstPlacement(PlacementPolicy):
+@PLACEMENTS.register
+class FillFirstPlacement(Placement):
     """Contiguous SM blocks: tenant t owns SMs [t*S/N, (t+1)*S/N)."""
 
     NAME = "fill-first"
@@ -152,7 +135,8 @@ class FillFirstPlacement(PlacementPolicy):
         return self._check_coverage(out, n_tenants)
 
 
-class DedicatedClusterPlacement(PlacementPolicy):
+@PLACEMENTS.register
+class DedicatedClusterPlacement(Placement):
     """Whole clusters per tenant (spatial isolation at cluster grain)."""
 
     NAME = "dedicated-cluster"
@@ -171,60 +155,3 @@ class DedicatedClusterPlacement(PlacementPolicy):
             cluster_owner.extend([tenant] * (hi - len(cluster_owner)))
         out = [cluster_owner[sm // sms_per_cluster] for sm in range(num_sms)]
         return self._check_coverage(out, n_tenants)
-
-
-_REGISTRY: Dict[str, Type[PlacementPolicy]] = {}
-
-DEFAULT_PLACEMENT = ClusterSplitPlacement.NAME
-
-
-def register_placement(cls: Type[PlacementPolicy]) -> Type[PlacementPolicy]:
-    """Register a placement class under its NAME and ALIASES."""
-    for name in (cls.NAME, *cls.ALIASES):
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"placement name {name!r} already registered "
-                             f"by {existing.NAME!r}")
-        _REGISTRY[name] = cls
-    return cls
-
-
-for _cls in (ClusterSplitPlacement, StripedPlacement, FillFirstPlacement,
-             DedicatedClusterPlacement):
-    register_placement(_cls)
-
-
-def available_placements() -> Dict[str, Type[PlacementPolicy]]:
-    """Canonical name → class for every registered placement."""
-    return {cls.NAME: cls for cls in _REGISTRY.values()}
-
-
-def create_placement(spec: Optional[str]) -> PlacementPolicy:
-    """Instantiate a placement from ``NAME[:k=v,...]`` spec text.
-
-    ``None`` or ``""`` means the default (``cluster-split``).
-
-    Raises:
-        ValueError: unknown name or a parameter outside the schema.
-    """
-    if not spec:
-        spec = DEFAULT_PLACEMENT
-    config = PolicyConfig.from_spec(spec)
-    cls = _REGISTRY.get(config.name)
-    if cls is None:
-        raise ValueError(
-            f"unknown placement {config.name!r} "
-            f"(available: {sorted(available_placements())})")
-    return cls(**config.params_dict())
-
-
-def canonical_placement_spec(spec: Optional[str]) -> Optional[str]:
-    """Canonical spec text, or ``None`` when ``spec`` names the default
-    placement with default parameters (the elide-at-default convention the
-    campaign cache keys rely on)."""
-    if not spec:
-        return None
-    rendered = create_placement(spec).spec()
-    if rendered == DEFAULT_PLACEMENT:
-        return None
-    return rendered

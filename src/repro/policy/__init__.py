@@ -21,7 +21,11 @@ Resolve names through :func:`create_policy` / :func:`policy_class`,
 validate parameters with :func:`canonical_policy_params`, parse CLI specs
 (``name:k=v,...``) with :meth:`repro.config.PolicyConfig.from_spec`, and
 list the registry with :func:`available_policies` (the ``repro policy
-list`` verb).  New policies subclass :class:`LLCPolicy` and register with
+list`` verb).  These are methods of :data:`~repro.policy.base.POLICIES`,
+an instance of the :class:`~repro.analysis.registry.Registry` that
+placements, arrival processes and check rules use too, so policies share
+their :class:`Param` schema and ``NAME[:k=v,...]`` grammar.  New policies
+subclass :class:`LLCPolicy`, declare ``Param`` tuples and register with
 the :func:`register_policy` decorator.  A dynamic policy installs one
 controller per program, a subclass of
 :class:`~repro.core.controller.ModeController` that adds only its
@@ -31,8 +35,10 @@ decision; a policy that decides every ``interval`` cycles subclasses
 ``docs/ARCHITECTURE.md`` ("Policy layer").
 """
 
-from repro.policy.base import LLCPolicy, PolicyParam, PolicyStats
-from repro.policy.registry import (
+from repro.analysis.registry import Param
+from repro.policy.base import (
+    LLCPolicy,
+    PolicyStats,
     available_policies,
     canonical_policy_name,
     canonical_policy_params,
@@ -51,7 +57,7 @@ from repro.policy import oracle as _oracle  # noqa: F401
 
 __all__ = [
     "LLCPolicy",
-    "PolicyParam",
+    "Param",
     "PolicyStats",
     "available_policies",
     "canonical_policy_name",

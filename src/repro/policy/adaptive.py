@@ -16,8 +16,7 @@ parameterless by design.
 from __future__ import annotations
 
 from repro.core.controller import AdaptiveController
-from repro.policy.base import LLCPolicy
-from repro.policy.registry import register_policy
+from repro.policy.base import LLCPolicy, register_policy
 
 
 @register_policy

@@ -26,11 +26,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro.analysis.registry import Param
 from repro.core.modes import LLCMode
-from repro.policy.base import PolicyParam
+from repro.policy.base import register_policy
 from repro.policy.interval import (INTERVAL, MIN_SAMPLES,
                                    IntervalModeController, IntervalPolicy)
-from repro.policy.registry import register_policy
 
 _ARMS = (LLCMode.SHARED, LLCMode.PRIVATE)
 
@@ -85,11 +85,11 @@ class BanditPolicy(IntervalPolicy):
                    "per-program windowed IPC; seeded and deterministic")
     PARAMS = (
         INTERVAL,
-        PolicyParam("epsilon", float, 0.1,
-                    "exploration probability per window",
-                    bounds=(0.0, 1.0)),
-        PolicyParam("seed", int, 17,
-                    "RNG seed (mixed with the program id)"),
+        Param("epsilon", float, 0.1,
+              "exploration probability per window",
+              bounds=(0.0, 1.0)),
+        Param("seed", int, 17,
+              "RNG seed (mixed with the program id)"),
         MIN_SAMPLES,
     )
     CONTROLLER = _BanditController

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.registry import Param
 from repro.core.modes import LLCMode
-from repro.policy.base import PolicyParam
+from repro.policy.base import register_policy
 from repro.policy.interval import (INTERVAL, MIN_SAMPLES,
                                    IntervalModeController, IntervalPolicy)
-from repro.policy.registry import register_policy
 
 
 class _HysteresisController(IntervalModeController):
@@ -62,13 +62,13 @@ class HysteresisPolicy(IntervalPolicy):
                    "before any transition")
     PARAMS = (
         INTERVAL,
-        PolicyParam("low", float, 0.35,
-                    "shared-mode miss rate at or below which to arm private"),
-        PolicyParam("high", float, 0.60,
-                    "private-mode miss rate at or above which to arm shared"),
-        PolicyParam("dwell", int, 2,
-                    "consecutive qualifying windows required to switch",
-                    bounds=(1, None)),
+        Param("low", float, 0.35,
+              "shared-mode miss rate at or below which to arm private"),
+        Param("high", float, 0.60,
+              "private-mode miss rate at or above which to arm shared"),
+        Param("dwell", int, 2,
+              "consecutive qualifying windows required to switch",
+              bounds=(1, None)),
         MIN_SAMPLES,
     )
     CONTROLLER = _HysteresisController

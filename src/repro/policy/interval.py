@@ -30,18 +30,19 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.registry import Param
 from repro.core.bandwidth_model import Decision
 from repro.core.controller import ModeController
 from repro.core.modes import LLCMode
-from repro.policy.base import LLCPolicy, PolicyParam
+from repro.policy.base import LLCPolicy
 
 #: Window length every interval policy declares first.
-INTERVAL = PolicyParam("interval", int, 1_500,
-                       "cycles per observation window", bounds=(1, None))
+INTERVAL = Param("interval", int, 1_500,
+                 "cycles per observation window", bounds=(1, None))
 #: Sample floor every interval policy declares last.
-MIN_SAMPLES = PolicyParam("min_samples", int, 128,
-                          "minimum LLC accesses per window to act on",
-                          bounds=(1, None))
+MIN_SAMPLES = Param("min_samples", int, 128,
+                    "minimum LLC accesses per window to act on",
+                    bounds=(1, None))
 
 
 class IntervalModeController(ModeController):

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.registry import Param
 from repro.core.bandwidth_model import Decision
 from repro.core.modes import LLCMode
-from repro.policy.base import LLCPolicy, PolicyParam, PolicyStats
-from repro.policy.registry import register_policy
+from repro.policy.base import LLCPolicy, PolicyStats, register_policy
 from repro.policy.static import StaticPrivatePolicy
 
 
@@ -42,9 +42,9 @@ class OracleStaticPolicy(LLCPolicy):
     DESCRIPTION = ("best-of-both-statics per workload via two auxiliary "
                    "runs; the dynamic policies' upper bound")
     PARAMS = (
-        PolicyParam("metric", str, "ipc",
-                    "probe metric: higher-is-better 'ipc' or "
-                    "lower-is-better 'cycles'", choices=("ipc", "cycles")),
+        Param("metric", str, "ipc",
+              "probe metric: higher-is-better 'ipc' or "
+              "lower-is-better 'cycles'", choices=("ipc", "cycles")),
     )
 
     def __init__(self, **params):

@@ -8,8 +8,7 @@ The legacy strings ``"shared"`` and ``"private"`` resolve here via aliases.
 from __future__ import annotations
 
 from repro.core.modes import LLCMode
-from repro.policy.base import LLCPolicy, PolicyStats
-from repro.policy.registry import register_policy
+from repro.policy.base import LLCPolicy, PolicyStats, register_policy
 
 
 @register_policy

@@ -12,10 +12,10 @@ rule names.
 
 from __future__ import annotations
 
-from repro.policy.base import PolicyParam
+from repro.analysis.registry import Param
+from repro.policy.base import register_policy
 from repro.policy.hysteresis import _HysteresisController
 from repro.policy.interval import INTERVAL, MIN_SAMPLES, IntervalPolicy
-from repro.policy.registry import register_policy
 
 
 @register_policy
@@ -28,10 +28,10 @@ class MissRateThresholdPolicy(IntervalPolicy):
                    "no bandwidth model")
     PARAMS = (
         INTERVAL,
-        PolicyParam("go_private_below", float, 0.35,
-                    "shared-mode miss rate at or below which to go private"),
-        PolicyParam("revert_above", float, 0.60,
-                    "private-mode miss rate at or above which to revert"),
+        Param("go_private_below", float, 0.35,
+              "shared-mode miss rate at or below which to go private"),
+        Param("revert_above", float, 0.60,
+              "private-mode miss rate at or above which to revert"),
         MIN_SAMPLES,
     )
     CONTROLLER = _HysteresisController

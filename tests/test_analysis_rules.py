@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from repro.analysis import (available_rules, check_source, create_rule,
-                            parse_rule_spec, rule_class, scan_pragmas)
+                            parse_spec, rule_class, scan_pragmas)
 from repro.analysis.config import is_sim_path
 
 
@@ -33,14 +33,26 @@ def test_all_five_rules_registered():
 
 
 def test_rule_spec_grammar_parses_json_values():
-    name, params = parse_rule_spec("hot-path:slots=false")
+    name, params = parse_spec("hot-path:slots=false")
     assert name == "hot-path"
     assert params == {"slots": False}
 
 
 def test_rule_spec_bare_words_fall_back_to_strings():
-    _, params = parse_rule_spec("hot-path:slots=nope")
+    _, params = parse_spec("hot-path:slots=nope")
     assert params == {"slots": "nope"}
+
+
+def test_cli_list_rules_output_is_pinned(capsys):
+    """``repro check --list-rules`` stdout, pinned by its sha256 digest."""
+    import hashlib
+
+    from repro.cli import main
+
+    assert main(["check", "--list-rules"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a912272fff788c62bd0bee70c8b5d074bafbe1530f20dfc83e65d2fae88333ec")
 
 
 def test_unknown_rule_name_raises_with_listing():
@@ -516,7 +528,7 @@ def test_registry_accepts_registered_policy():
         @register_policy
         class ShinyPolicy(LLCPolicy):
             NAME = "shiny"
-            PARAMS = (PolicyParam("interval", int, 10, "epoch length"),)
+            PARAMS = (Param("interval", int, 10, "epoch length"),)
 
             def on_epoch(self):
                 return self.params["interval"]
@@ -529,7 +541,7 @@ def test_registry_flags_undeclared_params_read_via_alias():
         @register_policy
         class ShinyPolicy(LLCPolicy):
             NAME = "shiny"
-            PARAMS = (PolicyParam("interval", int, 10, "epoch length"),)
+            PARAMS = (Param("interval", int, 10, "epoch length"),)
 
             def on_epoch(self):
                 p = self.params
@@ -544,10 +556,34 @@ def test_registry_flags_duplicate_param_declaration():
         @register_policy
         class ShinyPolicy(LLCPolicy):
             NAME = "shiny"
-            PARAMS = (PolicyParam("k", int, 1, ""),
-                      PolicyParam("k", int, 2, ""))
+            PARAMS = (Param("k", int, 1, ""),
+                      Param("k", int, 2, ""))
     """, "registry")
     assert any("twice" in f.message for f in findings)
+
+
+def test_registry_covers_subclasses_of_every_policy_base():
+    """A subclass of ``IntervalPolicy`` (or any other policy base) gets
+    the same checks as a direct ``LLCPolicy`` subclass; a placement does
+    not."""
+    for base in ("LLCPolicy", "IntervalPolicy"):
+        findings = findings_for(f"""
+            class ShinyPolicy({base}):
+                NAME = "shiny"
+                PARAMS = (Param("k", int, 1, ""),
+                          Param("k", int, 2, ""))
+        """, "registry")
+        assert len(findings) == 2, base
+        assert "register_policy" in findings[0].message
+        assert "'repro policy list'" in findings[0].message
+        assert "twice" in findings[1].message
+    # other registered components are not policies
+    assert findings_for("""
+        class ShinyPlacement(Placement):
+            NAME = "shiny"
+            PARAMS = (Param("k", int, 1, ""),
+                      Param("k", int, 2, ""))
+    """, "registry") == []
 
 
 def test_registry_flags_init_param_not_in_schema():
@@ -555,7 +591,7 @@ def test_registry_flags_init_param_not_in_schema():
         @register_policy
         class ShinyPolicy(LLCPolicy):
             NAME = "shiny"
-            PARAMS = (PolicyParam("k", int, 1, ""),)
+            PARAMS = (Param("k", int, 1, ""),)
 
             def __init__(self, k=1, secret=0):
                 super().__init__(k=k)

@@ -97,7 +97,7 @@ def test_placements_reject_impossible_geometry():
 
 
 # --------------------------------------------------------------- arrivals
-def test_arrival_times_are_seed_deterministic_and_validated():
+def test_arrival_times_are_seed_deterministic_and_validated(monkeypatch):
     for name in available_arrivals():
         first = arrival_times(name, 6, seed=11)
         again = arrival_times(name, 6, seed=11)
@@ -105,6 +105,14 @@ def test_arrival_times_are_seed_deterministic_and_validated():
         assert len(first) == 6
         assert first[0] == 0.0
         assert all(b >= a for a, b in zip(first, first[1:])), name
+    # every comparison with NaN is false, so the nondecreasing check
+    # alone would pass a NaN admission time
+    from repro.consolidate.arrivals import PoissonArrivals
+
+    monkeypatch.setattr(PoissonArrivals, "times",
+                        lambda self, n, rng: [0.0, float("nan"), 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        arrival_times("poisson", 3, seed=0)
 
 
 def test_open_processes_vary_with_seed_closed_does_not():
@@ -136,9 +144,18 @@ def test_canonical_arrivals_spec_elides_defaults():
         create_arrivals("closed:gap=1")
     for bad in ("poisson:gap=-5", "poisson:gap=0", "diurnal:gap=0",
                 "diurnal:period=-1", "diurnal:peak=0.5", "bursty:burst=0",
-                "bursty:gap=-1"):
+                "bursty:gap=-1", "poisson:gap=NaN", "poisson:gap=Infinity",
+                "diurnal:peak=Infinity", "bursty:gap=-Infinity"):
         with pytest.raises(ValueError, match="must be"):
             create_arrivals(bad)
+    # a NaN gap schedules admissions at NaN cycles, a run that never
+    # ends; the CLI rejects it at parse time
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mix", "GEMM+SN+VA", "--arrivals", "poisson:gap=NaN",
+              "--scale", str(TINY)])
+    assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------- mixgen

@@ -140,6 +140,9 @@ def test_malformed_mix_text_is_rejected_with_a_message(text, message):
     ("VA:warp-speed", "warp-speed"),
     ("VA:hysteresis:dwell=high", "expects int"),
     ("VA:hysteresis:bogus_param=1", "no parameters"),
+    ("VA:hysteresis:low=NaN", "'low' must be finite"),
+    ("VA:miss-rate-threshold:go_private_below=Infinity",
+     "'go_private_below' must be finite"),
 ])
 def test_spec_from_mix_rejects_semantic_errors(mix, message):
     with pytest.raises(ValueError, match=message):

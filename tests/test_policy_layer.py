@@ -2,6 +2,8 @@
 triad's equivalence, the new policies' behavior, and the campaign/CLI
 threading."""
 
+import hashlib
+
 import pytest
 
 from repro.config import AdaptiveConfig, GPUConfig, PolicyConfig, \
@@ -289,6 +291,32 @@ def test_campaign_executes_parameterized_policies(tmp_path):
 
 
 # ------------------------------------------------------------- CLI
+#: sha256 of the stdout of ``repro policy list`` and of ``repro policy
+#: show NAME`` per registered policy, so a registry change that reorders,
+#: rewords or drops a listed field shows up.
+POLICY_LISTING_DIGESTS = {
+    "list": "5afce997321a9faba44aa9b48e56f7ed29f36ae34d04c9bf8db55138a8b66796",
+    "bandit":
+        "52eb105e97632190ca0d3c97000e0f7e423ab835fcc83967c2966aa07d14e767",
+    "hysteresis":
+        "5458c4ada7c16375d450a3aa10e266d649399130b0d7bb75d005a946ce475335",
+    "miss-rate-threshold":
+        "3517f546b0eedfa4f0f2620956dbd96016db271409454f98c98d691341fe7408",
+    "oracle-static":
+        "db798b43b438d92305625f5f7a77f8e07407046a793826fa827a8d3f1edd8f1a",
+    "paper-adaptive":
+        "2a4958f67c01b0f752623b7ffc517e4ae4274bd177e537df49f03a79c5333218",
+    "static-private":
+        "664dfcf1a74ee62f6cf5ec1dde230624b73fb45ff7745c23e7d7f339c5d94b1b",
+    "static-shared":
+        "83e41751cb30fdba5a24ba1b8cb083cb12b593fab053c14ba2101f89eb11ea2b",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_cli_policy_list_shows_registry(capsys):
     from repro.cli import main
 
@@ -297,6 +325,7 @@ def test_cli_policy_list_shows_registry(capsys):
     for name in available_policies():
         assert name in out
     assert "aliases" in out
+    assert _sha256(out) == POLICY_LISTING_DIGESTS["list"]
 
 
 def test_cli_policy_show_and_unknown(capsys):
@@ -305,6 +334,12 @@ def test_cli_policy_show_and_unknown(capsys):
     assert main(["policy", "show", "hysteresis"]) == 0
     out = capsys.readouterr().out
     assert "dwell" in out and "default" in out
+    assert sorted(available_policies()) == sorted(
+        k for k in POLICY_LISTING_DIGESTS if k != "list")
+    for name in available_policies():
+        assert main(["policy", "show", name]) == 0
+        assert _sha256(capsys.readouterr().out) \
+            == POLICY_LISTING_DIGESTS[name], name
     assert main(["policy", "show", "nope"]) == 2
     assert "unknown LLC policy" in capsys.readouterr().err
 

@@ -63,6 +63,7 @@ BAD_SPEC_FIELDS = (
     {"cfg.llc_latency_cycles": -3},
     {"policy_params": {"interval": 0}, "mode": "hysteresis"},
     {"placement": "striped"}, {"arrivals": "poisson"},  # no co-tenant
+    {"pair_with": "GEMM", "arrivals": "poisson:gap=NaN"},  # never admits
     {"benchmark": "ZZZ"}, {"pair_with": "QQQ"},         # unknown benchmark
     {"cfg.noc.topology": "cxbar", "cfg.noc.concentration": 3},
 )
@@ -168,6 +169,7 @@ def test_wire_level_rejections(job_server_factory):
         {"mix": "VA:hysteresis:interval=0"},         # window never ends
         {"mix": "VA:hysteresis:min_samples=-1"},     # divides by it
         {"mix": "VA:bandit:epsilon=7"},              # not a probability
+        {"mix": "VA:hysteresis:low=NaN"},            # non-finite threshold
         *({"spec": _spec_dict(**fields)} for fields in BAD_SPEC_FIELDS),
     ):
         with pytest.raises(ServiceError) as exc:

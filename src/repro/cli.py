@@ -217,10 +217,14 @@ def _run_mix(args: argparse.Namespace, campaign: Campaign,
     # One conversion shared with the service wire format: the spec (and
     # therefore the content key) of a mix is the same no matter which
     # surface declared it.
-    spec = spec_from_mix(args.mix, scale=args.scale,
-                         default_policy=default_policy,
-                         arrivals=args.arrivals, placement=args.placement,
-                         seed=args.seed)
+    try:
+        spec = spec_from_mix(args.mix, scale=args.scale,
+                             default_policy=default_policy,
+                             arrivals=args.arrivals,
+                             placement=args.placement, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     entries = spec.program_entries()
     res = campaign.result(spec)
     print(f"{res.workload} [{res.mode}]: IPC {res.ipc:.2f} over "

@@ -68,8 +68,11 @@ def _canonical_policy_params(mode: str, params) -> tuple:
 
     Coercion (``"0.5"`` vs ``0.5`` vs ``1`` vs ``1.0``) happens here so
     equivalent parameterizations hash identically; defaults are *not*
-    filled in, so later-added parameters cannot re-key old specs.
+    filled in, so later-added parameters cannot re-key old specs.  The
+    name is resolved even without parameters, so a spec naming no
+    registered policy is rejected where it is built.
     """
+    canonical_policy_name(mode)
     if not params:
         return ()
     if isinstance(params, dict):
@@ -222,10 +225,15 @@ class RunSpec:
             object.__setattr__(self, "placement",
                                canonical_placement_spec(self.placement))
         if self.arrivals is not None:
-            from repro.consolidate.arrivals import canonical_arrivals_spec
+            from repro.consolidate.arrivals import (arrival_times,
+                                                    canonical_arrivals_spec)
 
             object.__setattr__(self, "arrivals",
                                canonical_arrivals_spec(self.arrivals))
+            # The spec holds the tenant count and the seed, so admission
+            # times that overflow or run backwards fail here, not in a
+            # worker.
+            arrival_times(self.arrivals, 2 + len(self.extra), self.seed)
         if self.arrivals is None and self.seed:
             # A closed system draws nothing from the RNG: canonicalize the
             # seed away so the spec hashes like the legacy spec it is.

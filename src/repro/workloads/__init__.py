@@ -16,7 +16,6 @@ from repro.workloads.patterns import (
     interleave,
     repeated_stream,
     sequential_sweep,
-    strided_stream,
     streaming_window,
 )
 from repro.workloads.generator import WorkloadSpec, generate_workload
@@ -37,7 +36,6 @@ __all__ = [
     "interleave",
     "repeated_stream",
     "sequential_sweep",
-    "strided_stream",
     "streaming_window",
     "WorkloadSpec",
     "generate_workload",

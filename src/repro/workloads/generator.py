@@ -111,7 +111,7 @@ def _shared_stream(spec: WorkloadSpec, rng: random.Random, count: int,
         # Table 2 footprint visible to the LLC (and prices private-mode
         # replication of the big read-only structure).
         cold_stream = hot_region_stream(rng, cold, base, spec.shared_lines)
-        return interleave(rng, [lockstep, cold_stream], [19.0, 1.0])
+        return interleave(rng, lockstep, cold_stream, 19.0, 1.0)
     if spec.category == "shared":
         window = spec.window_lines or max(1, spec.shared_lines // 8)
         return streaming_window(rng, count, base, spec.shared_lines,
@@ -139,13 +139,15 @@ def _mark_output_writes(spec: WorkloadSpec, rng: random.Random,
     line reaches DRAM once either way.
     """
     write_prob = min(1.0, spec.write_frac * max(1, spec.l1_repeats))
-    last_touch: dict[int, int] = {}
-    for i, key in enumerate(keys):
-        if key in private_lines:
-            last_touch[key] = i
+    # A repeated key keeps its first-touch position in the dict's order
+    # and takes its last index: one draw per touched line, in first-touch
+    # order.
+    last_touch = {key: i for i, key in enumerate(keys)
+                  if key in private_lines}
+    draw = rng.random
     writes = [False] * len(keys)
-    for key, idx in last_touch.items():
-        if rng.random() < write_prob:
+    for idx in last_touch.values():
+        if draw() < write_prob:
             writes[idx] = True
     return writes
 
@@ -186,8 +188,8 @@ def generate_workload(spec: WorkloadSpec, num_ctas: int = 160,
             private = _private_stream(
                 spec, rng, n_private,
                 private_base + cta_id * private_region)
-            keys = interleave(rng, [shared, private],
-                              [spec.shared_frac, 1.0 - spec.shared_frac])
+            keys = interleave(rng, shared, private, spec.shared_frac,
+                              1.0 - spec.shared_frac)
             writes = _mark_output_writes(spec, rng, keys, set(private))
             ctas.append(CTAStream(cta_id=cta_id, keys=keys, writes=writes))
         bypass_lo = bypass_hi = 0

@@ -3,37 +3,49 @@
 All generators are deterministic functions of the supplied
 ``random.Random`` instance, so a workload built from a seed is perfectly
 reproducible across runs and machines.
+
+Each primitive's sequence of RNG calls is part of the trace format: the
+same seed must give the same trace, and with it the same cached results.
+A rewrite for speed may change how a list is built but never which draws
+are made or in what order.  ``tests/test_workloads.py`` guards this with
+a digest of every benchmark's trace and with differential tests of each
+primitive against the per-element loop it replaced.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain, repeat
+from typing import Iterable
+
+
+def _uniform_picks(rng: random.Random, n: int,
+                   starts: Iterable[int]) -> list[int]:
+    """``start + rng.randrange(n)`` for each of ``starts``, in order.
+
+    The same draws ``randrange(n)`` makes (``getrandbits(n.bit_length())``
+    until the result is below ``n``, CPython's ``_randbelow``) without its
+    per-call argument checks.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out: list[int] = []
+    append = out.append
+    for start in starts:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(start + r)
+    return out
 
 
 def hot_region_stream(rng: random.Random, count: int, region_start: int,
-                      region_lines: int, hot_lines: int = 0,
-                      hot_frac: float = 0.0) -> list[int]:
-    """Reads over a shared region with an optionally hotter subset.
-
-    With probability ``hot_frac`` an access goes to the first ``hot_lines``
-    lines of the region (uniformly), otherwise anywhere in the region.  This
-    two-tier distribution models read-only shared data with a popular core
-    (e.g. the active layer's weights in a DNN) without the cost of a full
-    Zipf sampler.
-    """
+                      region_lines: int) -> list[int]:
+    """Uniform reads over a shared region: one draw of
+    ``randrange(region_lines)`` per access."""
     if count < 0 or region_lines <= 0:
         raise ValueError("count must be >= 0 and region_lines positive")
-    if not 0.0 <= hot_frac <= 1.0:
-        raise ValueError("hot_frac must be a probability")
-    if hot_lines > region_lines:
-        raise ValueError("hot subset cannot exceed the region")
-    out = []
-    for _ in range(count):
-        if hot_lines and rng.random() < hot_frac:
-            out.append(region_start + rng.randrange(hot_lines))
-        else:
-            out.append(region_start + rng.randrange(region_lines))
-    return out
+    return _uniform_picks(rng, region_lines, repeat(region_start, count))
 
 
 def streaming_window(rng: random.Random, count: int, region_start: int,
@@ -52,17 +64,15 @@ def streaming_window(rng: random.Random, count: int, region_start: int,
     if reuse <= 0:
         raise ValueError("reuse must be positive")
     window_lines = min(window_lines, region_lines)
-    out = []
     accesses_per_window = window_lines * reuse
+    positions = max(1, region_lines - window_lines + 1)
+    windows = []
     pos = 0
-    produced = 0
-    while produced < count:
+    for produced in range(0, count, accesses_per_window):
         take = min(accesses_per_window, count - produced)
-        for _ in range(take):
-            out.append(region_start + pos + rng.randrange(window_lines))
-        produced += take
-        pos = (pos + window_lines) % max(1, region_lines - window_lines + 1)
-    return out
+        windows.append(repeat(region_start + pos, take))
+        pos = (pos + window_lines) % positions
+    return _uniform_picks(rng, window_lines, chain.from_iterable(windows))
 
 
 def sequential_sweep(count: int, start: int, region_lines: int,
@@ -81,81 +91,61 @@ def sequential_sweep(count: int, start: int, region_lines: int,
 def repeated_stream(rng: random.Random, count: int, start: int,
                     region_lines: int, repeats: int = 3) -> list[int]:
     """Strided walk where each line is touched ``repeats`` times in a row —
-    cheap L1 temporal locality for CTA-private data."""
+    cheap L1 temporal locality for CTA-private data.  Draws nothing."""
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     if region_lines <= 0:
         raise ValueError("region must be positive")
-    out = []
-    i = 0
-    while len(out) < count:
-        line = start + (i % region_lines)
-        for _ in range(min(repeats, count - len(out))):
-            out.append(line)
-        i += 1
+    touches = range(repeats)
+    # One int object per line, repeated: the trace holds no more objects
+    # than it has distinct lines.
+    out = [line for line in (start + i % region_lines
+                             for i in range(-(-count // repeats)))
+           for _ in touches]
+    del out[count:]
     return out
 
 
-def strided_stream(count: int, start: int, stride: int = 1) -> list[int]:
-    """Pure strided walk (vector-add / histogram style)."""
-    if stride == 0:
-        raise ValueError("stride must be non-zero")
-    return [start + i * stride for i in range(count)]
+def interleave(rng: random.Random, first: list[int], second: list[int],
+               first_weight: float, second_weight: float) -> list[int]:
+    """Probabilistically interleave two streams, preserving each stream's
+    internal order.  Consumes until both streams are exhausted.
 
-
-def interleave(rng: random.Random, streams: list[list[int]],
-               weights: list[float]) -> list[int]:
-    """Probabilistically interleave several streams, preserving each
-    stream's internal order.  Consumes until every stream is exhausted.
-
-    Each emitted element costs one ``rng.random()`` draw, scaled by the
-    live streams' weight sum and matched against their cumulative
-    bounds.  The sum and the bounds change only when a stream drains, so
-    they are computed once per drain rather than once per element; a lone
-    remaining stream still takes its one (now unused) draw per element.
-    The output and the RNG draws are the same as recomputing both for
-    every element."""
-    if len(streams) != len(weights):
-        raise ValueError("one weight per stream")
-    if any(w < 0 for w in weights):
+    While both streams have elements left, each emitted element costs one
+    ``rng.random()`` draw scaled by the weight sum, and comes from
+    ``first`` when the pick falls below ``first_weight``.  Once one
+    stream drains, the other is appended, still taking one (unused) draw
+    per element unless its weight is zero.  Two zero weights append
+    ``first`` then ``second`` with no draws.
+    """
+    if not (first_weight >= 0 and second_weight >= 0):
         raise ValueError("weights must be non-negative")
     draw = rng.random
-    cursors = [0] * len(streams)
+    n_first, n_second = len(first), len(second)
+    i = j = 0
     out: list[int] = []
-    append = out.append
-    live = [i for i, s in enumerate(streams) if s]
-    while live:
-        total = sum(weights[i] for i in live)
+    if n_first and n_second:
+        total = first_weight + second_weight
         if total <= 0:
-            # Zero-weight leftovers drain in stream order.
-            for i in live:
-                out.extend(streams[i][cursors[i]:])
-            break
-        if len(live) == 1:
-            rest = streams[live[0]][cursors[live[0]]:]
-            for _ in rest:
-                draw()
-            out.extend(rest)
-            break
-        bounds = []
-        acc = 0.0
-        for i in live:
-            acc += weights[i]
-            bounds.append((acc, i))
-        fallback = live[-1]
+            return first + second
+        append = out.append
         while True:
-            pick = draw() * total
-            chosen = fallback
-            for bound, i in bounds:
-                if pick < bound:
-                    chosen = i
+            if draw() * total < first_weight:
+                append(first[i])
+                i += 1
+                if i == n_first:
                     break
-            stream = streams[chosen]
-            cursor = cursors[chosen]
-            append(stream[cursor])
-            cursor += 1
-            cursors[chosen] = cursor
-            if cursor >= len(stream):
-                live.remove(chosen)
-                break
+            else:
+                append(second[j])
+                j += 1
+                if j == n_second:
+                    break
+    if i < n_first:
+        rest, weight = first[i:], first_weight
+    else:
+        rest, weight = second[j:], second_weight
+    if weight > 0:
+        for _ in rest:
+            draw()
+    out += rest
     return out

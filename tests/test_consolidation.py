@@ -158,6 +158,23 @@ def test_canonical_arrivals_spec_elides_defaults():
     assert exc.value.code == 2
 
 
+def test_overflowing_admission_times_rejected_where_the_spec_is_built(
+        capsys):
+    """A finite gap can still overflow the admission clock: the spec holds
+    the tenant count and the seed, so it is rejected at construction and
+    the CLI answers with one error line and exit status 2."""
+    with pytest.raises(ValueError, match="non-finite admission times"):
+        spec_from_mix("GEMM+SN+VA", scale=TINY,
+                      arrivals="poisson:gap=1e308")
+    from repro.cli import main
+
+    assert main(["run", "--mix", "GEMM+SN+VA", "--arrivals",
+                 "poisson:gap=1e308", "--scale", str(TINY)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- mixgen
 def test_sample_mix_is_deterministic_and_category_stratified():
     mix = sample_mix(4, seed=7)

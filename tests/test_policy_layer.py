@@ -57,6 +57,16 @@ def test_unknown_policy_name_raises():
         canonical_policy_name("magic")
     with pytest.raises(ValueError, match="unknown LLC policy"):
         create_policy("magic")
+    # Every tenant's policy name resolves where the spec is built, with
+    # or without parameters, so no spec reaches a worker unrunnable.
+    for build_spec in (
+            lambda: RunSpec.single("VA", "warp-speed", scale=0.02),
+            lambda: RunSpec.pair("GEMM", "SN", "shared", mode_b="warp-speed",
+                                 scale=0.02),
+            lambda: RunSpec.pair("GEMM", "SN", "shared", scale=0.02,
+                                 extra=(("VA", "warp-speed", None),))):
+        with pytest.raises(ValueError, match="^unknown LLC policy"):
+            build_spec()
 
 
 def test_param_schema_validation():

@@ -64,6 +64,8 @@ BAD_SPEC_FIELDS = (
     {"policy_params": {"interval": 0}, "mode": "hysteresis"},
     {"placement": "striped"}, {"arrivals": "poisson"},  # no co-tenant
     {"pair_with": "GEMM", "arrivals": "poisson:gap=NaN"},  # never admits
+    {"pair_with": "GEMM", "arrivals": "poisson:gap=1e308"},  # overflows
+    {"mode": "warp-speed"},                             # unknown policy
     {"benchmark": "ZZZ"}, {"pair_with": "QQQ"},         # unknown benchmark
     {"cfg.noc.topology": "cxbar", "cfg.noc.concentration": 3},
 )

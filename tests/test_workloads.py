@@ -23,13 +23,13 @@ from repro.workloads.multiprogram import (
     all_shared_private_pairs,
     make_mix,
 )
+from repro.workloads.generator import _mark_output_writes
 from repro.workloads.patterns import (
     hot_region_stream,
     interleave,
     repeated_stream,
     sequential_sweep,
     streaming_window,
-    strided_stream,
 )
 
 
@@ -41,21 +41,10 @@ def test_hot_region_stream_bounds():
     assert len(s) == 1000
 
 
-def test_hot_region_hot_subset_bias():
-    rng = random.Random(1)
-    s = hot_region_stream(rng, 5000, 0, 1000, hot_lines=10, hot_frac=0.9)
-    in_hot = sum(1 for k in s if k < 10)
-    assert in_hot > 0.85 * len(s)
-
-
 def test_hot_region_validation():
     rng = random.Random(1)
     with pytest.raises(ValueError):
         hot_region_stream(rng, 10, 0, 0)
-    with pytest.raises(ValueError):
-        hot_region_stream(rng, 10, 0, 10, hot_lines=5, hot_frac=2.0)
-    with pytest.raises(ValueError):
-        hot_region_stream(rng, 10, 0, 10, hot_lines=20, hot_frac=0.5)
 
 
 def test_sequential_sweep_lockstep_and_wraparound():
@@ -91,17 +80,11 @@ def test_repeated_stream_l1_locality():
     assert s == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
-def test_strided_stream():
-    assert strided_stream(4, 10, 3) == [10, 13, 16, 19]
-    with pytest.raises(ValueError):
-        strided_stream(4, 0, 0)
-
-
 def test_interleave_preserves_order_and_drains():
     rng = random.Random(5)
     a = [1, 2, 3]
     b = [10, 20]
-    out = interleave(rng, [a, b], [1.0, 1.0])
+    out = interleave(rng, a, b, 1.0, 1.0)
     assert sorted(out) == sorted(a + b)
     assert [x for x in out if x < 10] == a
     assert [x for x in out if x >= 10] == b
@@ -110,11 +93,15 @@ def test_interleave_preserves_order_and_drains():
 def test_interleave_validation():
     rng = random.Random(5)
     with pytest.raises(ValueError):
-        interleave(rng, [[1]], [1.0, 2.0])
+        interleave(rng, [1], [2], -1.0, 1.0)
     with pytest.raises(ValueError):
-        interleave(rng, [[1]], [-1.0])
+        interleave(rng, [1], [2], 1.0, float("nan"))
 
 
+# Differential references: the per-element loops the primitives replaced,
+# kept verbatim.  Each primitive must build the same list with the same
+# RNG calls in the same order, so both the output and the RNG state
+# afterwards must match.
 def _interleave_reference(rng, streams, weights):
     """The per-element loop ``interleave`` replaced: it recomputes the
     weight sum and the cumulative bounds for every emitted element."""
@@ -142,23 +129,147 @@ def _interleave_reference(rng, streams, weights):
     return out
 
 
+def _hot_region_stream_reference(rng, count, region_start, region_lines,
+                                 hot_lines=0, hot_frac=0.0):
+    if count < 0 or region_lines <= 0:
+        raise ValueError("count must be >= 0 and region_lines positive")
+    if not 0.0 <= hot_frac <= 1.0:
+        raise ValueError("hot_frac must be a probability")
+    if hot_lines > region_lines:
+        raise ValueError("hot subset cannot exceed the region")
+    out = []
+    for _ in range(count):
+        if hot_lines and rng.random() < hot_frac:
+            out.append(region_start + rng.randrange(hot_lines))
+        else:
+            out.append(region_start + rng.randrange(region_lines))
+    return out
+
+
+def _streaming_window_reference(rng, count, region_start, region_lines,
+                                window_lines, reuse=4):
+    if window_lines <= 0 or region_lines <= 0:
+        raise ValueError("window and region must be positive")
+    if reuse <= 0:
+        raise ValueError("reuse must be positive")
+    window_lines = min(window_lines, region_lines)
+    out = []
+    accesses_per_window = window_lines * reuse
+    pos = 0
+    produced = 0
+    while produced < count:
+        take = min(accesses_per_window, count - produced)
+        for _ in range(take):
+            out.append(region_start + pos + rng.randrange(window_lines))
+        produced += take
+        pos = (pos + window_lines) % max(1, region_lines - window_lines + 1)
+    return out
+
+
+def _repeated_stream_reference(rng, count, start, region_lines, repeats=3):
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    if region_lines <= 0:
+        raise ValueError("region must be positive")
+    out = []
+    i = 0
+    while len(out) < count:
+        line = start + (i % region_lines)
+        for _ in range(min(repeats, count - len(out))):
+            out.append(line)
+        i += 1
+    return out
+
+
+def _mark_output_writes_reference(spec, rng, keys, private_lines):
+    write_prob = min(1.0, spec.write_frac * max(1, spec.l1_repeats))
+    last_touch: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        if key in private_lines:
+            last_touch[key] = i
+    writes = [False] * len(keys)
+    for key, idx in last_touch.items():
+        if rng.random() < write_prob:
+            writes[idx] = True
+    return writes
+
+
+_seed = st.integers(0, 2**32 - 1)
+# Range sizes around the ``bit_length`` edges: 1, powers of two and their
+# neighbours (rejection is likeliest just above a power of two), sizes
+# above 2**32 (``getrandbits`` past one 32-bit word) and arbitrary ones.
+_range_size = st.one_of(
+    st.just(1),
+    st.integers(0, 40).map(lambda e: 2**e),
+    st.integers(1, 40).map(lambda e: 2**e + 1),
+    st.integers(1, 40).map(lambda e: 2**e - 1),
+    st.integers(1, 5_000))
+
+
+def _same_draws(seed, fast, reference, *args):
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert fast(fast_rng, *args) == reference(ref_rng, *args)
+    assert fast_rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_seed, st.integers(0, 300), st.integers(0, 10**6), _range_size)
+def test_hot_region_stream_matches_reference(seed, count, start, lines):
+    _same_draws(seed, hot_region_stream, _hot_region_stream_reference,
+                count, start, lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_seed, st.integers(0, 400), st.integers(0, 10**6), _range_size,
+       _range_size, st.integers(1, 8))
+def test_streaming_window_matches_reference(seed, count, start, region,
+                                            window, reuse):
+    _same_draws(seed, streaming_window, _streaming_window_reference,
+                count, start, region, window, reuse)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_seed, st.integers(0, 300), st.integers(0, 10**6),
+       st.integers(1, 50), st.integers(1, 6))
+def test_repeated_stream_matches_reference(seed, count, start, region,
+                                           repeats):
+    _same_draws(seed, repeated_stream, _repeated_stream_reference,
+                count, start, region, repeats)
+    out = repeated_stream(random.Random(seed), count, start, region, repeats)
+    # One int object per line, repeated: no more objects than lines.
+    assert len({id(x) for x in out}) <= -(-count // repeats)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_seed, st.lists(st.integers(0, 40), max_size=200),
+       st.sets(st.integers(0, 40)),
+       st.floats(0.0, 1.0, allow_nan=False), st.integers(1, 4))
+def test_mark_output_writes_matches_reference(seed, keys, private,
+                                              write_frac, repeats):
+    spec = WorkloadSpec("x", "X", "neutral", 1.0, 1, write_frac=write_frac,
+                        l1_repeats=repeats)
+    fast, ref = random.Random(seed), random.Random(seed)
+    assert _mark_output_writes(spec, fast, keys, private) == \
+        _mark_output_writes_reference(spec, ref, keys, private)
+    assert fast.getstate() == ref.getstate()
+
+
 _weight = st.one_of(st.just(0.0), st.just(1.0),
                     st.floats(0.0, 100.0, allow_nan=False))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(st.lists(st.integers(0, 99), max_size=30),
-                          _weight), min_size=1, max_size=4),
-       st.integers(0, 2**32 - 1))
-def test_interleave_matches_per_element_reference(pairs, seed):
+@given(st.lists(st.integers(0, 99), max_size=30), _weight,
+       st.lists(st.integers(0, 99), max_size=30), _weight, _seed)
+def test_interleave_matches_per_element_reference(first, first_weight,
+                                                  second, second_weight,
+                                                  seed):
     """Same output and same RNG draws as recomputing the sum and bounds
-    for every element, for 1-4 streams, empty ones and zero weights
-    included."""
-    streams = [s for s, _ in pairs]
-    weights = [w for _, w in pairs]
+    for every element, empty streams and zero weights included."""
     fast, ref = random.Random(seed), random.Random(seed)
-    assert interleave(fast, streams, weights) == \
-        _interleave_reference(ref, streams, weights)
+    assert interleave(fast, first, second, first_weight, second_weight) == \
+        _interleave_reference(ref, [first, second],
+                              [first_weight, second_weight])
     assert fast.getstate() == ref.getstate()
 
 
@@ -220,6 +331,33 @@ def test_generate_workload_deterministic():
                                     cta.writes)).encode())
     assert digest.hexdigest() == ("5453abf39793a11568b2ecad7cf1b2a6"
                                   "4a63085bc7f57498c145f4860da0c229")
+
+
+def test_generator_pinned_across_catalog():
+    """Pinned bytes of every CTA's ``(keys, writes)``: all 17 benchmarks at
+    two access budgets, a relocated trace and the four-tenant
+    consolidation mix.  Each primitive's RNG call sequence is part of the
+    trace format, so any change to a draw shows here."""
+    digest = hashlib.sha256()
+
+    def add(label, workload):
+        for kernel in workload.kernels:
+            for cta in kernel.ctas:
+                digest.update(repr((label, kernel.kernel_id, cta.cta_id,
+                                    cta.keys, cta.writes)).encode())
+
+    for total in (4_000, 37_500):
+        for abbr in BENCHMARKS:
+            add((abbr, total), generate_workload(
+                benchmark(abbr), num_ctas=160, total_accesses=total))
+    add(("SN", "offset"), generate_workload(
+        benchmark("SN"), num_ctas=160, total_accesses=4_000,
+        address_offset=1 << 24))
+    for program in make_mix(("VA", "GEMM", "SN", "LUD"),
+                            total_accesses=30_000).programs:
+        add(("mix", program.name), program)
+    assert digest.hexdigest() == ("08e81dd86ed0873dbe27f668a1eb309d"
+                                  "2764c55109f5e8ab1e07b81367af9086")
 
 
 def test_generate_workload_max_kernels_cap():

@@ -12,7 +12,8 @@ Run:  python examples/noc_design_space.py
 from repro.config import NoCConfig
 from repro.experiments.campaign import RunSpec, execute_spec
 from repro.experiments.runner import experiment_config
-from repro.noc import NoCPowerModel, make_topology
+from repro.noc.power import NoCPowerModel
+from repro.noc.topology import make_topology
 
 DESIGNS = [
     ("Full Xbar @32B",  "full", 32, 2),

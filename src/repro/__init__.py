@@ -17,10 +17,14 @@ Public entry points
     ``"adaptive"`` LLC policy.
 :mod:`repro.experiments`
     Figure/table drivers (also exposed via ``python -m repro``).
+
+Importing the package loads only the configuration.  The simulator loads
+when something builds a :class:`~repro.gpu.system.GPUSystem`, so a command
+served from the result cache never imports it; import ``GPUSystem`` and
+``RunResult`` from :mod:`repro.gpu.system`.
 """
 
 from repro.config import AdaptiveConfig, DRAMTiming, GPUConfig, NoCConfig
-from repro.gpu.system import GPUSystem, RunResult
 
 __version__ = "0.1.0"
 
@@ -29,7 +33,5 @@ __all__ = [
     "DRAMTiming",
     "GPUConfig",
     "NoCConfig",
-    "GPUSystem",
-    "RunResult",
     "__version__",
 ]

@@ -6,54 +6,19 @@ path — are invariants of *how the code is written*, not just what it
 computes.  This package checks them statically: an AST-based rule engine
 (``determinism``, ``hot-path``, ``continuation``, ``serialization``,
 ``registry``), ``# repro:`` source pragmas, and a committed baseline for
-grandfathered findings.  Entry point: ``repro check``.
+grandfathered findings.  Entry point: ``repro check``
+(:func:`repro.analysis.checker.run_check`).
 
 Rules are registered components in the one ``NAME[:k=v,...]`` registry
 idiom of :mod:`repro.analysis.registry`, which LLC policies, placements
-and arrival processes share: one :class:`Param` schema, one
+and arrival processes share: one
+:class:`~repro.analysis.registry.Param` schema, one
 :class:`~repro.analysis.registry.Registry` and one spec parser
-(:func:`parse_spec`).
+(:func:`~repro.analysis.registry.parse_spec`).
 
 The package imports nothing from the simulator (stdlib only) and
 type-checks under ``mypy --strict``; the simulator's registries import
-:mod:`repro.analysis.registry` from it.
+:mod:`repro.analysis.registry` from it.  The package itself re-exports
+nothing, so those registries load the registry module alone, not the
+rule engine: import from the submodules.
 """
-
-from __future__ import annotations
-
-from repro.analysis.base import (Rule, SourceFile, available_rules,
-                                 create_rule, default_rules, register_rule,
-                                 rule_class)
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.checker import (CheckReport, check_source,
-                                    collect_files, run_check)
-from repro.analysis.config import DEFAULT_BASELINE, DEFAULT_PATHS
-from repro.analysis.findings import Finding
-from repro.analysis.pragmas import FilePragmas, scan_pragmas
-from repro.analysis.registry import Param, parse_spec
-from repro.analysis.reporters import render_json, render_text
-
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "CheckReport",
-    "DEFAULT_BASELINE",
-    "DEFAULT_PATHS",
-    "FilePragmas",
-    "Finding",
-    "Param",
-    "Rule",
-    "SourceFile",
-    "available_rules",
-    "check_source",
-    "collect_files",
-    "create_rule",
-    "default_rules",
-    "parse_spec",
-    "register_rule",
-    "render_json",
-    "render_text",
-    "rule_class",
-    "run_check",
-    "scan_pragmas",
-]

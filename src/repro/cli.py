@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 from typing import Callable
 
@@ -56,7 +55,6 @@ from repro.experiments.runner import experiment_config, print_rows, \
 from repro.policy import available_policies, canonical_policy_name, \
     canonical_policy_params, policy_class
 from repro.scenario import parse_mix
-from repro.workloads.analysis import characterize, verify_category
 from repro.workloads.catalog import ALL_ABBRS, BENCHMARKS, build
 
 #: The classic triad (aliases into the policy registry), run by
@@ -268,6 +266,8 @@ def _run_mix(args: argparse.Namespace, campaign: Campaign,
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import statistics
+
     from repro.bench import (SCENARIOS, TIERS, compare_bench, load_bench,
                              profile_scenario, run_bench, scenario_key,
                              tier_speedups, write_bench)
@@ -649,8 +649,10 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     # Imported lazily: the analysis package is a self-contained island
     # and most CLI invocations never need it.
-    from repro.analysis import (Baseline, available_rules, create_rule,
-                                render_json, render_text, run_check)
+    from repro.analysis.base import available_rules, create_rule
+    from repro.analysis.baseline import Baseline
+    from repro.analysis.checker import run_check
+    from repro.analysis.reporters import render_json, render_text
 
     if args.list_rules:
         rows = []
@@ -715,6 +717,8 @@ def _cmd_catalog(_args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.workloads.analysis import characterize, verify_category
+
     workload = build(args.benchmark,
                      total_accesses=int(40_000 * args.scale))
     profile = characterize(workload)

@@ -11,30 +11,3 @@
 * :mod:`repro.core.reconfig` — the drain/flush/power-gate sequence and its
   cycle cost.
 """
-
-from repro.core.modes import LLCMode, preferred_static_mode, target_slice
-from repro.core.sampler import ProfileReport, ProfilingState
-from repro.core.bandwidth_model import (
-    llc_slice_parallelism,
-    supplied_bandwidth,
-    Decision,
-    decide_mode,
-)
-from repro.core.controller import AdaptiveController, ModeController
-from repro.core.reconfig import ReconfigCost, Reconfigurator
-
-__all__ = [
-    "LLCMode",
-    "preferred_static_mode",
-    "target_slice",
-    "ProfileReport",
-    "ProfilingState",
-    "llc_slice_parallelism",
-    "supplied_bandwidth",
-    "Decision",
-    "decide_mode",
-    "AdaptiveController",
-    "ModeController",
-    "ReconfigCost",
-    "Reconfigurator",
-]

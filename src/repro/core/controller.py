@@ -19,14 +19,16 @@ Subclasses add only their decision logic.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import GPUConfig
 from repro.core.bandwidth_model import Decision, decide_mode
 from repro.core.modes import LLCMode
 from repro.core.reconfig import Reconfigurator
-from repro.core.sampler import ProfilingState
-from repro.sim.engine import Engine, Event
+
+if TYPE_CHECKING:
+    from repro.core.sampler import ProfilingState
+    from repro.sim.engine import Engine, Event
 
 
 class ModeController:
@@ -117,6 +119,8 @@ class AdaptiveController(ModeController):
     revert at epochs and kernel launches (Rule #3)."""
 
     def __init__(self, cfg: GPUConfig, engine: Engine, system, **kwargs):
+        from repro.core.sampler import ProfilingState
+
         super().__init__(cfg, engine, system, **kwargs)
         self.acfg = cfg.adaptive
         self.profiler = ProfilingState(cfg)

@@ -14,8 +14,10 @@ request:
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-from repro.mem.address_map import AddressMapping
+if TYPE_CHECKING:
+    from repro.mem.address_map import AddressMapping
 
 
 class LLCMode(enum.Enum):

@@ -31,20 +31,21 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.config import GPUConfig, PolicyConfig, canonical_key
 from repro.experiments.runner import (_accesses_for, _mix_accesses,
                                       experiment_config, scaled_policy_params)
-from repro.gpu.system import GPUSystem, RunResult
+from repro.gpu.results import RunResult
 from repro.policy import (canonical_policy_name, canonical_policy_params,
                           create_policy)
-from repro.power.gpu_power import GPUPowerModel
 from repro.scenario import ProgramSpec, Scenario, parse_mix
 from repro.workloads.catalog import BENCHMARKS, benchmark
 from repro.workloads.generator import generate_workload
 from repro.workloads.multiprogram import make_mix
+
+if TYPE_CHECKING:
+    from repro.gpu.system import GPUSystem
 
 #: Bump when the serialization format or simulator semantics change in a way
 #: that invalidates previously cached results.  v2: the policy layer — specs
@@ -535,6 +536,8 @@ def spec_system(spec: RunSpec,
     pre-seed the policy instance, and the simulator is deterministic, so
     injecting them changes nothing but the wall time.
     """
+    from repro.gpu.system import GPUSystem
+
     tenants = spec.tenants()
     workload = _trace(trace_key(spec))
     programs = (workload,) if len(tenants) == 1 else workload.programs
@@ -591,8 +594,24 @@ def _simulate_spec(spec: RunSpec, probes: Optional[dict]) -> RunResult:
     system = spec_system(spec, probes)
     result = system.run()
     if spec.with_energy:
+        from repro.power.gpu_power import GPUPowerModel
+
         result.energy = GPUPowerModel().report(system, result)
     return result
+
+
+def import_simulator() -> None:
+    """Import what executing a spec runs: the system, the power model and
+    the adaptive controller's profiler.
+
+    Nothing that only builds specs or reads results imports these, so a
+    warm command never loads the simulator.  A process that forks worker
+    processes calls this before its pool starts, so the workers inherit
+    the modules instead of each importing its own copy.
+    """
+    import repro.core.sampler  # noqa: F401
+    import repro.gpu.system  # noqa: F401
+    import repro.power.gpu_power  # noqa: F401
 
 
 class SpecExecutionError(RuntimeError):
@@ -807,6 +826,9 @@ class Campaign:
         failure: Optional[SpecExecutionError] = None
         # Fork-based workers inherit the imported simulator for free on
         # POSIX; spawn re-imports it, which is still correct, just slower.
+        import_simulator()
+        from multiprocessing import get_context
+
         with get_context().Pool(processes=workers) as pool:
             for outcomes in pool.imap_unordered(_pool_worker, tasks):
                 for key, outcome in outcomes:

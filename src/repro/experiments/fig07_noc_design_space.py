@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.config import NoCConfig
 from repro.experiments.campaign import RunSpec
 from repro.experiments.runner import experiment_config, nested
-from repro.noc import NoCPowerModel, make_topology
+from repro.noc.power import NoCPowerModel
+from repro.noc.topology import make_topology
 from repro.report.trends import Trend
 from repro.sim.stats import harmonic_mean
 

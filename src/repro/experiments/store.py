@@ -1,7 +1,7 @@
 """Content-keyed on-disk result store, safe under concurrent writers.
 
 The :class:`~repro.experiments.campaign.Campaign` has always cached
-finished :class:`~repro.gpu.system.RunResult` records on disk, one JSON
+finished :class:`~repro.gpu.results.RunResult` records on disk, one JSON
 file per content key.  This module extracts that storage into a
 standalone class so every execution surface — the CLI campaign, the
 :mod:`repro.service` job server and its worker processes — shares one
@@ -23,6 +23,12 @@ directory layout, one record schema, and one set of durability rules:
   :data:`~repro.experiments.campaign.CACHE_VERSION`; a valid record with
   a stale version is *not* quarantined (it is well-formed, just retired)
   — it reads as a miss and is overwritten by the next store.
+* **Keys are file names.**  A key that is not one plain file name (it
+  holds a path separator or a NUL, is empty, or is ``.`` or ``..``) has
+  no record: lookups miss without touching the disk, and storing one
+  raises ``ValueError``.  The job server hands URL path segments to
+  :meth:`ResultStore.load`, so this keeps ``GET /results/../x`` from
+  reading or quarantining files outside the cache directory.
 """
 
 from __future__ import annotations
@@ -32,10 +38,17 @@ import os
 import tempfile
 from typing import Optional
 
-from repro.gpu.system import RunResult
+from repro.gpu.results import RunResult
 
 #: Subdirectory (inside the cache dir) that corrupt records are moved to.
 QUARANTINE_DIR = "quarantine"
+
+
+def _is_file_name(key: str) -> bool:
+    """Whether ``key`` names one file inside a directory, not a path."""
+    return (key not in ("", ".", "..") and "\0" not in key
+            and os.sep not in key
+            and (os.altsep is None or os.altsep not in key))
 
 
 class ResultStore:
@@ -69,13 +82,14 @@ class ResultStore:
 
     # -------------------------------------------------------------- paths
     def path(self, key: str) -> Optional[str]:
-        """The record path for ``key`` (None when persistence is off)."""
-        if not self.cache_dir:
+        """The record path for ``key`` (None when persistence is off or
+        ``key`` is not a plain file name)."""
+        if not self.cache_dir or not _is_file_name(key):
             return None
         return os.path.join(self.cache_dir, f"{key}.json")
 
     def quarantine_path(self, key: str) -> Optional[str]:
-        if not self.cache_dir:
+        if not self.cache_dir or not _is_file_name(key):
             return None
         return os.path.join(self.cache_dir, QUARANTINE_DIR, f"{key}.json")
 
@@ -136,10 +150,13 @@ class ResultStore:
 
         ``spec_dict`` rides along for provenance (a record is
         self-describing: the spec that produced it is inside), matching
-        the historical campaign record schema.
+        the historical campaign record schema.  A key that is not a plain
+        file name raises ``ValueError`` (with persistence on).
         """
         path = self.path(key)
         if path is None:
+            if self.cache_dir:
+                raise ValueError(f"result key {key!r} is not a file name")
             return
         record = {"version": self.version, "spec": spec_dict,
                   "result": result_dict}

@@ -6,16 +6,10 @@
   BCS, DCS);
 * :mod:`repro.gpu.system` — :class:`~repro.gpu.system.GPUSystem`, which
   wires SMs, NoC, LLC slices and memory controllers onto one event engine
-  and harvests a :class:`~repro.gpu.system.RunResult`.
+  and harvests a :class:`~repro.gpu.results.RunResult`;
+* :mod:`repro.gpu.results` — that result record and its dict form, which
+  imports no simulator code.
+
+The package re-exports nothing: importing it (as reading a stored result
+does) loads no simulator module.  Import from the submodules.
 """
-
-from repro.gpu.cta import assign_ctas
-from repro.gpu.sm import StreamingMultiprocessor
-from repro.gpu.system import GPUSystem, RunResult
-
-__all__ = [
-    "assign_ctas",
-    "StreamingMultiprocessor",
-    "GPUSystem",
-    "RunResult",
-]

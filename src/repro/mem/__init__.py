@@ -7,17 +7,3 @@
 * :mod:`repro.mem.controller` — FR-FCFS memory controllers bridging LLC
   misses onto banks.
 """
-
-from repro.mem.address_map import AddressMapping, HynixMapping, PAEMapping, make_mapping
-from repro.mem.dram import DRAMBank, DRAMChannel
-from repro.mem.controller import MemoryController
-
-__all__ = [
-    "AddressMapping",
-    "PAEMapping",
-    "HynixMapping",
-    "make_mapping",
-    "DRAMBank",
-    "DRAMChannel",
-    "MemoryController",
-]

@@ -6,19 +6,3 @@
 * :mod:`repro.metrics.locality` — the inter-cluster locality tracker behind
   Figure 3's sharing histograms.
 """
-
-from repro.metrics.locality import InterClusterLocalityTracker
-from repro.metrics.perf import (
-    geomean_speedup,
-    normalized_performance,
-    system_throughput,
-    speedup_summary,
-)
-
-__all__ = [
-    "InterClusterLocalityTracker",
-    "geomean_speedup",
-    "normalized_performance",
-    "system_throughput",
-    "speedup_summary",
-]

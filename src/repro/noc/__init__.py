@@ -7,27 +7,8 @@ with.  All three expose the same two-call timing API
 (:meth:`~repro.noc.topology.BaseTopology.request_arrival` /
 :meth:`~repro.noc.topology.BaseTopology.reply_arrival`) plus flit accounting
 for the DSENT-like power/area model in :mod:`repro.noc.power`.
+
+The package re-exports nothing, so reading a stored energy report loads
+:mod:`repro.noc.power` alone; build topologies with
+:func:`repro.noc.topology.make_topology`.
 """
-
-from repro.noc.packet import Packet, request_flits, reply_flits
-from repro.noc.router import RouterModel
-from repro.noc.topology import BaseTopology, make_topology
-from repro.noc.full_xbar import FullCrossbar
-from repro.noc.concentrated_xbar import ConcentratedCrossbar
-from repro.noc.hierarchical_xbar import HierarchicalCrossbar
-from repro.noc.power import NoCPowerModel, NoCEnergyBreakdown, NoCAreaBreakdown
-
-__all__ = [
-    "Packet",
-    "request_flits",
-    "reply_flits",
-    "RouterModel",
-    "BaseTopology",
-    "make_topology",
-    "FullCrossbar",
-    "ConcentratedCrossbar",
-    "HierarchicalCrossbar",
-    "NoCPowerModel",
-    "NoCEnergyBreakdown",
-    "NoCAreaBreakdown",
-]

@@ -20,8 +20,10 @@ bisection bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.noc.topology import NoCInventory
+if TYPE_CHECKING:
+    from repro.noc.topology import NoCInventory
 
 
 @dataclass(frozen=True)

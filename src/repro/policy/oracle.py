@@ -59,7 +59,7 @@ class OracleStaticPolicy(LLCPolicy):
 
         ``probes`` maps ``"shared"``/``"private"`` to dicts carrying at
         least ``ipc``, ``cycles`` and ``llc_miss_rate`` — the shape
-        :meth:`~repro.gpu.system.RunResult.to_dict` produces.  The campaign
+        :meth:`~repro.gpu.results.RunResult.to_dict` produces.  The campaign
         layer uses this to serve the probes from its content-keyed cache
         instead of re-simulating them inside :meth:`setup`.
         """

@@ -5,11 +5,3 @@ coefficients with the DSENT-like NoC model to produce the
 :class:`~repro.power.gpu_power.SystemEnergyReport` behind Figure 14's
 adaptive-vs-shared energy comparison.
 """
-
-from repro.power.gpu_power import GPUPowerCoefficients, GPUPowerModel, SystemEnergyReport
-
-__all__ = [
-    "GPUPowerCoefficients",
-    "GPUPowerModel",
-    "SystemEnergyReport",
-]

@@ -114,7 +114,7 @@ class GPUPowerModel:
 
     def report(self, system, result) -> SystemEnergyReport:
         """``system`` is a finished :class:`repro.gpu.system.GPUSystem`;
-        ``result`` its :class:`repro.gpu.system.RunResult`."""
+        ``result`` its :class:`repro.gpu.results.RunResult`."""
         c = self.coeffs
         gated = result.gated_cycles
         noc = self.noc_model.energy(system.topology.inventory(),

@@ -24,7 +24,7 @@ import time
 from typing import Optional, Union
 
 from repro.experiments.campaign import RunSpec
-from repro.gpu.system import RunResult
+from repro.gpu.results import RunResult
 
 
 class ServiceError(RuntimeError):

@@ -44,7 +44,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from repro.config import ServiceConfig, canonical_key
-from repro.experiments.campaign import RunSpec, spec_from_mix
+from repro.experiments.campaign import RunSpec, import_simulator, \
+    spec_from_mix
 from repro.experiments.store import ResultStore
 from repro.service.jobs import DONE, ERROR, Job, JobManager, JobRejected
 from repro.service.workers import execute_job
@@ -127,6 +128,9 @@ class JobServer:
     # ---------------------------------------------------------- lifecycle
     async def start(self) -> None:
         """Bind the socket and start the dispatcher (non-blocking)."""
+        # Workers fork from this process when jobs arrive; importing the
+        # simulator first lets them inherit it.
+        import_simulator()
         self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
         self._kick = asyncio.Event()
         self._stopping = False

@@ -7,14 +7,8 @@ that serializes work in FIFO order, and the only heap events are SM wakeups
 and response deliveries.  This keeps pure-Python simulation of an 80-SM GPU
 tractable while preserving the queueing behaviour the paper's phenomenon
 depends on.
+
+The package re-exports nothing, so the figure drivers can read
+:mod:`repro.sim.stats` without loading the engine
+(:mod:`repro.sim.engine`) or the servers (:mod:`repro.sim.server`).
 """
-
-from repro.sim.engine import Engine, Event
-from repro.sim.server import BandwidthServer, LatencyLink
-
-__all__ = [
-    "Engine",
-    "Event",
-    "BandwidthServer",
-    "LatencyLink",
-]

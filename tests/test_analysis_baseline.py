@@ -13,8 +13,8 @@ import json
 
 import pytest
 
-from repro.analysis import Baseline, BaselineEntry, Finding
-from repro.analysis.baseline import BASELINE_VERSION
+from repro.analysis.baseline import BASELINE_VERSION, Baseline, BaselineEntry
+from repro.analysis.findings import Finding
 
 
 def finding(path="a.py", line=1, col=0, rule="hot-path", message="msg"):

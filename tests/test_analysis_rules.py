@@ -13,8 +13,10 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (available_rules, check_source, create_rule,
-                            parse_spec, rule_class, scan_pragmas)
+from repro.analysis.base import available_rules, create_rule, rule_class
+from repro.analysis.checker import check_source
+from repro.analysis.pragmas import scan_pragmas
+from repro.analysis.registry import parse_spec
 from repro.analysis.config import is_sim_path
 
 
@@ -654,7 +656,8 @@ def test_partial_scan_scopes_stale_detection(tmp_path, monkeypatch):
     """A subset scan (one file / one rule) must not report out-of-scope
     baseline entries as stale — only a scan that could have refreshed an
     entry may expire it."""
-    from repro.analysis import Baseline, BaselineEntry, run_check
+    from repro.analysis.baseline import Baseline, BaselineEntry
+    from repro.analysis.checker import run_check
 
     (tmp_path / "a.py").write_text("x = 1\n")
     (tmp_path / "b.py").write_text(
@@ -682,7 +685,8 @@ def test_repo_checks_clean_against_committed_baseline(monkeypatch):
     reports zero non-baselined findings and no stale baseline entries."""
     from pathlib import Path
 
-    from repro.analysis import Baseline, run_check
+    from repro.analysis.baseline import Baseline
+    from repro.analysis.checker import run_check
 
     root = Path(__file__).resolve().parent.parent
     monkeypatch.chdir(root)

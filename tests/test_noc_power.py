@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import GPUConfig, NoCConfig
-from repro.noc import ConcentratedCrossbar, NoCPowerModel, make_topology
+from repro.noc.concentrated_xbar import ConcentratedCrossbar
+from repro.noc.power import NoCPowerModel
+from repro.noc.topology import make_topology
 
 
 def topo(topology, channel=32, concentration=2):

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.config import GPUConfig, NoCConfig
-from repro.noc import (
-    ConcentratedCrossbar,
-    FullCrossbar,
-    HierarchicalCrossbar,
-    make_topology,
-)
+from repro.noc.concentrated_xbar import ConcentratedCrossbar
+from repro.noc.full_xbar import FullCrossbar
+from repro.noc.hierarchical_xbar import HierarchicalCrossbar
+from repro.noc.topology import make_topology
 
 
 def cfg(topology="hxbar", channel=32, concentration=2):

@@ -11,6 +11,8 @@ import json
 import os
 import threading
 
+import pytest
+
 from repro.experiments.campaign import CACHE_VERSION, Campaign, RunSpec
 from repro.experiments.store import QUARANTINE_DIR, ResultStore
 from repro.gpu.system import RunResult
@@ -52,6 +54,39 @@ def test_missing_key_is_a_plain_miss(tmp_path):
     assert store.load(KEY) is None
     assert store.misses == 1
     assert not os.path.exists(str(tmp_path / QUARANTINE_DIR))
+
+
+def test_keys_that_are_paths_miss_and_touch_nothing(tmp_path):
+    """A key is a file name inside the cache: one that climbs out, is
+    absolute or is otherwise not a plain name misses without reading,
+    moving or writing any file (a corrupt-looking file outside the cache
+    must not be quarantined into it)."""
+    cache = tmp_path / "cache"
+    store = ResultStore(str(cache))
+    victim = tmp_path / "victim.json"
+    victim.write_text("not a record", encoding="utf-8")
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"version": CACHE_VERSION, "spec": None,
+                                   "result": _result_dict()}),
+                       encoding="utf-8")
+    keys = ("../victim", str(tmp_path / "outside"), "", ".", "..",
+            "sub/key", "k\0")
+    for key in keys:
+        assert store.path(key) is None, key
+        assert store.quarantine_path(key) is None, key
+        assert store.load(key) is None, key
+        assert store.quarantine(key) is None, key
+        with pytest.raises(ValueError):
+            store.store(key, None, _result_dict())
+    assert (store.hits, store.misses, store.quarantined) == (0, len(keys), 0)
+    assert victim.read_text(encoding="utf-8") == "not a record"
+    assert json.loads(outside.read_text(encoding="utf-8"))["result"] \
+        == _result_dict()
+    assert os.listdir(cache) == []
+    # Plain keys, the 64-hex content keys among them, still round-trip.
+    for key in (KEY, "abc", "..k"):
+        store.store(key, None, _result_dict())
+        assert store.load(key).to_dict() == _result_dict()
 
 
 # ------------------------------------------------------------- quarantine

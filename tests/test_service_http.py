@@ -190,8 +190,9 @@ def _raw(port: int, method: str, path: str, body: bytes = b""):
         conn.close()
 
 
-def test_raw_http_edges(job_server_factory):
-    harness = job_server_factory()
+def test_raw_http_edges(job_server_factory, tmp_path):
+    cache = tmp_path / "cache"
+    harness = job_server_factory(cache_dir=str(cache))
     port = harness.port
 
     status, body = _raw(port, "POST", "/jobs", b"{not json")
@@ -240,6 +241,30 @@ def test_raw_http_edges(job_server_factory):
         assert wire.closed()
     status, body = _raw(port, "GET", "/healthz")
     assert status == 200
+
+    # A result id is a store key, never a path: ids that climb out of the
+    # cache or name an absolute file answer 404 and touch nothing (no
+    # read, no quarantine move).
+    from repro.experiments.campaign import CACHE_VERSION
+    from repro.gpu.system import RunResult
+
+    result = RunResult(
+        workload="VA", mode="shared", cycles=1.0, instructions=1.0, ipc=1.0,
+        llc_accesses=0, llc_hits=0, llc_misses=0, llc_miss_rate=0.0,
+        llc_response_flits=0.0, llc_response_rate=0.0, l1_miss_rate=0.0,
+        dram_reads=0, dram_writes=0, dram_bytes=0.0).to_dict()
+    victim = tmp_path / "victim.json"
+    victim.write_text("not a record", encoding="utf-8")
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"version": CACHE_VERSION, "spec": None,
+                                   "result": result}), encoding="utf-8")
+    for key in ("../victim", str(tmp_path / "outside"), "..", "."):
+        status, body = _raw(port, "GET", f"/results/{key}")
+        assert status == 404, (key, body)
+    assert victim.read_text(encoding="utf-8") == "not a record"
+    assert outside.exists()
+    assert not (cache / "quarantine").exists()
+    assert os.listdir(cache) == []
 
 
 # ------------------------------------------------------ kept-alive wire

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine
+from repro.sim.engine import Engine
 
 
 def test_events_fire_in_time_order():

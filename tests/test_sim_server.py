@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import BandwidthServer, LatencyLink
+from repro.sim.server import BandwidthServer, LatencyLink
 
 
 def test_idle_server_serves_immediately():

@@ -128,12 +128,12 @@ class LLCSlice:
         from write-back to write-through (handled by the reconfigurator)."""
         self.write_through = write_through
 
-    def flush(self) -> tuple[int, int]:
-        """Invalidate all lines; returns (valid, dirty) counts."""
+    def flush(self) -> tuple[int, list[int]]:
+        """Invalidate all lines; returns (valid count, dirty keys)."""
         return self.store.flush()
 
-    def clean(self) -> int:
-        """Write back dirty lines, keep contents."""
+    def clean(self) -> list[int]:
+        """Mark dirty lines clean, keep contents; returns their sorted keys."""
         return self.store.clean()
 
     # -------------------------------------------------------------- stats

@@ -174,20 +174,20 @@ class SetAssocCache:
             return True
         return False
 
-    def flush(self) -> tuple[int, int]:
-        """Invalidate everything.  Returns ``(valid_lines, dirty_lines)`` so
-        callers can account writeback traffic and reconfiguration time."""
+    def flush(self) -> tuple[int, list[int]]:
+        """Invalidate everything.  Returns ``(valid_lines, dirty_keys)`` so
+        callers can write the dirty lines back (see :meth:`clean`)."""
         valid = 0
         for keys in self._sets:
             valid += len(keys)
             keys.clear()
         return valid, self.clean()
 
-    def clean(self) -> int:
-        """Write back all dirty lines without invalidating.  Returns count."""
-        dirty = len(self._dirty)
+    def clean(self) -> list[int]:
+        """Mark all lines clean, keep them; returns the sorted dirty keys."""
+        dirty = sorted(self._dirty)
         self._dirty.clear()
-        self.writebacks += dirty
+        self.writebacks += len(dirty)
         return dirty
 
     # -------------------------------------------------------------- stats

@@ -134,10 +134,9 @@ class AdaptiveConfig(_SerializableConfig):
     # Rule #1 threshold: private mode is adopted when its estimated miss rate
     # is within this margin of the measured shared miss rate.
     miss_rate_margin: float = 0.02
-    # Reconfiguration cost model (Section 4.1): drain in-flight packets,
-    # write back dirty lines / invalidate, power-gate or power-on MC-routers.
+    # Reconfiguration cost (Section 4.1): drain in-flight packets, then
+    # power-gate or power-on MC-routers; the DRAM model times write-backs.
     drain_cycles: int = 200
-    writeback_cycles_per_line: float = 0.25
     power_gate_cycles: int = 30
 
     @classmethod

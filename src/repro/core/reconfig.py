@@ -6,14 +6,16 @@ contents, then power-gates or powers on the MC-routers:
 
 * shared → private: write back all dirty lines (the private LLC is
   write-through, so nothing may stay dirty), keep contents (lines already
-  resident in a cluster's new private slice are still valid), gate the
-  MC-routers, engage the bypass.
-* private → shared: invalidate everything (a written line may have stale
-  read-only replicas in other clusters' slices, and shared indexing could
-  pick a stale copy), power the MC-routers back on.
+  resident in a cluster's new private slice are still valid).
+* private → shared: write back, then invalidate everything (a written line
+  may have stale read-only replicas in other clusters' slices, and shared
+  indexing could pick a stale copy).
 
-The paper measures the whole sequence at hundreds to a few thousand cycles;
-the cost model here reproduces that scale from the config constants.
+The write-backs start when the drain ends and take :func:`write_back`, the
+one flush path, so they pay DRAM bank and bus time.  The stall is measured:
+``drain_cycles`` + (last write-back retires − drain end) +
+``power_gate_cycles``, exactly the two constants when nothing is dirty.
+The system's transition hook sets the MC-router gate.
 """
 
 from __future__ import annotations
@@ -33,8 +35,22 @@ class ReconfigCost:
     lines_invalidated: int
 
 
+def write_back(system, at: float) -> tuple[int, float]:
+    """Clean every slice of ``system`` (``llc_slices``, ``mcs``), writing
+    each dirty line at ``at`` through its slice's memory controller, slice
+    ``s`` → MC ``s // slices_per_mc``.  Returns (lines, last retirement)."""
+    slices_per_mc = len(system.llc_slices) // len(system.mcs)
+    written, last = 0, at
+    for s, sl in enumerate(system.llc_slices):
+        mc = system.mcs[s // slices_per_mc]
+        for key in sl.clean():
+            last = max(last, mc.write(at, key))
+            written += 1
+    return written, last
+
+
 class Reconfigurator:
-    """Applies mode transitions to a GPU system's LLC slices and NoC."""
+    """Applies mode transitions to a GPU system's LLC slices."""
 
     def __init__(self, cfg: AdaptiveConfig):
         self.cfg = cfg
@@ -42,49 +58,20 @@ class Reconfigurator:
         self.total_stall_cycles = 0.0
 
     def transition(self, system, now: float, to_mode: LLCMode) -> ReconfigCost:
-        """Switch ``system`` to ``to_mode``; returns the cost breakdown.
-
-        ``system`` must expose ``llc_slices``, ``mcs``, ``mapping`` and an
-        optional H-Xbar ``topology`` (anything with ``set_bypass`` /
-        ``note_gate_change``).
-        """
-        dirty_written = 0
+        """Switch ``system`` to ``to_mode``; returns the cost breakdown."""
+        drained = now + self.cfg.drain_cycles
+        written, retired = write_back(system, drained)
+        private = to_mode is LLCMode.PRIVATE
         invalidated = 0
-        if to_mode is LLCMode.PRIVATE:
-            for sl in system.llc_slices:
-                dirty_written += sl.clean()
-                sl.set_write_policy(write_through=True)
-            self._set_bypass(system, now, True)
-        else:
-            for sl in system.llc_slices:
-                valid, dirty = sl.flush()
-                invalidated += valid
-                dirty_written += dirty  # write-back residue, usually zero
-            for sl in system.llc_slices:
-                sl.set_write_policy(write_through=False)
-            self._set_bypass(system, now, False)
+        for sl in system.llc_slices:
+            if not private:
+                invalidated += sl.flush()[0]
+            sl.set_write_policy(write_through=private)
 
-        # Writebacks hit DRAM: account the traffic at the owning controller.
-        if dirty_written and hasattr(system, "mcs"):
-            per_mc = dirty_written // len(system.mcs)
-            for mc in system.mcs:
-                mc.write_requests += per_mc
-                mc.channel.writes += per_mc
-
-        stall = (self.cfg.drain_cycles
-                 + dirty_written * self.cfg.writeback_cycles_per_line
+        stall = (self.cfg.drain_cycles + (retired - drained)
                  + self.cfg.power_gate_cycles)
         self.transitions += 1
         self.total_stall_cycles += stall
         return ReconfigCost(stall_cycles=stall,
-                            dirty_lines_written=dirty_written,
+                            dirty_lines_written=written,
                             lines_invalidated=invalidated)
-
-    @staticmethod
-    def _set_bypass(system, now: float, enabled: bool) -> None:
-        topo = getattr(system, "topology", None)
-        if topo is None or not hasattr(topo, "note_gate_change"):
-            return  # adaptive caching without the co-designed NoC
-        if getattr(system, "allow_bypass", True):
-            topo.set_bypass(enabled)
-            topo.note_gate_change(now)

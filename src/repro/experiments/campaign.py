@@ -61,7 +61,9 @@ if TYPE_CHECKING:
 #: ``placement``/``seed`` (all elided at their legacy defaults, so legacy
 #: keys are unchanged) and consolidation results carry occupancy timelines
 #: and per-tenant latency payloads v4 readers never wrote.
-CACHE_VERSION = 5
+#: v6: flushes and a run-end drain write each dirty line at its slice's
+#: MC, and the per-line flush constant left ``AdaptiveConfig``.
+CACHE_VERSION = 6
 
 
 def _canonical_policy_params(mode: str, params) -> tuple:

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 from repro.config import GPUConfig, PolicyConfig
 from repro.core.modes import LLCMode, target_slice
-from repro.core.reconfig import ReconfigCost
+from repro.core.reconfig import ReconfigCost, write_back
 from repro.policy import LLCPolicy, PolicyStats, create_policy
 from repro.scenario import Scenario
 from repro.gpu.cta import assign_ctas
@@ -241,8 +241,6 @@ class GPUSystem:
         self.sms = [StreamingMultiprocessor(i, cfg) for i in range(cfg.num_sms)]
         self._sm_kernel_done = [True] * cfg.num_sms
         self.global_stall_until = 0.0
-        # The system owns bypass state (multi-program needs consensus).
-        self.allow_bypass = False
         self.locality = (InterClusterLocalityTracker(locality_window,
                                                      weighted=True)
                          if collect_locality else None)
@@ -395,6 +393,9 @@ class GPUSystem:
         for prog in self.programs:
             if prog.controller is not None:
                 prog.controller.shutdown()
+        # Drain the dirty residue: DRAM traffic, not ``cycles`` (the
+        # memory-side LLC is the point of coherence; see ARCHITECTURE).
+        write_back(self, self.engine.now)
         return self._collect()
 
     # --------------------------------------------------------- kernel flow

@@ -1,5 +1,6 @@
 """Shared test fixtures: an in-process campaign job server harness, a
-fault injected into spec execution, and part of a figure's rows.
+fault injected into spec execution, part of a figure's rows, and the
+write-side DRAM conservation check.
 
 The service tests need a real :class:`~repro.service.server.JobServer`
 listening on a real socket while the test thread drives it through the
@@ -132,3 +133,24 @@ def figure_subset_rows():
         return module.rows(dict(zip(cells, results)))
 
     return rows
+
+
+@pytest.fixture
+def dram_writes_conserved():
+    """Check a finished system's write-side identity.
+
+    Call as ``dram_writes_conserved(system)``.  Every DRAM write is a
+    write-through store or a write-back (evicted, flushed at a transition
+    or drained at run end), each through ``MemoryController.write()``, and
+    no dirty line outlives the run.
+    """
+    def check(system):
+        requests = sum(mc.write_requests for mc in system.mcs)
+        channel = sum(mc.channel.writes for mc in system.mcs)
+        sources = sum(sl.dram_writes + sl.store.writebacks
+                      for sl in system.llc_slices)
+        assert requests == channel == sources
+        # Cleaning a slice hands back its dirty keys: none may be left.
+        assert not any(sl.clean() for sl in system.llc_slices)
+
+    return check

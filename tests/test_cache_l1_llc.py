@@ -119,7 +119,7 @@ def test_llc_write_through_mode_sends_writes_to_dram():
     assert s.dram_writes == 1
     # Write-through lines are never dirty: flush finds no dirty lines.
     _, dirty = s.flush()
-    assert dirty == 0
+    assert dirty == []
 
 
 def test_llc_flush_reports_dirty_in_writeback_mode():
@@ -127,15 +127,15 @@ def test_llc_flush_reports_dirty_in_writeback_mode():
     s.access(0.0, 1, is_write=True)
     s.access(0.0, 1 + 48, is_write=False)      # same set as key 1
     valid, dirty = s.flush()
-    assert valid == 2 and dirty == 1
+    assert valid == 2 and dirty == [1]
 
 
 def test_llc_clean_then_flush_no_dirty():
     s = make_slice()
     s.access(0.0, 1, is_write=True)
-    assert s.clean() == 1
+    assert s.clean() == [1]
     _, dirty = s.flush()
-    assert dirty == 0
+    assert dirty == []
 
 
 def test_llc_stats_roll_up():

@@ -40,7 +40,7 @@ def test_write_hit_marks_dirty():
     c.access(5)
     c.access(5, is_write=True)
     _, dirty = c.flush()
-    assert dirty == 1
+    assert dirty == [5]
 
 
 def test_no_write_allocate_mode():
@@ -81,17 +81,17 @@ def test_flush_counts_and_clears():
     c.access(1)
     c.access(2, is_write=True)
     valid, dirty = c.flush()
-    assert (valid, dirty) == (2, 1)
+    assert (valid, dirty) == (2, [2])
     assert c.occupancy() == 0
 
 
 def test_clean_preserves_contents():
     c = SetAssocCache(num_sets=2, assoc=2)
     c.access(1, is_write=True)
-    assert c.clean() == 1
+    assert c.clean() == [1]
     assert c.probe(1)
     _, dirty = c.flush()
-    assert dirty == 0
+    assert dirty == []
 
 
 def test_lru_within_set():
@@ -216,14 +216,14 @@ class _ReferenceLRU:
         return False
 
     def clean(self):
-        dirty = 0
+        dirty = []
         for lines in self.sets:
             for key, is_dirty in lines.items():
                 if is_dirty:
-                    dirty += 1
+                    dirty.append(key)
                     lines[key] = False
-        self.writebacks += dirty
-        return dirty
+        self.writebacks += len(dirty)
+        return sorted(dirty)
 
     def flush(self):
         valid = sum(len(lines) for lines in self.sets)

@@ -167,8 +167,8 @@ def test_structurally_corrupt_cache_entry_is_re_run(tmp_path):
 #: ``canonical_key`` of the figure rows the tests below compute.
 ROW_DIGESTS = {
     "fig02/private": "bc199ea43e7979f1401da4bd9eea3eee7ae0a2ad897b21ed2b2583ccfc4a9106",
-    "fig11/private": "34606335ab7b212830dc0b8c702ff530b5a3ad8477dab1038b7efa7fc5a35743",
-    "fig12": "52e78db66dce9a42c4319bcb82cb80ee9b5c118e76af0071239e7e6a817ee5c7",
+    "fig11/private": "47bdff1b52a9ec9124ac4dd718712261726103761731c420f16137cf6f548946",
+    "fig12": "65964f7e195daacb74a54864b5e07b1766c680e9e38d81bcddb758ad734fef0d",
 }
 
 
@@ -453,20 +453,20 @@ PINNED_SHAPES = {
 
 #: sha256 of ``canonical_key(execute_spec(spec).to_dict())`` per shape.
 PINNED_DIGESTS = {
-    'single/static': 'e6f04efd020b19cec950aa7b6866419a6ec90b616f6b88244d2c842acc594c01',
-    'single/adaptive+energy+locality': 'c2a23f2b93216d92e0b795b1bc76ac3618edf05b1213fe4ef42691142d97b4b8',
-    'single/hysteresis-params': '9df2d71f5d58cb801f29a77652d8407d4bd9f94ee72102b544942c92d97a78a4',
-    'single/event-tier': 'd9a70b004c9ae0c6445920d5a823d48a8edbf5e04ceb0a6eb83484cb28df4998',
+    'single/static': '7bde44307ec0b943dc23e838be5fbf216073e8dc21557b27ae2337902a0cae39',
+    'single/adaptive+energy+locality': '1f1ebda210ad6213b3b8d908552aa05f06e21bb58708fa9641e1457bbd3f1e39',
+    'single/hysteresis-params': '5f992ed4a65cd545109b121956692f83de1e70316af9830dc1668d6acd19f612',
+    'single/event-tier': '74ce7031ad428f0b46febabe3ee8a4a6db6019c272dffb46f1d56cf39c0a1fca',
     'single/oracle': 'a86df2ac360f0f48c8089133b202e5d021ff7b964b575eb984246735deed2f55',
     'single/oracle+probes': 'a86df2ac360f0f48c8089133b202e5d021ff7b964b575eb984246735deed2f55',
-    'pair/adaptive': '8530be2f20ce50929641069211678e6fdad99cb4466b7c7339218417fe6e30b4',
+    'pair/adaptive': '8be6eac986acbe60add414b1c1e08a04a1cd97533811ffd55fdd7c16b8b45f17',
     'pair/static+energy': '2f47ad03336ad20a32e62d67f2f43ea8fbc12cb7a48d486ec8422b1c3926cee0',
     'pair/oracle': '1980aeac1750d110d0d6cacf5732f22079abb6f118d930ca728fe1051562b756',
     'pair/oracle+probes': '1980aeac1750d110d0d6cacf5732f22079abb6f118d930ca728fe1051562b756',
-    'mix/heterogeneous': '36a39ab21d977825834f8396339fc7d3eb81a54c8442a487881029ff155d14a7',
-    'consolidation/closed-3': 'ffdadfd6901cf988649a46b66af9057c66ef03a4d16c9d9ca99098b5a884d1d3',
-    'consolidation/poisson-2': '7aa932078313cf5ae842258f8cadc2ae1ecef5ece4ec1efa9b0ecfcc4890599e',
-    'consolidation/striped': '035205c5e807faa357ed6a6e37c907d11c50e1e4a1f2fbeb19ae682a4d1629b7',
+    'mix/heterogeneous': '377432ec8ab3679a0926dc999ee818bb4ef6b55e9ac57a589493ec011a89b6e3',
+    'consolidation/closed-3': 'fcfbf0afbf1b1394d299f1a3d49b934a18f68fc49f67f5ee7785872394547897',
+    'consolidation/poisson-2': '9f0215ae91254f494e9752666635cbc4695a9541d48c5fc79f0c783e81e590fb',
+    'consolidation/striped': '84e1075d80bdb228fed677c4615fd1d9bfcc46ee01ca1e50be8a10234d83a4f3',
 }
 
 

@@ -40,8 +40,6 @@ class FakeSystem:
         ]
         mapping = PAEMapping(8, 8, 16)
         self.mcs = [MemoryController(m, cfg, mapping) for m in range(2)]
-        self.topology = None
-        self.allow_bypass = False
 
 
 # ------------------------------------------------------------ reconfigure
@@ -240,16 +238,16 @@ ABLATION_SCALE = 0.5
 
 
 def test_reconfiguration_cost_stays_bounded():
-    """Zeroed vs paper vs 10x drain/flush/power-gate costs: costs order
-    IPC monotonically, and the paper's costs stay within 15% of free (the
-    paper's 1 M-cycle epochs amortize them further)."""
+    """Zeroed vs paper vs 10x drain/power-gate costs (the write-back span
+    is measured, so it stays): costs order IPC monotonically, and the
+    paper's costs stay within 15% of free (the paper's 1 M-cycle epochs
+    amortize them further)."""
     ipc = []
     for factor in (0.0, 1.0, 10.0):
         base = scaled_adaptive_config()
         acfg = dataclasses.replace(
             base,
             drain_cycles=int(base.drain_cycles * factor),
-            writeback_cycles_per_line=base.writeback_cycles_per_line * factor,
             power_gate_cycles=int(base.power_gate_cycles * factor))
         cfg = GPUConfig.baseline().replace(adaptive=acfg)
         ipc.append(execute_spec(RunSpec.single(

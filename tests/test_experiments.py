@@ -40,13 +40,13 @@ ROW_DIGESTS = {
     "fig02/neutral": "9def99460e4764b05759e9d4302a10c666b74993e43fdb29d3e4c835849b6660",
     "fig03/private": "35c3e6d6e0311c29ce0a3bdbcfb64197ba59b43d1586f3ba46d8614a53e76e4d",
     "fig07/RN": "247ba778961cacf1b6a712026fdbd566d038d79213b8ffaae135d080996aae60",
-    "fig11/private": "34606335ab7b212830dc0b8c702ff530b5a3ad8477dab1038b7efa7fc5a35743",
-    "fig12": "52e78db66dce9a42c4319bcb82cb80ee9b5c118e76af0071239e7e6a817ee5c7",
+    "fig11/private": "47bdff1b52a9ec9124ac4dd718712261726103761731c420f16137cf6f548946",
+    "fig12": "65964f7e195daacb74a54864b5e07b1766c680e9e38d81bcddb758ad734fef0d",
     "fig13": "624d71f55f3903f89a95e8a6550f93e438a7fd719a17ef59fe312c5f3976e676",
-    "fig14": "d9ec4b1507851d16a77f9dfbaa9ee55308bdbd1a803ce782b8e10fb0321bcbc3",
-    "fig15/GEMM+AN": "52842f5f2b7f8ac7585ce23616a0a4abb305eede79f10217f6b0f4474c40e31b",
+    "fig14": "e699a168f0652433ea846b71f279d5b341b5832d4f35aedfa474528f2d8aa72d",
+    "fig15/GEMM+AN": "143ecff0ce644d2eae7c0ec19aa7a1cb556ab0c062d29781787eae702dc98273",
     "fig16/SN/address_mapping": "5d2351fb6b9c69e1f40f18df37b6a27dafbf3ab9b5e226fedf1d6c6545a9dc11",
-    "fig16/SN/sm_count": "12c32db96afb615d3289d4f5165ee2fc245d59f4144e9e59428a94ba4d77ce52",
+    "fig16/SN/sm_count": "46d89e8bf7f41d21c8b022d22d4dd5adb1ea311187aa5bd85ccd26780b59999f",
 }
 
 

@@ -5,7 +5,11 @@ captures from the pre-hot-path-rewrite closure-chain pipeline (one shared,
 one private, one adaptive, and one two-program spec); the spec keys were
 re-captured when the policy layer added ``policy_params`` to the spec
 serialization (cache schema v2) after verifying every result stayed
-byte-identical.  Two invariants are pinned:
+byte-identical, and re-captured once more at cache schema v6, when every
+dirty LLC line started reaching DRAM through its slice's memory controller
+(transition flushes timed by the DRAM model, the run-end residue drained):
+that moved the LUD+VA, LUD/shared and VA/adaptive results and every key,
+and left MM/private's result as it was.  Two invariants are pinned:
 
 * optimizations and refactors must leave every simulation result
   byte-identical, so campaign cache keys keep addressing the same payload;

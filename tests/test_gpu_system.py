@@ -134,8 +134,10 @@ def test_adaptive_records_history_and_decisions():
 
 
 def test_write_through_inflates_dram_writes():
-    shared = run("VA", "shared", n=20_000)
-    private = run("VA", "private", n=20_000)
+    """BS rewrites its output lines across kernels: write-back coalesces
+    the rewrites in the LLC, write-through sends every one to DRAM."""
+    shared = run("BS", "shared", n=20_000, kernels=3)
+    private = run("BS", "private", n=20_000, kernels=3)
     assert private.dram_writes > shared.dram_writes
 
 

@@ -421,7 +421,7 @@ def test_policy_shootout_driver(tmp_path, figure_subset_rows):
                               campaign)
     assert [r["benchmark"] for r in rows] == ["GEMM", "SN", "GM"]
     assert canonical_key(rows) == (
-        "ef2ebe60d02650be7aa8c16180b9fc96bfd33660ead5328aae99c1593aef836b")
+        "35d574c12dfb8f9f95c47aca5b493e59220ebc6f1b11fb454b71ac5be873656b")
     for row in rows:
         for policy in shootout.POLICIES:
             assert row[f"{policy}_norm"] > 0

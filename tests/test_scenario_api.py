@@ -403,7 +403,7 @@ def test_mixed_policy_experiment_driver(tmp_path):
     campaign = Campaign(cache_dir=str(tmp_path))
     rows = figure_rows(mixed, TINY, campaign)
     assert canonical_key(rows) == (
-        "eef049ea16512626c7da629475cc132b1a0210a952bc1c9d2f55caf571ef28fa")
+        "f7bc520d76e0fe188cef23b271e0dfc7571f0fd897be9d9c2a17794f839f91a4")
     assert rows[-1]["pair"] == "AVG"
     kinds = {r["kind"] for r in rows[:-1]}
     assert kinds == {"homogeneous", "heterogeneous"}

@@ -143,15 +143,15 @@ def test_gpu_config_to_dict_builds_what_asdict_builds():
 
 
 def test_figure_11_cache_keys_are_pinned():
-    """The content keys of the Figure 11 campaign, as captured before the
-    configs stopped serializing through ``dataclasses.asdict``: a change
-    here orphans every cached result."""
+    """The content keys of the Figure 11 campaign, as re-captured when the
+    per-line flush-cost constant left ``AdaptiveConfig`` (cache schema
+    v6): a change here orphans every cached result."""
     from repro.experiments import fig11_adaptive_performance as fig11
 
     keys = sorted(spec.cache_key() for spec in fig11.specs(scale=0.02))
     assert len(keys) == 51
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
-        "628ccfff92560e61676027a2fc7e90ddc5e492f32c3e6342dfb3bd3946da7ff6"
+        "7998fc05c280cdad22af3cb67025e8cd3f3450a0b9a45a635bceb2b08f1e08d6"
 
 
 # ---------------------------------------------------------------- RunSpec

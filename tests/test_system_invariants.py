@@ -68,6 +68,23 @@ def test_write_through_dram_writes_at_least_llc_writes():
     assert r.dram_writes >= issued_writes
 
 
+@pytest.mark.parametrize("tier", ["event", "batch"])
+@pytest.mark.parametrize("abbr", ["VA", "BS", "GEMM"])
+@pytest.mark.parametrize("mode", ["shared", "private", "adaptive"])
+def test_dram_writes_conserved_and_no_dirty_residue(abbr, mode, tier,
+                                                   dram_writes_conserved):
+    """DRAM writes == write-through stores + evicted, flushed and drained
+    dirty lines, and every run ends with no dirty line in the LLC."""
+    cfg = experiment_config().replace(tier=tier)
+    w = build(abbr, total_accesses=20_000, num_ctas=80, max_kernels=2)
+    s = GPUSystem(cfg, w, policy=mode)
+    r = s.run()
+    assert s.tier == tier
+    # The run-end drain lands before the result is collected.
+    assert r.dram_writes == sum(mc.write_requests for mc in s.mcs)
+    dram_writes_conserved(s)
+
+
 def test_store_buffer_credits_restored():
     s, r, _ = run_system("VA", "shared")
     for sm in s.sms:

@@ -9,7 +9,9 @@ scheduler axes — plus the run options (every registered LLC policy,
 locality collection, the energy report), runs a small two-kernel trace
 on both tiers, and accepts exactly two outcomes: the batch install
 declined (``system.tier == "event"``), or ``RunResult.to_dict()`` equals
-the event tier's.  Vacuity guards assert every axis value was drawn and
+the event tier's.  Every run, on either tier, must also conserve its DRAM
+writes (write-through stores plus write-backs) and end with no dirty LLC
+line.  Vacuity guards assert every axis value was drawn and
 that the batch tier really installed on a good share of the samples.
 
 ``REPRO_TIER_FUZZ_ITERS`` raises the iteration count (CI runs 200).
@@ -91,9 +93,9 @@ def _sample(rng, policy):
     return cfg, options, drawn
 
 
-def _run(cfg, tier, options):
-    """Build and run one system; returns its live tier and canonical
-    result bytes."""
+def _run(cfg, tier, options, dram_writes_conserved):
+    """Build and run one system, check its write-side identity; returns
+    its live tier and canonical result bytes."""
     workload = build(options["benchmark"], total_accesses=ACCESSES,
                      num_ctas=2 * cfg.num_sms, max_kernels=KERNELS)
     system = GPUSystem(cfg.replace(tier=tier), workload,
@@ -102,6 +104,7 @@ def _run(cfg, tier, options):
                                                           SCALE),
                        collect_locality=options["collect_locality"])
     result = system.run()
+    dram_writes_conserved(system)
     if options["with_energy"]:
         result.energy = GPUPowerModel().report(system, result)
     return system.tier, json.dumps(result.to_dict(), sort_keys=True)
@@ -118,7 +121,8 @@ def _all_values():
             "with_energy": {False, True}}
 
 
-def test_sampled_config_shapes_match_the_event_tier_or_decline():
+def test_sampled_config_shapes_match_the_event_tier_or_decline(
+        dram_writes_conserved):
     rng = random.Random(20261017)
     policies = sorted(available_policies())
     rng.shuffle(policies)
@@ -129,12 +133,12 @@ def test_sampled_config_shapes_match_the_event_tier_or_decline():
         cfg, options, drawn = _sample(rng, next(policy_cycle))
         for name, value in drawn.items():
             seen[name].add(value)
-        tier, batch = _run(cfg, "batch", options)
+        tier, batch = _run(cfg, "batch", options, dram_writes_conserved)
         if tier == "event":
             continue  # declined: the event tier ran, untouched
         assert tier == "batch"
         installed += 1
-        _, event = _run(cfg, "event", options)
+        _, event = _run(cfg, "event", options, dram_writes_conserved)
         assert batch == event, drawn
     assert seen == _all_values(), "an axis value was never drawn"
     assert installed * 3 >= ITERATIONS, (

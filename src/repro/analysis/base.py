@@ -82,15 +82,6 @@ def available_rules() -> dict[str, type[Rule]]:
     return _rules().available()
 
 
-def rule_class(name: str) -> type[Rule]:
-    """The rule class registered under ``name``.
-
-    Raises:
-        ValueError: for unregistered names.
-    """
-    return _rules().resolve(name)
-
-
 def create_rule(spec: str) -> Rule:
     """Instantiate a rule from its ``NAME[:k=v,...]`` spec."""
     return _rules().from_spec(spec)

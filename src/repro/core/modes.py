@@ -48,12 +48,3 @@ def target_slice(mode: LLCMode, mapping: AddressMapping, line_key: int,
             )
         return mc, cluster_id
     return mc, mapping.slice_of(line_key)
-
-
-def preferred_static_mode(uses_atomics: bool, requested: LLCMode) -> LLCMode:
-    """Atomics policy (Section 4.1): global atomics are resolved at the ROP
-    units in the LLC and need a single home slice, so a workload that uses
-    them is pinned to the shared organization regardless of preference."""
-    if uses_atomics:
-        return LLCMode.SHARED
-    return requested

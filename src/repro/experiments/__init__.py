@@ -12,9 +12,9 @@ the cells it is given.
 
 Each figure module also declares ``TITLE``/``SLUG``/``PAPER_CLAIM``
 metadata, a ``CHART = (label_key, value_keys)`` rendering hint, and
-``expected_trends()`` — the paper's qualitative claims as
-:class:`~repro.report.trends.Trend` checks that the report subsystem
-badges PASS/WARN per figure.
+``expected_trends()`` — the paper's claims as
+:class:`~repro.report.trends.Trend` declarations (a measure, a comparison
+and a bar) that the report subsystem badges PASS/WARN per figure.
 
 The ``scale`` knob multiplies trace lengths so CI-speed smoke runs and
 paper-scale runs share one code path; the shared campaign deduplicates,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import RunSpec
 from repro.experiments.runner import experiment_config, nested
-from repro.report.trends import Trend, summary_row, value_at_least
+from repro.report.trends import Trend, summary_value
 from repro.sim.stats import harmonic_mean
 from repro.workloads.catalog import CATEGORIES
 
@@ -19,43 +19,40 @@ PAPER_CLAIM = ("On private-cache-friendly workloads the private LLC "
 CHART = ("benchmark", ["shared_resp", "private_resp", "adaptive_resp"])
 
 
+def _hm_ratio(mode: str):
+    """Measure: the mode's HM response rate relative to shared."""
+    return summary_value(f"{mode}_resp", "benchmark", "HM(ratio)")
+
+
+def _smallest_private_gain(rows) -> float:
+    """Smallest private minus shared response rate over the apps."""
+    return min(r["private_resp"] - r["shared_resp"] for r in rows
+               if r["benchmark"] != "HM(ratio)")
+
+
 def expected_trends() -> list[Trend]:
     """The figure's paper-claimed trends, checked against ``rows()``.
 
     The ``HM(ratio)`` summary row holds each mode's harmonic-mean response
     rate *relative to shared*, so the shared column is identically 1.
     """
-
-    def gain_size(rows):
-        hm = summary_row(rows, "benchmark", "HM(ratio)")
-        private, adaptive = hm["private_resp"], hm["adaptive_resp"]
-        return (private > 1.15 and adaptive > 1.05,
-                f"HM ratio: private {private:.3f} (want > 1.15), "
-                f"adaptive {adaptive:.3f} (want > 1.05)")
-
-    def every_app_gains(rows):
-        losers = [r["benchmark"] for r in rows
-                  if r["benchmark"] != "HM(ratio)"
-                  and not r["private_resp"] > r["shared_resp"]]
-        return (not losers,
-                f"private <= shared on: {', '.join(losers)}" if losers
-                else "private > shared on every private-friendly app")
-
     return [
         Trend("private_raises_response_rate",
               "Private LLC response-rate ratio vs shared >= 1 (HM over "
-              "private-friendly apps)",
-              value_at_least("private_resp", 1.0, "benchmark", "HM(ratio)")),
+              "private-friendly apps)", _hm_ratio("private"), ">=", 1.0),
         Trend("adaptive_captures_gain",
               "Adaptive LLC response-rate ratio vs shared >= 1 (HM over "
-              "private-friendly apps)",
-              value_at_least("adaptive_resp", 1.0, "benchmark", "HM(ratio)")),
-        Trend("response_rate_gain_size",
-              "Private raises the response rate over 15% and adaptive over "
-              "5% (HM ratio vs shared; paper: 1.35x)", gain_size),
+              "private-friendly apps)", _hm_ratio("adaptive"), ">=", 1.0),
+        Trend("private_response_rate_gain_size",
+              "Private raises the response rate over 15% (HM ratio vs "
+              "shared)", _hm_ratio("private"), ">", 1.15, paper=1.35),
+        Trend("adaptive_response_rate_gain_size",
+              "Adaptive raises the response rate over 5% (HM ratio vs "
+              "shared)", _hm_ratio("adaptive"), ">", 1.05),
         Trend("every_private_friendly_app_gains",
               "Every private-friendly app gets a higher response rate from "
-              "the private LLC than from the shared LLC", every_app_gains),
+              "the private LLC than from the shared LLC (smallest private "
+              "- shared, flits/cycle)", _smallest_private_gain, ">", 0.0),
     ]
 
 

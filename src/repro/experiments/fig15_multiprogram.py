@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.campaign import RunSpec
 from repro.experiments.runner import experiment_config, nested
 from repro.metrics.perf import system_throughput
-from repro.report.trends import Trend, value_at_least
+from repro.report.trends import Trend, summary_value
 from repro.workloads.multiprogram import all_shared_private_pairs
 
 TITLE = "Figure 15 — multi-program STP (sorted), shared vs adaptive LLC"
@@ -28,13 +28,13 @@ def expected_trends() -> list[Trend]:
     return [
         Trend("adaptive_at_least_cost_neutral",
               "Per-program mode routing is at least cost-neutral on STP "
-              "(paper: +8%; scaled traces sit inside the noise floor, so "
-              "the floor is AVG gain >= 0.96)",
-              value_at_least("gain", 0.96, "pair", "AVG")),
+              "(scaled traces sit inside the noise floor, so the floor is "
+              "AVG gain >= 0.96)", summary_value("gain", "pair", "AVG"),
+              ">=", 0.96, paper=1.08),
         Trend("stp_stays_healthy",
               "Average adaptive STP stays in a healthy band (>= 0.8 of "
               "two ideal programs)",
-              value_at_least("adaptive_stp", 0.8, "pair", "AVG")),
+              summary_value("adaptive_stp", "pair", "AVG"), ">=", 0.8),
     ]
 
 

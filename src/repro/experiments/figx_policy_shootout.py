@@ -20,7 +20,7 @@ from repro.experiments.campaign import RunSpec
 from repro.experiments.runner import experiment_config, nested, \
     scaled_policy_params
 from repro.metrics.perf import geomean_speedup
-from repro.report.trends import Trend
+from repro.report.trends import Trend, summary_value
 
 #: Shootout columns, in presentation order.  ``static-shared`` must stay
 #: first: it is the normalization baseline.
@@ -67,65 +67,58 @@ PAPER_CLAIM = ("The paper's adaptive controller approaches the per-workload "
 CHART = ("benchmark", [f"{p}_norm" for p in POLICIES])
 
 
+def _gm(policy: str):
+    """Measure: the policy's geomean normalized IPC."""
+    return summary_value(f"{policy}_norm", "benchmark", "GM")
+
+
+def _transitions(policy: str):
+    """Measure: the policy's total mode transitions over the workloads."""
+    return lambda rows: sum(r[f"{policy}_transitions"]
+                            for r in _bench_rows(rows))
+
+
+def _worst_oracle_gap(rows) -> float:
+    """Largest |oracle - best static| normalized IPC over the workloads.
+    The oracle's measured run IS the winning static run, so determinism
+    makes this zero."""
+    return max([0.0] + [
+        abs(r["oracle-static_norm"]
+            - max(r["static-shared_norm"], r["static-private_norm"]))
+        for r in _bench_rows(rows)])
+
+
+def _best_naive_less_slack(rows) -> float:
+    """Bar: the better naive heuristic's geomean, less 0.02 of slack."""
+    return max(_gm("miss-rate-threshold")(rows),
+               _gm("hysteresis")(rows)) - 0.02
+
+
 def expected_trends() -> list[Trend]:
-    def oracle_is_best_static(rows):
-        """Determinism check: the oracle's measured run IS the winning
-        static run, so its normalized IPC must equal max(statics)."""
-        worst = 0.0
-        for row in _bench_rows(rows):
-            best = max(row["static-shared_norm"], row["static-private_norm"])
-            worst = max(worst, abs(row["oracle-static_norm"] - best))
-        return (worst <= 1e-9,
-                f"max |oracle - best static| = {worst:.2e} (want <= 1e-9)")
-
-    def adaptive_tracks_oracle(rows):
-        gm = _summary(rows)
-        ratio = gm["paper-adaptive_norm"] / gm["oracle-static_norm"]
-        return (ratio >= 0.90,
-                f"geomean paper-adaptive / oracle = {ratio:.3f} "
-                f"(want >= 0.90)")
-
-    def adaptive_beats_naive_heuristics(rows):
-        gm = _summary(rows)
-        naive = max(gm["miss-rate-threshold_norm"], gm["hysteresis_norm"])
-        return (gm["paper-adaptive_norm"] >= naive - 0.02,
-                f"geomean: paper-adaptive {gm['paper-adaptive_norm']:.3f} "
-                f"vs best naive heuristic {naive:.3f}")
-
-    def hysteresis_damps_transitions(rows):
-        bench = _bench_rows(rows)
-        hyst = sum(r["hysteresis_transitions"] for r in bench)
-        thresh = sum(r["miss-rate-threshold_transitions"] for r in bench)
-        return (hyst <= thresh,
-                f"total transitions: hysteresis {hyst} vs threshold "
-                f"{thresh}")
-
     return [
         Trend("oracle_is_best_static",
               "The oracle policy reproduces the better static "
-              "organization exactly, per workload", oracle_is_best_static),
+              "organization exactly, per workload", _worst_oracle_gap,
+              "<=", 1e-9),
         Trend("adaptive_tracks_oracle",
               "Paper-adaptive captures >= 90% of the oracle's geomean "
-              "normalized IPC", adaptive_tracks_oracle),
+              "normalized IPC", lambda rows: (
+                  _gm("paper-adaptive")(rows) / _gm("oracle-static")(rows)),
+              ">=", 0.90),
         Trend("adaptive_beats_naive_heuristics",
               "The paper's profiled controller is at least as good as "
-              "naive miss-rate heuristics", adaptive_beats_naive_heuristics),
+              "naive miss-rate heuristics (geomean, less 0.02)",
+              _gm("paper-adaptive"), ">=", _best_naive_less_slack),
         Trend("hysteresis_damps_transitions",
               "A dwell requirement never increases the transition count "
               "relative to the bare threshold policy",
-              hysteresis_damps_transitions),
+              _transitions("hysteresis"), "<=",
+              _transitions("miss-rate-threshold")),
     ]
 
 
 def _bench_rows(rows) -> list[dict]:
     return [r for r in rows if r["benchmark"] != "GM"]
-
-
-def _summary(rows) -> dict:
-    for row in rows:
-        if row["benchmark"] == "GM":
-            return row
-    raise KeyError("no GM summary row")
 
 
 def _column_spec(abbr: str, policy: str, cfg, scale: float) -> RunSpec:

@@ -12,7 +12,7 @@ extra, never a requirement).
 from __future__ import annotations
 
 import importlib
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
@@ -29,30 +29,6 @@ def hbar(value: float, vmax: float, width: int = 40) -> str:
     if full < width and rem:
         bar += _BLOCKS[rem]
     return bar.ljust(width)
-
-
-def bar_chart(series: Mapping[str, float], title: str = "",
-              vmax: Optional[float] = None, width: int = 40,
-              reference: Optional[float] = None) -> str:
-    """Render one named series as rows of bars.
-
-    ``reference`` draws a marker column (e.g. 1.0 for normalized charts).
-    """
-    if not series:
-        return "(empty chart)"
-    peak = vmax if vmax is not None else max(series.values())
-    if peak <= 0:
-        peak = 1.0
-    label_w = max(len(k) for k in series)
-    lines = [title] if title else []
-    for name, value in series.items():
-        bar = hbar(value, peak, width)
-        if reference is not None and 0 < reference <= peak:
-            pos = min(width - 1, int(reference / peak * width))
-            if bar[pos] == " ":
-                bar = bar[:pos] + "|" + bar[pos + 1:]
-        lines.append(f"{name.ljust(label_w)} {bar} {value:.3f}")
-    return "\n".join(lines)
 
 
 def grouped_chart(rows: Sequence[Mapping], label_key: str,

@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.sim.stats import geometric_mean, harmonic_mean
-
-
-def normalized_performance(ipc: float, baseline_ipc: float) -> float:
-    """IPC relative to a baseline run (Figures 2, 11, 16)."""
-    if baseline_ipc <= 0:
-        raise ValueError("baseline IPC must be positive")
-    return ipc / baseline_ipc
+from repro.sim.stats import geometric_mean
 
 
 def system_throughput(multi_ipcs: Sequence[float],
@@ -27,13 +20,6 @@ def system_throughput(multi_ipcs: Sequence[float],
             raise ValueError("alone IPC must be positive")
         stp += together / alone
     return stp
-
-
-def speedup_summary(speedups: Mapping[str, float]) -> dict[str, float]:
-    """Add the paper's HM (harmonic mean) bar to a per-benchmark mapping."""
-    out = dict(speedups)
-    out["HM"] = harmonic_mean(list(speedups.values()))
-    return out
 
 
 def geomean_speedup(speedups: Sequence[float]) -> float:

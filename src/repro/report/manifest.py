@@ -3,9 +3,10 @@
 The manifest is what makes the artifact *verifiable*: it records the exact
 experiment configuration (and its content key), the git revision of the
 code that ran, the campaign counters, and — per figure — every RunSpec
-cache key plus the evaluated trend badges.  A reader can re-run any single
-simulation from its spec hash, or diff two manifests to see precisely what
-changed between two reports.
+cache key plus the evaluated trends, each with its measured value, bar,
+margin and status.  A reader can re-run any single simulation from its
+spec hash, or diff two manifests to see precisely what changed between
+two reports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import subprocess
 from typing import Optional
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def git_provenance(cwd: Optional[str] = None) -> dict:

@@ -60,8 +60,11 @@ def _page_html(title: str, body: str) -> str:
 
 
 def _trend_rows(trends: Sequence[TrendResult]) -> list[dict]:
+    """The fidelity-check table: each claim with our value against its
+    bar, the margin it clears the bar by, and the paper's number."""
     return [{"trend": t.name, "status": t.status, "claim": t.claim,
-             "observed": t.observed} for t in trends]
+             "observed": t.observed, "margin": t.margin, "paper": t.paper}
+            for t in trends]
 
 
 def figure_page_html(title: str, status: str, paper_claim: str,

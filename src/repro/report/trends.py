@@ -1,72 +1,101 @@
 """Fidelity checks: does a reproduced figure show the paper-claimed trend?
 
-Every figure driver declares its qualitative claims as :class:`Trend`
-objects — a name, the sentence the paper would use, and a predicate over
-the driver's row dicts.  The report builder evaluates them with
-:func:`evaluate_trends` and badges each figure:
+Every figure driver declares its claims as :class:`Trend` objects: a
+name, the sentence the paper would use, a ``measure`` that reduces the
+driver's row dicts to one number, a comparison ``op`` and the ``bar``
+that number must clear.  The report builder evaluates them with
+:func:`evaluate_trends`, the one place that derives a status, a message
+and a signed margin from a declaration, and badges each figure:
 
-* ``PASS``  — every trend predicate held on the reproduced rows;
-* ``WARN``  — at least one predicate did not hold (the reproduction ran,
-  but the rows disagree with the paper's qualitative claim);
-* ``ERROR`` — a predicate raised (missing columns, empty rows, NaNs where
-  numbers were promised): the *check itself* is broken, which CI treats
-  as a hard failure while WARN is allowed.
-
-Predicates are plain functions ``rows -> (ok, observed)`` where
-``observed`` is a short human-readable measurement (shown next to the
-badge so a reader can judge how close the run came).
+* ``PASS``  — the measured value cleared its bar;
+* ``WARN``  — it did not (the reproduction ran, but the rows disagree
+  with the paper's claim; a NaN value, such as an empty selection,
+  clears no bar);
+* ``ERROR`` — the measure or the bar raised (missing columns, empty
+  rows): the *check itself* is broken, which CI treats as a hard failure
+  while WARN is allowed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import operator
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence, Union
 
 #: Badge states, in increasing severity order.
 PASS, WARN, ERROR = "PASS", "WARN", "ERROR"
 
 _SEVERITY = {PASS: 0, WARN: 1, ERROR: 2}
 
-CheckFn = Callable[[Sequence[dict]], tuple[bool, str]]
+#: The comparisons a trend may declare, each with the margin it implies:
+#: how far the value clears its bar, positive when the claim holds.
+_OPS = {
+    ">=": (operator.ge, operator.sub),
+    ">": (operator.gt, operator.sub),
+    "<=": (operator.le, lambda value, bar: bar - value),
+    "<": (operator.lt, lambda value, bar: bar - value),
+}
+
+Measure = Callable[[Sequence[dict]], float]
 
 
 @dataclass(frozen=True)
 class Trend:
     """One paper-claimed trend, stated declaratively by a figure driver.
 
+    The claim holds when ``measure(rows) <op> bar``.
+
     Args:
         name: short stable identifier (used in the manifest and tests).
-        claim: the paper's qualitative claim, as a sentence.
-        check: predicate ``rows -> (ok, observed)``; ``observed`` is a short
-            measurement string rendered next to the badge.
+        claim: the paper's claim, as a sentence.
+        measure: ``rows -> float``, the reproduced value.
+        op: one of ``>=``, ``>``, ``<=``, ``<``.
+        bar: the value to clear, or ``rows -> float`` when the bar is
+            itself measured (e.g. "best static - 0.02").
+        paper: the number the paper states for the same value, where it
+            states one.
     """
 
     name: str
     claim: str
-    check: CheckFn
+    measure: Measure
+    op: str
+    bar: Union[float, Measure]
+    paper: Optional[float] = None
+
+    def __post_init__(self):
+        if self.op not in _OPS:
+            raise ValueError(f"trend {self.name!r}: unknown op {self.op!r} "
+                             f"(expected one of {', '.join(_OPS)})")
 
 
 @dataclass(frozen=True)
 class TrendResult:
     """Outcome of evaluating one :class:`Trend` against reproduced rows.
 
-    ``status`` is ``PASS``/``WARN``/``ERROR``; ``observed`` carries either
-    the measurement or, for ``ERROR``, the exception text.
+    ``status`` is ``PASS``/``WARN``/``ERROR``; ``observed`` reads
+    ``"<value> <op> <bar>"``, or for ``ERROR`` the exception text, in
+    which case ``value``, ``bar`` and ``margin`` are ``None``.
+    ``margin`` is positive when the claim holds with room to spare.
     """
 
     name: str
     claim: str
     status: str
     observed: str
+    op: str
+    value: Optional[float] = None
+    bar: Optional[float] = None
+    margin: Optional[float] = None
+    paper: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "claim": self.claim,
-                "status": self.status, "observed": self.observed}
+        return asdict(self)
 
 
 def evaluate_trends(trends: Sequence[Trend],
                     rows: Sequence[dict]) -> list[TrendResult]:
-    """Evaluate every trend, mapping predicate exceptions to ``ERROR``.
+    """Evaluate every trend, mapping measure/bar exceptions to ``ERROR``.
 
     Args:
         trends: the figure's declared :class:`Trend` list.
@@ -78,12 +107,22 @@ def evaluate_trends(trends: Sequence[Trend],
     results = []
     for trend in trends:
         try:
-            ok, observed = trend.check(rows)
-            status = PASS if ok else WARN
+            value = float(trend.measure(rows))
+            bar = float(trend.bar(rows) if callable(trend.bar)
+                        else trend.bar)
         except Exception as exc:  # noqa: BLE001 — any failure is the verdict
-            status, observed = ERROR, f"{type(exc).__name__}: {exc}"
-        results.append(TrendResult(name=trend.name, claim=trend.claim,
-                                   status=status, observed=observed))
+            results.append(TrendResult(
+                name=trend.name, claim=trend.claim, status=ERROR,
+                observed=f"{type(exc).__name__}: {exc}", op=trend.op,
+                paper=trend.paper))
+            continue
+        compare, margin = _OPS[trend.op]
+        results.append(TrendResult(
+            name=trend.name, claim=trend.claim,
+            status=PASS if compare(value, bar) else WARN,
+            observed=f"{value:.4g} {trend.op} {bar:.4g}", op=trend.op,
+            value=value, bar=bar, margin=margin(value, bar),
+            paper=trend.paper))
     return results
 
 
@@ -95,8 +134,7 @@ def overall_status(results: Sequence[TrendResult]) -> str:
 
 
 # ---------------------------------------------------------------- helpers
-# Small combinators the figure drivers share, so each expected_trends()
-# stays a handful of declarative lines.
+# Row lookups the figure drivers' measures share.
 
 def summary_row(rows: Sequence[dict], label_key: str,
                 label: str) -> dict:
@@ -115,39 +153,6 @@ def category_row(rows: Sequence[dict], label: str, category: str) -> dict:
     raise KeyError(f"no {label!r} row for category {category!r}")
 
 
-def ratio_at_least(num_key: str, den_key: str, threshold: float,
-                   label_key: str, label: str) -> CheckFn:
-    """Check ``summary[num_key] / summary[den_key] >= threshold``."""
-
-    def check(rows: Sequence[dict]) -> tuple[bool, str]:
-        row = summary_row(rows, label_key, label)
-        ratio = float(row[num_key]) / float(row[den_key])
-        return (ratio >= threshold,
-                f"{num_key}/{den_key} @ {label} = {ratio:.3f} "
-                f"(want >= {threshold:g})")
-
-    return check
-
-
-def value_at_least(key: str, threshold: float, label_key: str,
-                   label: str) -> CheckFn:
-    """Check ``summary[key] >= threshold`` on the named summary row."""
-
-    def check(rows: Sequence[dict]) -> tuple[bool, str]:
-        value = float(summary_row(rows, label_key, label)[key])
-        return (value >= threshold,
-                f"{key} @ {label} = {value:.3f} (want >= {threshold:g})")
-
-    return check
-
-
-def value_at_most(key: str, threshold: float, label_key: str,
-                  label: str) -> CheckFn:
-    """Check ``summary[key] <= threshold`` on the named summary row."""
-
-    def check(rows: Sequence[dict]) -> tuple[bool, str]:
-        value = float(summary_row(rows, label_key, label)[key])
-        return (value <= threshold,
-                f"{key} @ {label} = {value:.3f} (want <= {threshold:g})")
-
-    return check
+def summary_value(key: str, label_key: str, label: str) -> Measure:
+    """A measure reading ``key`` from the named summary row."""
+    return lambda rows: summary_row(rows, label_key, label)[key]

@@ -6,8 +6,7 @@
   CRC32-seeded access-stream primitives and the trace generator
   (deterministic, which is what makes campaign caching sound);
 * :mod:`repro.workloads.multiprogram` — two-program mixes for Figure 15;
-* :mod:`repro.workloads.analysis` / :mod:`repro.workloads.serialization`
-  — trace characterization and on-disk trace round-tripping.
+* :mod:`repro.workloads.analysis` — trace characterization.
 """
 
 from repro.workloads.trace import CTAStream, KernelTrace, Workload

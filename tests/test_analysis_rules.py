@@ -13,7 +13,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.base import available_rules, create_rule, rule_class
+from repro.analysis.base import available_rules, create_rule
 from repro.analysis.checker import check_source
 from repro.analysis.pragmas import scan_pragmas
 from repro.analysis.registry import parse_spec
@@ -59,7 +59,7 @@ def test_cli_list_rules_output_is_pinned(capsys):
 
 def test_unknown_rule_name_raises_with_listing():
     with pytest.raises(ValueError, match="determinism"):
-        rule_class("no-such-rule")
+        create_rule("no-such-rule")
 
 
 def test_unknown_rule_param_raises():

@@ -15,11 +15,7 @@ from repro.cache.llc_slice import LLCSlice
 from repro.mem.address_map import PAEMapping
 from repro.mem.controller import MemoryController
 from repro.metrics.locality import InterClusterLocalityTracker
-from repro.metrics.perf import (
-    normalized_performance,
-    speedup_summary,
-    system_throughput,
-)
+from repro.metrics.perf import system_throughput
 from repro.sim.engine import Engine
 
 
@@ -316,16 +312,11 @@ def test_locality_tracker_validation():
 
 
 def test_perf_metrics():
-    assert normalized_performance(120.0, 100.0) == pytest.approx(1.2)
-    with pytest.raises(ValueError):
-        normalized_performance(1.0, 0.0)
     assert system_throughput([5.0, 5.0], [10.0, 10.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         system_throughput([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         system_throughput([1.0], [0.0])
-    out = speedup_summary({"A": 1.0, "B": 2.0})
-    assert out["HM"] == pytest.approx(4.0 / 3.0)
 
 
 def test_geomean_speedup_ignores_nan_and_inf():

@@ -8,7 +8,7 @@ from repro.core.bandwidth_model import (
     llc_slice_parallelism,
     supplied_bandwidth,
 )
-from repro.core.modes import LLCMode, preferred_static_mode, target_slice
+from repro.core.modes import LLCMode, target_slice
 from repro.mem.address_map import PAEMapping
 
 
@@ -40,12 +40,6 @@ def test_target_slice_private_uses_cluster():
 def test_target_slice_private_validates_cluster():
     with pytest.raises(ValueError):
         target_slice(LLCMode.PRIVATE, mapping(), 0, cluster_id=8)
-
-
-def test_atomics_policy_pins_shared():
-    assert preferred_static_mode(True, LLCMode.PRIVATE) is LLCMode.SHARED
-    assert preferred_static_mode(False, LLCMode.PRIVATE) is LLCMode.PRIVATE
-    assert preferred_static_mode(False, LLCMode.SHARED) is LLCMode.SHARED
 
 
 @given(st.integers(0, 2**40), st.integers(0, 7))

@@ -3,7 +3,7 @@
 These verify the drivers' plumbing (row shapes, summary rows, config
 sweeps) and the regenerated tables' values.  The paper-shape claims live
 in each figure's ``expected_trends()``, which ``repro report`` evaluates;
-CI gates the headline figures at ``--scale paper``.
+CI gates every paper figure at ``--scale paper``.
 """
 
 import math

@@ -4,12 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import plotting
-from repro.experiments.plotting import (
-    bar_chart,
-    grouped_chart,
-    hbar,
-    render_chart_file,
-)
+from repro.experiments.plotting import grouped_chart, hbar, render_chart_file
 from repro.experiments.tables import rows_to_html, rows_to_markdown
 
 
@@ -24,18 +19,6 @@ def test_hbar_scales():
 
 def test_hbar_clamps_overflow():
     assert hbar(5.0, 1.0, width=4) == "████"
-
-
-def test_bar_chart_contains_labels_and_values():
-    out = bar_chart({"shared": 1.0, "private": 1.35}, title="fig",
-                    reference=1.0)
-    assert "fig" in out
-    assert "shared" in out and "private" in out
-    assert "1.350" in out
-
-
-def test_bar_chart_empty():
-    assert bar_chart({}) == "(empty chart)"
 
 
 def test_grouped_chart_skips_nan():

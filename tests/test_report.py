@@ -7,6 +7,8 @@ re-rendering from a warm cache.
 """
 
 import json
+import math
+import operator
 import os
 
 import pytest
@@ -24,44 +26,74 @@ from repro.report.trends import (
     category_row,
     evaluate_trends,
     overall_status,
-    ratio_at_least,
     summary_row,
-    value_at_least,
-    value_at_most,
+    summary_value,
 )
 
 TINY = 0.02
+OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+       "<": operator.lt}
 MINI_FIGURES = ["12", "13"]  # cheapest drivers: 33 unique tiny runs
 
 
 # ----------------------------------------------------------------- trends
 def test_evaluate_trends_pass_warn_error():
-    trends = [
-        Trend("holds", "always true", lambda rows: (True, "yes")),
-        Trend("fails", "always false", lambda rows: (False, "no")),
-        Trend("raises", "crashes", lambda rows: rows[999]),
+    """A table of every op just below, at and just above a bar of 2
+    (strict versus inclusive bounds), then a row-dependent bar and
+    raising measures/bars."""
+    below, above = 2.0 - 1e-9, 2.0 + 1e-9
+    table = [  # (op, value, status)
+        (">=", below, WARN), (">=", 2.0, PASS), (">=", above, PASS),
+        (">", below, WARN), (">", 2.0, WARN), (">", above, PASS),
+        ("<=", below, PASS), ("<=", 2.0, PASS), ("<=", above, WARN),
+        ("<", below, PASS), ("<", 2.0, WARN), ("<", above, WARN),
     ]
-    results = evaluate_trends(trends, [{"x": 1}])
-    assert [r.status for r in results] == [PASS, WARN, ERROR]
-    assert results[0].observed == "yes"
-    assert "IndexError" in results[2].observed
-    assert overall_status(results) == ERROR
+    trends = [Trend(f"{op} {value}", "claim", lambda rows, v=value: v, op,
+                    2.0, paper=1.5)
+              for op, value, _ in table]
+    results = evaluate_trends(trends, [])
+    for (op, value, status), result in zip(table, results):
+        assert (result.status, result.op) == (status, op)
+        assert (result.value, result.bar, result.paper) == (value, 2.0, 1.5)
+        # Positive margin: the claim holds with room to spare.
+        assert result.margin == (value - 2.0 if op[0] == ">" else 2.0 - value)
+        assert result.observed == f"{value:.4g} {op} 2"
+
+    rows = [{"label": "AVG", "v": 2.0, "best": 2.01}]
+    declared = [
+        Trend("row_bar", "v clears best - 0.02",
+              summary_value("v", "label", "AVG"), ">=",
+              lambda rows: summary_row(rows, "label", "AVG")["best"] - 0.02),
+        Trend("no_hm_row", "a missing summary row",
+              summary_value("v", "label", "HM"), ">=", 1.0),
+        Trend("no_category_row", "a missing category row for the bar",
+              summary_value("v", "label", "AVG"), "<",
+              lambda rows: category_row(rows, "HM", "shared")["v"]),
+    ]
+    row_bar, no_hm, no_category = evaluate_trends(declared, rows)
+    assert row_bar.status == PASS
+    assert row_bar.bar == pytest.approx(1.99)
+    assert row_bar.margin == pytest.approx(0.01)
+    for result in (no_hm, no_category):
+        assert result.status == ERROR
+        assert "KeyError" in result.observed
+        assert (result.value, result.bar, result.margin) == (None, None, None)
+    assert no_hm.to_dict()["op"] == ">="
+    with pytest.raises(ValueError, match="unknown op"):
+        Trend("bad", "claim", lambda rows: 1.0, "==", 1.0)
+
+    assert overall_status([row_bar, no_hm]) == ERROR
     assert overall_status(results[:2]) == WARN
-    assert overall_status(results[:1]) == PASS
+    assert overall_status(results[1:3]) == PASS
     assert overall_status([]) == WARN  # no declared trends can't claim PASS
 
 
 def test_trend_helpers():
-    rows = [{"label": "A", "v": 0.5, "w": 1.0},
-            {"label": "AVG", "v": 2.0, "w": 1.0}]
+    rows = [{"label": "A", "v": 0.5}, {"label": "AVG", "v": 2.0}]
     assert summary_row(rows, "label", "AVG")["v"] == 2.0
+    assert summary_value("v", "label", "AVG")(rows) == 2.0
     with pytest.raises(KeyError):
         summary_row(rows, "label", "HM")
-    assert value_at_least("v", 1.5, "label", "AVG")(rows)[0]
-    assert not value_at_least("v", 2.5, "label", "AVG")(rows)[0]
-    assert value_at_most("v", 2.0, "label", "AVG")(rows)[0]
-    ok, observed = ratio_at_least("v", "w", 1.5, "label", "AVG")(rows)
-    assert ok and "2.000" in observed
     grouped = [{"benchmark": "HM", "category": c, "v": v}
                for c, v in (("private", 1.2), ("shared", 0.8))]
     assert category_row(grouped, "HM", "shared")["v"] == 0.8
@@ -78,7 +110,8 @@ def test_every_figure_module_self_describes():
         trends = module.expected_trends()
         assert trends, f"figure {number} declares no trends"
         for trend in trends:
-            assert trend.name and trend.claim and callable(trend.check)
+            assert trend.name and trend.claim and callable(trend.measure)
+            assert trend.op in OPS
 
 
 def _status(module, name, rows):
@@ -158,7 +191,7 @@ def test_report_chart_text_fallback_without_matplotlib(mini_report):
 def test_report_manifest_provenance(mini_report):
     result, out, cache = mini_report
     manifest = json.load(open(result.manifest_path, encoding="utf-8"))
-    assert manifest["version"] == 1
+    assert manifest["version"] == 2
     assert manifest["scale"] == TINY
     assert manifest["cache_dir"] == cache
     assert manifest["config"]["cache_key"]
@@ -173,7 +206,12 @@ def test_report_manifest_provenance(mini_report):
         assert entry["status"] in (PASS, WARN)
         assert entry["cache_keys"] and entry["trends"]
         for trend in entry["trends"]:
-            assert {"name", "claim", "status", "observed"} <= set(trend)
+            assert {"name", "claim", "status", "observed", "op",
+                    "paper"} <= set(trend)
+            value, bar, margin = trend["value"], trend["bar"], trend["margin"]
+            assert all(math.isfinite(x) for x in (value, bar, margin))
+            holds = OPS[trend["op"]](value, bar)
+            assert (trend["status"] == PASS) == holds
 
 
 def test_report_idempotent_warm_rerender(mini_report, tmp_path):

@@ -4,15 +4,22 @@ The ROADMAP's north star is a simulator that "runs as fast as the hardware
 allows" — this module is how that is *measured* rather than assumed.  It
 times fig11-style runs (one benchmark under the shared, private, and
 adaptive LLC policies, plus an adaptive run with per-program LLC counters
-enabled) under **every execution tier** and reports wall time, engine
-events, and events/sec per scenario, then writes the record to
+enabled) under **every execution tier** and reports wall time and
+simulated work per second per scenario, then writes the record to
 ``BENCH_hotpath.json`` so every PR has a perf trajectory to beat.
+
+Throughput is simulated kilo-instructions per host second (``kips``), the
+unit of the end-to-end benchmark's ``sim_kips``.  Engine events are
+recorded too, but they are not a rate of work: the tiers schedule
+different numbers of events for the same simulation (the batch tier parks
+wakes that can only stall), so events/sec would not compare across tiers.
 
 Schema of the written file::
 
     {
       "<scenario>": {"tier": str, "wall_s": float, "events": int,
-                      "events_per_sec": float, "cycles": float,
+                      "instructions": float, "kips": float,
+                      "cycles": float, "digest": str,
                       "samples": [float, ...]},
       ...,
       "_meta": {"benchmark": str, "scale": float, "repeat": int,
@@ -25,23 +32,24 @@ with a ``[batch]`` suffix for the batch tier (``"adaptive[batch]"``); the
 :meth:`GPUSystem.enable_program_counters` on, the instrumented path
 Scenario-API policies pay, and ``arrivals`` times a three-tenant
 consolidation run with Poisson admissions and latency tracking.
-``_meta`` is advisory; comparison tooling (:func:`compare_bench`) looks
-only at ``events_per_sec`` in the scenario entries, so records written by
-older schema versions (no ``tier``/``samples`` fields, fewer tiers) still
-load and compare.
+``digest`` is the SHA-256 of the run's canonical ``RunResult`` JSON, so
+two tiers' rows show whether they simulated the same thing.  ``_meta`` is
+advisory; comparison tooling (:func:`compare_bench`) looks only at
+``kips`` in the scenario entries.
 
 Timing methodology: each scenario builds the workload and system outside
 the timed region (trace generation is setup, not simulation) and times
-only :meth:`~repro.gpu.system.GPUSystem.run`.  Every repeat's events/sec
-is recorded in ``samples``; the headline ``events_per_sec`` is the
-**median** sample (robust to one noisy neighbour on shared runners, unlike
-best-of which tracks the luckiest run), while ``wall_s`` reports the best
-wall time for reference.
+only :meth:`~repro.gpu.system.GPUSystem.run`.  Every repeat's kinstr/s is
+recorded in ``samples``; the headline ``kips`` is the **median** sample
+(robust to one noisy neighbour on shared runners, unlike best-of which
+tracks the luckiest run), while ``wall_s`` reports the best wall time for
+reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import platform
 import statistics
@@ -130,24 +138,23 @@ def bench_scenario(abbr: str, mode: str, scale: float, repeat: int = 1,
                             arrivals=arrivals)
     samples: list[float] = []
     best_wall: Optional[float] = None
-    events = 0
-    cycles = 0.0
     for _ in range(max(1, repeat)):
         system = build()
         t0 = time.perf_counter()
         result = system.run()
         wall = time.perf_counter() - t0
-        events = system.engine.events_processed
-        cycles = result.cycles
-        samples.append(events / wall if wall > 0 else 0.0)
+        samples.append(result.instructions / wall / 1e3 if wall > 0 else 0.0)
         if best_wall is None or wall < best_wall:
             best_wall = wall
+    canonical = json.dumps(result.to_dict(), sort_keys=True)
     return {
         "tier": tier,
         "wall_s": best_wall,
-        "events": events,
-        "events_per_sec": statistics.median(samples),
-        "cycles": cycles,
+        "events": system.engine.events_processed,
+        "instructions": result.instructions,
+        "kips": statistics.median(samples),
+        "cycles": result.cycles,
+        "digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "samples": samples,
     }
 
@@ -210,8 +217,8 @@ def run_bench(scale: float, benchmark_abbr: str = DEFAULT_BENCHMARK,
 
 def tier_speedups(data: dict) -> dict[str, float]:
     """Batch-over-event speedup per scenario that was timed under both
-    tiers.  Keys are the bare scenario names; empty when the record holds
-    only one of the tiers (e.g. a pre-tier baseline)."""
+    tiers: the ratio of their simulated kinstr/s.  Keys are the bare
+    scenario names; empty when the record holds only one of the tiers."""
     speedups = {}
     for scenario, row in data.items():
         if scenario.startswith("_") or "[" in scenario:
@@ -219,9 +226,8 @@ def tier_speedups(data: dict) -> dict[str, float]:
         batch = data.get(scenario_key(scenario, "batch"))
         if batch is None:
             continue
-        if row["events_per_sec"] > 0:
-            speedups[scenario] = \
-                batch["events_per_sec"] / row["events_per_sec"]
+        if row["kips"] > 0:
+            speedups[scenario] = batch["kips"] / row["kips"]
     return speedups
 
 
@@ -239,12 +245,12 @@ def load_bench(path: str) -> dict:
 
 def compare_bench(current: dict, baseline: dict,
                   max_regress: float = 0.30) -> list[str]:
-    """Regression check: events/sec per scenario against a baseline record.
+    """Regression check: simulated kinstr/s per scenario against a
+    baseline record.
 
     Args:
         current: freshly measured payload (:func:`run_bench` shape).
-        baseline: previously committed payload (any schema version — only
-            ``events_per_sec`` is read).
+        baseline: previously committed payload; only ``kips`` is read.
         max_regress: allowed fractional slowdown (0.30 = current may be up
             to 30% slower before it counts as a regression — headroom for
             machine-to-machine and CI-runner variance).
@@ -252,7 +258,9 @@ def compare_bench(current: dict, baseline: dict,
     Returns:
         Human-readable failure strings, empty when everything holds.
         Scenarios present only on one side are reported as failures (a
-        silently dropped scenario would otherwise pass forever).
+        silently dropped scenario would otherwise pass forever), and so is
+        a baseline row without ``kips`` (an events/sec record, which does
+        not measure the same thing).
     """
     failures = []
     for scenario, base_row in baseline.items():
@@ -262,13 +270,17 @@ def compare_bench(current: dict, baseline: dict,
         if cur_row is None:
             failures.append(f"{scenario}: missing from current run")
             continue
-        base_eps = base_row["events_per_sec"]
-        cur_eps = cur_row["events_per_sec"]
-        floor = base_eps * (1.0 - max_regress)
-        if cur_eps < floor:
+        if "kips" not in base_row:
+            failures.append(f"{scenario}: baseline has no kinstr/s "
+                            f"(an events/sec record); re-record it")
+            continue
+        base_kips = base_row["kips"]
+        cur_kips = cur_row["kips"]
+        floor = base_kips * (1.0 - max_regress)
+        if cur_kips < floor:
             failures.append(
-                f"{scenario}: {cur_eps:,.0f} events/s is more than "
-                f"{max_regress:.0%} below baseline {base_eps:,.0f}")
+                f"{scenario}: {cur_kips:,.1f} kinstr/s is more than "
+                f"{max_regress:.0%} below baseline {base_kips:,.1f}")
     for scenario in current:
         if not scenario.startswith("_") and scenario not in baseline:
             failures.append(f"{scenario}: not present in baseline")

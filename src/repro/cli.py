@@ -277,8 +277,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                      repeat=args.repeat, tiers=tiers)
     rows = [{"scenario": key, "tier": row["tier"],
              "wall_s": row["wall_s"], "events": row["events"],
-             "events_per_sec": row["events_per_sec"],
-             "cycles": row["cycles"]}
+             "kips": row["kips"], "cycles": row["cycles"]}
             for key, row in data.items() if not key.startswith("_")]
     print_rows(rows)
     write_bench(args.out, data)
@@ -790,7 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="time the simulator hot path "
-                                           "(events/sec per LLC policy)")
+                                           "(simulated kinstr/s per LLC "
+                                           "policy)")
     p_bench.add_argument("--benchmark", default="VA", choices=ALL_ABBRS,
                          help="workload to time (default: VA)")
     p_bench.add_argument("--scale", type=parse_scale, default=0.25,
@@ -799,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(smoke/small/medium/paper); default medium")
     p_bench.add_argument("--repeat", type=int, default=1, metavar="N",
                          help="timing attempts per scenario (every sample "
-                              "recorded; median events/sec reported)")
+                              "recorded; median kinstr/s reported)")
     p_bench.add_argument("--tier", default="both",
                          choices=("event", "batch", "both"),
                          help="execution tier(s) to time (default: both)")
@@ -819,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default="BENCH_hotpath.json", metavar="FILE",
                          help="output record (default: BENCH_hotpath.json)")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
-                         help="compare events/sec against this committed "
+                         help="compare kinstr/s against this committed "
                               "record and fail on regression")
     p_bench.add_argument("--max-regress", type=float, default=0.30,
                          metavar="F",

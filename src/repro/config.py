@@ -289,7 +289,7 @@ class GPUConfig(_SerializableConfig):
 
     # --- execution tier ------------------------------------------------------
     # "batch" (the default) swaps the stage methods for closed-form closures
-    # with launch-time route decode and deferred counters (see
+    # with issue-time route decode, parked wakes and deferred counters (see
     # repro.gpu.batchpath), declining to "event" when the system's shape
     # disqualifies.  "event" schedules one heap event per pipeline stage
     # boundary and is the parity reference.  Results are byte-identical by

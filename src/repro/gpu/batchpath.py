@@ -12,18 +12,16 @@ keep the event tier's exact schedule but strip its per-event overhead:
   per-cluster and per-MC port rows (plus one per-SM reply-port row), so
   no per-(SM, slice) route table is built.
 
-* **Launch-time route decode.**  At kernel launch one scalar sweep runs
-  the PAE memory-controller and LLC-slice folds over the concatenation of
-  every ``WarpContext.keys`` and lands the results in parallel per-warp
-  columns (``mc_tab``/``sl_tab``/``sg_tab``).  The hot loops then read a
-  precomputed column instead of re-deriving hashes per access.
-  *Per-event* vector batching was measured and rejected — 59% of event
-  timestamps are singletons and the shared-server ``busy_until``
-  max-chains force exact serial event order, so there is never a
-  same-time cohort big enough to amortize array overhead.  A launch-time
-  DRAM bank/row table was likewise measured and rejected: the per-access
-  dict probe costs what the two inline folds cost, while the table build
-  penalizes small kernels.
+* **Issue-time route decode.**  A NoC-bound access folds its memory
+  controller (and, in shared mode, its LLC slice) from the line key with
+  the PAE expressions the install-time self-check verifies.  Only accesses
+  that leave the SM pay the folds; L1 hits never do.  *Per-event* vector
+  batching was measured and rejected — 59% of event timestamps are
+  singletons and the shared-server ``busy_until`` max-chains force exact
+  serial event order, so there is never a same-time cohort big enough to
+  amortize array overhead.  A launch-time DRAM bank/row table was likewise
+  measured and rejected: the per-access dict probe costs what the two
+  inline folds cost, while the table build penalizes small kernels.
 
 * **Direct queue access.**  Issue sites build fully-formed heap entries
   and push them into the engine's binary heap themselves, drawing batches
@@ -36,13 +34,33 @@ keep the event tier's exact schedule but strip its per-event overhead:
 * **Deferred commutative counters.**  Statistics with no mid-run reader
   (slice hit/miss/eviction tallies, server job counts, channel and MC
   totals, L1 and MSHR counters) accumulate in closure-local integers and
-  fold into the real objects once, when ``_collect`` runs.  Integer sums
-  commute exactly; the float folds are sums of *identical* integral
-  values (flit counts, ``1.0`` tag occupancies), which stay exact under
-  any grouping below 2**53, so the folded totals are bit-identical to the
-  event tier's per-access accumulation.  Counters a controller, profiler
-  or scheduler reads mid-run (``prog.llc_accesses``, retired
-  instructions, sampler observations, every ``busy_until``) stay live.
+  fold into the real objects once, when ``_collect`` runs.  Route legs
+  fold per group that shares them: a request leg depends only on the
+  requester's cluster and the destination slice, so each cluster's SMs
+  share one set of per-slice counts; a reply leg depends only on the MC
+  and the destination SM, so each MC's slices share one set of per-SM
+  counts.  Integer sums commute exactly; the float folds are sums of
+  *identical* integral values (flit counts, ``1.0`` tag occupancies),
+  which stay exact under any grouping below 2**53, so the folded totals
+  are bit-identical to the event tier's per-access accumulation.
+  Counters a controller, profiler or scheduler reads mid-run
+  (``prog.llc_accesses``, retired instructions, sampler observations,
+  every ``busy_until``) stay live.
+
+* **Parked wakes.**  A wake that would re-schedule itself for a later
+  issue slot, while its head warp's read has no MSHR entry and the MSHR
+  file is full, can only stall when it fires.  Its sequence number is
+  drawn as usual but the entry is kept on the SM (``parked_wake``)
+  instead of the queue.  Only three things can change what that wake
+  does: this SM's fill, its write retirement and a reconfiguration stall
+  (``_stall_all``).  Each settles the park first: an event ordered before
+  the parked ``(time, seq)`` pushes the entry unchanged, a later one
+  replays the stall the wake would have recorded.  A run cut at a horizon
+  replays the parks at or before it and queues the rest.  Likewise a
+  write retirement on an SM stalled on its full MSHR file with no fill
+  since records the identical stall without running the drain loop, and
+  a fill or retirement that leaves no warp ready skips the drain, which
+  would find nothing to issue.
 
 * **MSHR entry pooling.**  Fill handlers recycle their
   :class:`~repro.cache.mshr.MSHREntry` into a free pool instead of
@@ -50,10 +68,11 @@ keep the event tier's exact schedule but strip its per-event overhead:
 
 Byte-identity contract
 ----------------------
-The same 1:1 event schedule with the same FIFO sequence numbers, float
-expressions mirrored operation for operation, and all stateful control
-flow (MSHR merge/stall, store-buffer credits, barriers, reconfiguration
-flushes, profiling epochs) kept evented and scalar.  The tier-parity
+The same event schedule with the same FIFO sequence numbers, less
+the parked wakes whose outcome is known, float expressions mirrored
+operation for operation, and all stateful control flow (MSHR merge/stall,
+store-buffer credits, barriers, reconfiguration flushes, profiling epochs)
+kept evented and scalar.  The tier-parity
 suite pins ``RunResult.to_dict()`` against the golden captures.
 
 Decline contract
@@ -72,7 +91,7 @@ sites push into.
 way.  Consolidation runs install: per-request latency is stamped at issue
 and recorded at fill with the event tier's float expression, and a
 mid-run admission reaches the tier through ``update_bypass`` (mode flags)
-and ``_launch_kernel`` (route columns) before any of its wakes fire.
+before any of its wakes fire.
 """
 
 # repro: hot-path
@@ -204,64 +223,9 @@ def install_batchpath(system: Any) -> bool:
         """Re-derive the per-program mode flags.  Runs at install and from
         every reconfiguration (update_bypass), i.e. at each epoch boundary
         a policy controller can move, so no request is ever routed under a
-        stale mode.  A program leaving private mode gets its warps'
-        slice columns re-swept: launches under private mode skip the
-        slice folds (the route pins the slice to the requester's cluster,
-        so the columns are never read), and the flip is the moment they
-        become readable."""
+        stale mode."""
         for i, prog in enumerate(programs):
-            was_private = mode_private[i]
             mode_private[i] = prog.mode is LLCMode.PRIVATE
-            if was_private and not mode_private[i]:
-                precompute_program(prog)
-
-    # ------------------------------------------------------- launch sweep
-    # repro: cold
-    def precompute_program(prog: Any) -> None:
-        """Address decode for every warp ``prog`` just loaded: the PAE
-        folds run once per access stream and land in the warp's SoA route
-        columns, so the hot loop pays plain list indexing.
-
-        One concatenated sweep per launch: every warp's stream is joined,
-        folded once, and sliced back per warp with C-speed list slicing.
-
-        A program in private mode pins every access's slice to the
-        requester's cluster, so its slice columns would never be read:
-        the sweep folds only the MC column and leaves the slice columns
-        empty.  ``tier_flush`` re-sweeps the program the moment it leaves
-        private mode, before any shared-mode access can be routed."""
-        warps = [warp for sm_id in prog.sm_ids
-                 for warp in system.sms[sm_id].warps]
-        if not warps:
-            return
-        all_keys: list[int] = []
-        for warp in warps:
-            all_keys.extend(warp.keys)
-        mc_list: list[int] = []
-        sl_list: list[int] = []
-        sg_list: list[int] = []
-        if prog.mode is LLCMode.PRIVATE:
-            for key in all_keys:
-                r = key >> 4
-                mc_list.append(((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21))
-                                & 0x7F) % num_mcs)
-        else:
-            for key in all_keys:
-                r = key >> 4
-                mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21))
-                      & 0x7F) % num_mcs
-                sl = ((key ^ (key >> 11) ^ (key >> 22) ^ (key >> 33))
-                      & 0x7FF) % map_spm
-                mc_list.append(mc)
-                sl_list.append(sl)
-                sg_list.append(mc * spm + sl)
-        base = 0
-        for warp in warps:
-            end = base + len(warp.keys)
-            warp.mc_tab = mc_list[base:end]
-            warp.sl_tab = sl_list[base:end]
-            warp.sg_tab = sg_list[base:end]
-            base = end
 
     # Route ports.  A request crosses its cluster's SM-router port toward
     # the MC (``req_sm_routers[cl].output_ports[mc]``) and, unless
@@ -276,6 +240,101 @@ def install_batchpath(system: Any) -> bool:
     rep_smr_ports = [topo.rep_sm_routers[sm_id // spc]
                      .output_ports[sm_id % spc]
                      for sm_id in range(system.cfg.num_sms)]
+
+    # ---------------------------------------------------- route-leg tallies
+    # repro: cold
+    def make_request_legs(
+            cl: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Per-destination-slice issue counts shared by cluster ``cl``'s
+        SMs, folded over the request route legs at collect time.  The
+        ``*_all`` counts cover the legs every issue crosses (SM-router
+        port, long wire); ``*_routed`` the MC-router legs only non-bypass
+        issues cross.  Recording the bypass decision per issue keeps the
+        fold exact across mid-run bypass flips (adaptive reconfigurations
+        power the MC-routers on and off)."""
+        rd_all = [0] * num_slices
+        wr_all = [0] * num_slices
+        rd_routed = [0] * num_slices
+        wr_routed = [0] * num_slices
+        smr_ports = topo.req_sm_routers[cl].output_ports
+
+        def fold() -> None:
+            # req_r_f/req_w_f are integral, so the n * flits products are
+            # exact sums of the event tier's one-per-issue increments, in
+            # any fold order.
+            for sg in range(num_slices):
+                nr = rd_all[sg]
+                nw = wr_all[sg]
+                if not (nr or nw):
+                    continue
+                mc = sg // spm
+                port = smr_ports[mc]
+                port.busy_cycles += nr * req_r_f + nw * req_w_f
+                port.jobs += nr + nw
+                topo.req_long[cl][mc].flits += nr * req_r_i + nw * req_w_i
+                mr = rd_routed[sg]
+                mw = wr_routed[sg]
+                if mr or mw:
+                    fi = mr * req_r_i + mw * req_w_i
+                    port = req_mcr_ports[sg]
+                    port.busy_cycles += mr * req_r_f + mw * req_w_f
+                    port.jobs += mr + mw
+                    mcr = topo.req_mc_routers[mc]
+                    mcr.buffer_flits += fi
+                    mcr.xbar_flits += fi
+                    mcr.packets += mr + mw
+                    topo.req_dist[sg].flits += fi
+                    rd_routed[sg] = wr_routed[sg] = 0
+                rd_all[sg] = wr_all[sg] = 0
+
+        fold_fns.append(fold)
+        return rd_all, wr_all, rd_routed, wr_routed
+
+    # repro: cold
+    def make_reply_legs(mc: int) -> tuple[list[int], list[int]]:
+        """Per-destination-SM reply counts shared by MC ``mc``'s slices:
+        all replies (long wire, SM-router, distribution wire) and the
+        subset that crossed the MC router, folded over the reply route
+        legs at collect time so a reply only touches ``busy_until``
+        live."""
+        rep_all = [0] * system.cfg.num_sms
+        rep_routed = [0] * system.cfg.num_sms
+        rep_mcr = topo.rep_mc_routers[mc]
+        mcr_ports = rep_mcr.output_ports
+
+        def fold() -> None:
+            # rep_f/rep_i are integral, so n * rep_f is an exact sum of n
+            # event-tier increments.
+            for sm_id, n in enumerate(rep_all):
+                if not n:
+                    continue
+                cl = sm_id // spc
+                topo.rep_long[mc][cl].flits += n * rep_i
+                port = rep_smr_ports[sm_id]
+                port.busy_cycles += n * rep_f
+                port.jobs += n
+                smr = topo.rep_sm_routers[cl]
+                smr.buffer_flits += n * rep_i
+                smr.xbar_flits += n * rep_i
+                smr.packets += n
+                topo.rep_dist[sm_id].flits += n * rep_i
+                m = rep_routed[sm_id]
+                if m:
+                    port = mcr_ports[cl]
+                    port.busy_cycles += m * rep_f
+                    port.jobs += m
+                    rep_mcr.buffer_flits += m * rep_i
+                    rep_mcr.xbar_flits += m * rep_i
+                    rep_mcr.packets += m
+                    rep_routed[sm_id] = 0
+                rep_all[sm_id] = 0
+
+        fold_fns.append(fold)
+        return rep_all, rep_routed
+
+    request_legs = [make_request_legs(cl)
+                    for cl in range(system.cfg.num_clusters)]
+    reply_legs = [make_reply_legs(mc) for mc in range(num_mcs)]
 
     # ------------------------------------------------------ slice stages
     # Specialized per slice: every counter with no mid-run reader
@@ -295,19 +354,14 @@ def install_batchpath(system: Any) -> bool:
         banks = banks_of[mc]
         bus = busses[mc]
         sl_srv = topo.slice_links[sg].server
-        rep_mcr = topo.rep_mc_routers[mc]
         # This MC-router's reply ports, indexed by destination cluster.
-        rep_mcr_ports = rep_mcr.output_ports
+        rep_mcr_ports = topo.rep_mc_routers[mc].output_ports
+
+        rep_all, rep_routed = reply_legs[mc]
 
         # Deferred tallies: read/write hits+misses, evictions, dirty
         # writebacks, write-through stores, fills, replies.
         a_rh = a_rm = a_wh = a_wm = a_ev = a_wb = a_wt = a_fill = a_rep = 0
-        # Per-destination-SM reply counts (all replies / the subset that
-        # crossed the MC router), folded over the reply route legs at
-        # collect time so the reply traversal only touches ``busy_until``
-        # live.
-        rep_all = [0] * system.cfg.num_sms
-        rep_routed = [0] * system.cfg.num_sms
 
         def dram_write(at: float, key: int) -> None:
             """Bank state machine + bus occupancy for a DRAM write
@@ -576,33 +630,6 @@ def install_batchpath(system: Any) -> bool:
                 bus.busy_cycles = bc
             sl_srv.jobs += a_rep
             sl_srv.busy_cycles += a_rep * rep_f
-            # Reply route legs, per destination SM.  ``rep_all`` covers the
-            # legs every reply crosses (long wire, SM-router, distribution
-            # wire); ``rep_routed`` the MC-router legs only non-bypass
-            # replies cross.  rep_f/rep_i are integral, so n * rep_f is an
-            # exact sum of n event-tier increments.
-            for sm_id, n in enumerate(rep_all):
-                if n:
-                    cl = sm_id // spc
-                    topo.rep_long[mc][cl].flits += n * rep_i
-                    smr_port = rep_smr_ports[sm_id]
-                    smr_port.busy_cycles += n * rep_f
-                    smr_port.jobs += n
-                    smr = topo.rep_sm_routers[cl]
-                    smr.buffer_flits += n * rep_i
-                    smr.xbar_flits += n * rep_i
-                    smr.packets += n
-                    topo.rep_dist[sm_id].flits += n * rep_i
-                    m = rep_routed[sm_id]
-                    if m:
-                        mcr_port = rep_mcr_ports[cl]
-                        mcr_port.busy_cycles += m * rep_f
-                        mcr_port.jobs += m
-                        rep_mcr.buffer_flits += m * rep_i
-                        rep_mcr.xbar_flits += m * rep_i
-                        rep_mcr.packets += m
-                        rep_routed[sm_id] = 0
-                    rep_all[sm_id] = 0
             a_rh = a_rm = a_wh = a_wm = a_ev = a_wb = a_wt = 0
             a_fill = a_rep = 0
 
@@ -622,12 +649,13 @@ def install_batchpath(system: Any) -> bool:
         """Build ``sm``'s private (wake, fill, retired) handler triple.
 
         The event tier's ``_sm_wake``/``_on_fill``/``_on_write_retired``
-        with three changes: the address folds read the warp's precomputed
-        SoA route columns, issue pushes go straight into the engine's
-        heap, and the L1/MSHR/issue tallies defer to closure cells folded
-        at collect time.  Control flow (barriers, MSHR merge/stall,
-        store-buffer credits, wake coalescing) stays copied verbatim —
-        those are the stateful points that must not be collapsed."""
+        with four changes: routes are folded inline at issue, issue pushes
+        go straight into the engine's heap, the L1/MSHR/issue tallies defer
+        to closure cells folded at collect time, and a wake that can only
+        stall is parked (module docstring).  Control flow (barriers, MSHR
+        merge/stall, store-buffer credits, wake coalescing) stays copied
+        verbatim — those are the stateful points that must not be
+        collapsed."""
         l1 = sm.l1
         l1_store = l1._store
         smid = sm.sm_id
@@ -645,28 +673,18 @@ def install_batchpath(system: Any) -> bool:
         req_smr = topo.req_sm_routers[cluster_id]
         # This cluster's SM-router request ports, indexed by MC.
         req_smr_ports = req_smr.output_ports
+        rd_all, wr_all, rd_routed, wr_routed = request_legs[cluster_id]
 
         # Deferred tallies: issued reads/writes, MSHR events, L1 events.
         b_ir = b_iw = b_mg = b_al = b_st = 0
         b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = b_l1ev = b_l1wb = 0
-        # Per-destination-slice issue counts, folded over the request
-        # route legs at collect time.  ``*_all`` covers the legs every
-        # issue crosses (SM-router port, long wire); ``*_routed`` the
-        # MC-router legs only non-bypass issues cross.  Recording the
-        # bypass decision per issue keeps the fold exact across mid-run
-        # bypass flips (adaptive reconfigurations power the MC-routers on
-        # and off).
-        rd_all = [0] * num_slices
-        wr_all = [0] * num_slices
-        rd_routed = [0] * num_slices
-        wr_routed = [0] * num_slices
 
         def wake(_: Any) -> None:
-            """The drain loop, specialized: route columns instead of
-            address folds, direct heap pushes with locally-batched seq
-            draws, deferred tallies instead of attribute bumps.  Follows
-            the continuation protocol: a deferred self-wake is *returned*,
-            never pushed."""
+            """The drain loop, specialized: inline route folds, direct heap
+            pushes with locally-batched seq draws, deferred tallies instead
+            of attribute bumps.  Follows the continuation protocol: a
+            deferred self-wake is *returned*, never pushed, unless it can
+            only stall, in which case it is parked."""
             nonlocal b_ir, b_iw, b_mg, b_al, b_st
             nonlocal b_l1rh, b_l1rm, b_l1w, b_l1sh, b_l1sm
             sm.wake_scheduled = False
@@ -717,7 +735,6 @@ def install_batchpath(system: Any) -> bool:
                     issue_at = now
                 key = keys[cursor]
                 is_write = warp.writes[cursor]
-                acc_i = cursor
                 bypass = has_bypass and bypass_lo <= key < bypass_hi
 
                 if not is_write and not bypass:
@@ -745,14 +762,22 @@ def install_batchpath(system: Any) -> bool:
                 # NoC-bound access: must be issued at its architectural
                 # time, and must not mutate state before that time arrives.
                 if issue_at > now:
-                    engine._seq = seq
                     sm.next_issue_time = next_issue
                     sm.retired_instructions = ri
                     sm.live_accesses = live
-                    if not sm.wake_scheduled:
-                        sm.wake_scheduled = True
-                        return (issue_at, wake, sm)
-                    return None
+                    sm.wake_scheduled = True
+                    if (not is_write and key not in mshr_entries
+                            and len(mshr_entries) >= mshr_capacity):
+                        # Only this SM's fill or write retirement, or a
+                        # reconfiguration stall, can change what this
+                        # wake does; until one settles it, it is a stall.
+                        # Keep it here under the seq the engine would
+                        # have drawn for the continuation.
+                        sm.parked_wake = (issue_at, seq)
+                        engine._seq = seq + 1
+                        return None
+                    engine._seq = seq
+                    return (issue_at, wake, sm)
 
                 if is_write:
                     if sm.write_credits <= 0:
@@ -824,16 +849,17 @@ def install_batchpath(system: Any) -> bool:
                     cnt_routed = rd_routed
                     stage_by_sg = read_by_sg
 
-                # Route lookup from the SoA columns (the launch sweep
-                # decoded every access already); private mode pins the
-                # slice to the requester's cluster.
-                mc = warp.mc_tab[acc_i]
+                # Route decode: the PAE MC fold; private mode pins the
+                # slice to the requester's cluster, shared mode folds it.
+                r = key >> 4
+                mc = ((r ^ (r >> 7) ^ (r >> 14) ^ (r >> 21))
+                      & 0x7F) % num_mcs
                 if mode_private[program_id]:
                     slice_local = cluster_id
-                    slice_global = mc * spm + cluster_id
                 else:
-                    slice_local = warp.sl_tab[acc_i]
-                    slice_global = warp.sg_tab[acc_i]
+                    slice_local = ((key ^ (key >> 11) ^ (key >> 22)
+                                    ^ (key >> 33)) & 0x7FF) % map_spm
+                slice_global = mc * spm + slice_local
                 if pool:
                     req = pool.pop()
                     req.sm = sm
@@ -904,6 +930,8 @@ def install_batchpath(system: Any) -> bool:
 
         def fill(req: Any) -> None:
             nonlocal b_l1ev, b_l1wb
+            if sm.parked_wake is not None:
+                settle(sm, engine.now, heap[0][1])
             key = req.key
             if lat is not None:
                 lat.append(engine.now - req.t0)
@@ -932,7 +960,11 @@ def install_batchpath(system: Any) -> bool:
                         ready_append(warp)
             waiters.clear()
             mshr_pool.append(entry_m)
-            if not sm.wake_scheduled:
+            # With no warp ready (the filled ones were exhausted) a drain
+            # would only repeat the finish check below; the stall marker
+            # it clears is already clear, since a stalled SM keeps its
+            # stalled warp ready.
+            if not sm.wake_scheduled and sm.ready:
                 return wake(sm)
             if not sm.live_accesses and not mshr_entries:
                 maybe_finish_sm(sm)
@@ -942,10 +974,27 @@ def install_batchpath(system: Any) -> bool:
             """Store-buffer credit return; mirrors
             GPUSystem._on_write_retired (including the same-instant wake
             coalescing) but hands a provoked drain back to the engine as a
-            continuation."""
+            continuation.  A credit cannot unblock a read stalled on the
+            full MSHR file, so while no fill has come since that stall
+            the drain is known to stall again: record it directly."""
+            nonlocal b_st
             sm.write_credits += 1
-            if not sm.wake_scheduled and sm.mshr_blocked_at != engine.now:
-                return wake(sm)
+            now = engine.now
+            if sm.parked_wake is not None:
+                # The parked wake stays parked if it comes later; a credit
+                # leaves its stall unchanged.
+                settle(sm, now, heap[0][1], keep_later=True)
+            if not sm.wake_scheduled:
+                blocked = sm.mshr_blocked_at
+                if blocked >= 0.0:
+                    if blocked != now:
+                        b_st += 1
+                        sm.mshr_blocked_at = now
+                elif sm.ready:
+                    return wake(sm)
+                elif not sm.live_accesses and not mshr_entries:
+                    # Nothing ready: the drain would only do this check.
+                    maybe_finish_sm(sm)
             return None
 
         # repro: cold
@@ -972,42 +1021,31 @@ def install_batchpath(system: Any) -> bool:
             flits = b_ir * req_r_i + b_iw * req_w_i
             req_smr.buffer_flits += flits
             req_smr.xbar_flits += flits
-            # Request route legs, per destination slice.  req_r_f/req_w_f
-            # are integral, so the n * flits products are exact sums of the
-            # event tier's one-per-issue increments, in any fold order.
-            for sg2 in range(num_slices):
-                nr = rd_all[sg2]
-                nw = wr_all[sg2]
-                if nr or nw:
-                    mc2 = sg2 // spm
-                    smr_port2 = req_smr_ports[mc2]
-                    smr_port2.busy_cycles += nr * req_r_f + nw * req_w_f
-                    smr_port2.jobs += nr + nw
-                    topo.req_long[cluster_id][mc2].flits += (
-                        nr * req_r_i + nw * req_w_i)
-                    mr = rd_routed[sg2]
-                    mw = wr_routed[sg2]
-                    if mr or mw:
-                        fi = mr * req_r_i + mw * req_w_i
-                        mcr_port2 = req_mcr_ports[sg2]
-                        mcr_port2.busy_cycles += (mr * req_r_f
-                                                  + mw * req_w_f)
-                        mcr_port2.jobs += mr + mw
-                        mcr2 = topo.req_mc_routers[mc2]
-                        mcr2.buffer_flits += fi
-                        mcr2.xbar_flits += fi
-                        mcr2.packets += mr + mw
-                        topo.req_dist[sg2].flits += fi
-                        rd_routed[sg2] = 0
-                        wr_routed[sg2] = 0
-                    rd_all[sg2] = 0
-                    wr_all[sg2] = 0
             b_ir = b_iw = b_mg = b_al = b_st = 0
             b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = 0
             b_l1ev = b_l1wb = 0
 
         fold_fns.append(fold)
         return wake, fill, retired
+
+    # repro: cold
+    def settle(sm: Any, now: float, seq: int,
+               keep_later: bool = False) -> None:
+        """Resolve ``sm``'s parked wake against the event ``(now, seq)``
+        that is about to change what the wake would do.  A wake ordered
+        after that event is queued unchanged (or, with ``keep_later``,
+        left parked); one ordered before it has already fired in the
+        event tier's schedule, so its stall is replayed."""
+        park_at, park_seq = sm.parked_wake
+        if now < park_at or (now == park_at and seq < park_seq):
+            if keep_later:
+                return
+            heappush(heap, (park_at, park_seq, None, sm._bp_wake, sm))
+        else:
+            sm.mshr.stalls += 1
+            sm.mshr_blocked_at = park_at
+            sm.wake_scheduled = False
+        sm.parked_wake = None
 
     for sm_obj in system.sms:
         (sm_obj._bp_wake, sm_obj._bp_fill,
@@ -1025,21 +1063,31 @@ def install_batchpath(system: Any) -> bool:
         original_update_bypass(now)
         tier_flush()
 
-    original_launch = system._launch_kernel
+    original_stall_all = system._stall_all
 
     # repro: cold
-    def launch_kernel(prog: Any, now: float) -> None:
-        """Launch, then decode the fresh warps' SoA route columns.
-        ``original_launch`` may recurse through _finish_kernel (zero-access
-        kernels); re-sweeping the warps the inner call already decoded is
-        idempotent."""
-        original_launch(prog, now)
-        precompute_program(prog)
+    def stall_all(until: float) -> None:
+        """A reconfiguration stall moves every SM's next issue slot, so it
+        settles every parked wake first (against the running event)."""
+        if until > system.global_stall_until:
+            parked = [sm for sm in system.sms if sm.parked_wake is not None]
+            if parked:
+                now, seq = engine.dispatching()
+                for sm in parked:
+                    settle(sm, now, seq)
+        original_stall_all(until)
 
     original_collect = system._collect
 
     # repro: cold
     def collect() -> Any:
+        """Settle the parks a horizon left (``run(max_cycles=...)``): the
+        event tier fired every wake at or before it and queued the rest.
+        Then fold the deferred tallies."""
+        for sm in system.sms:
+            if sm.parked_wake is not None:
+                # The horizon orders after every sequence number drawn.
+                settle(sm, engine.now, engine._seq)
         for fold in fold_fns:
             fold()
         return original_collect()
@@ -1047,7 +1095,7 @@ def install_batchpath(system: Any) -> bool:
     tier_flush()
     system._sm_wake = sm_wake
     system.update_bypass = update_bypass
-    system._launch_kernel = launch_kernel
+    system._stall_all = stall_all
     system._collect = collect
     system._tier_flush = tier_flush
     return True

@@ -55,17 +55,12 @@ class CTAGroup:
 
 
 class WarpContext:
-    """One warp's in-order stream position.
-
-    ``mc_tab``/``sl_tab``/``sg_tab`` are the struct-of-arrays route columns
-    the batch execution tier precomputes per kernel launch (one sweep over
-    ``keys`` decodes every access's memory controller and LLC slice up
-    front — see :mod:`repro.gpu.batchpath`); they stay ``None`` under the
-    event tier, which decodes addresses per access.
-    """
+    """One warp's in-order stream position: its access stream (``keys``
+    with parallel ``writes`` flags), the ``cursor`` into it, the line it
+    blocks on, and its CTA's barrier group."""
 
     __slots__ = ("keys", "writes", "cursor", "waiting_on", "group",
-                 "next_barrier", "mc_tab", "sl_tab", "sg_tab")
+                 "next_barrier")
 
     def __init__(self, keys: list[int], writes: list[bool],
                  group: CTAGroup | None = None):
@@ -76,9 +71,6 @@ class WarpContext:
         self.group = group
         self.next_barrier = (group.interval
                              if group is not None and group.interval else None)
-        self.mc_tab: list[int] | None = None
-        self.sl_tab: list[int] | None = None
-        self.sg_tab: list[int] | None = None
 
     @property
     def exhausted(self) -> bool:
@@ -117,6 +109,10 @@ class StreamingMultiprocessor:
         # not parked).  The system uses it to coalesce same-instant wakeups
         # that provably cannot unblock the SM (see GPUSystem._on_write_retired).
         self.mshr_blocked_at = -1.0
+        # A batch-tier wake held back from the event queue because it can
+        # only stall on the full MSHR file: its (time, seq), else None
+        # (see repro.gpu.batchpath).
+        self.parked_wake: tuple[float, int] | None = None
         self.program_id = 0
         # Lifetime stats.
         self.retired_instructions = 0.0
@@ -135,22 +131,22 @@ class StreamingMultiprocessor:
             raise ValueError("warps_per_cta must be positive")
         self.l1.flush()
         self.mshr.clear()
-        self.warps = []
+        # Warp w of a CTA takes accesses w, w + warps_per_cta, ...; a CTA
+        # shorter than warps_per_cta gets one warp per access.
+        self.warps = warps = []
+        live = 0
         for keys, writes in cta_streams:
-            cta_warps = []
-            for w in range(min(warps_per_cta, max(1, len(keys)))):
-                wk = keys[w::warps_per_cta]
-                ww = writes[w::warps_per_cta]
-                if wk:
-                    cta_warps.append((wk, ww))
-            group = CTAGroup(barrier_interval, len(cta_warps))
-            for wk, ww in cta_warps:
-                self.warps.append(WarpContext(wk, ww, group))
+            n = min(warps_per_cta, len(keys))
+            group = CTAGroup(barrier_interval, n)
+            warps.extend([WarpContext(keys[w::warps_per_cta],
+                                      writes[w::warps_per_cta], group)
+                          for w in range(n)])
+            live += len(keys)
         self.ready = deque(self.warps)
         self.l1_bypass_lo = l1_bypass_lo
         self.l1_bypass_hi = l1_bypass_hi
         self.write_credits = 16
-        self.live_accesses = sum(len(w.keys) for w in self.warps)
+        self.live_accesses = live
         self.gap_cycles = max(instrs_per_access / self.cfg.schedulers_per_sm,
                               1e-6)
         self.instrs_per_access = instrs_per_access

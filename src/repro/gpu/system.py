@@ -294,8 +294,8 @@ class GPUSystem:
         # by contract (see repro.gpu.batchpath), pinned by the tier-parity
         # suite.  Consolidation runs are inside that contract: the batch
         # tier records per-request latency itself, and an admission reaches
-        # it through the update_bypass/tier_flush/_launch_kernel path a
-        # mode transition takes.
+        # it through the update_bypass/tier_flush path a mode transition
+        # takes.
         self.tier = "event"
         self._tier_flush = None
         if cfg.tier == "batch":

@@ -35,6 +35,12 @@ would have drawn from a trailing ``schedule_call``, so the two styles are
 interchangeable without perturbing FIFO order; the batch execution tier
 (:mod:`repro.gpu.batchpath`) relies on this to stay byte-identical with the
 event tier while halving heap traffic.
+
+Both run loops keep a ``schedule_call`` entry at the heap root while its
+callback runs; an :class:`Event` is popped first and kept aside instead.
+Either way :meth:`Engine.dispatching` names the running event's
+``(time, seq)``, which is how the batch tier orders a wake it holds back
+from the queue against the event that settles it.
 """
 
 # repro: hot-path
@@ -98,7 +104,8 @@ class Engine:
     #: (tiny heaps rebuild too often to be worth it).
     COMPACT_MIN_CANCELLED = 64
 
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_cancelled")
+    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_cancelled",
+                 "_event_key")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -108,6 +115,9 @@ class Engine:
         self._seq = 0
         self._events_processed = 0
         self._cancelled = 0  # dead events still sitting in the heap
+        # (time, seq) of the Event whose callback is running, None
+        # otherwise (see dispatching()).
+        self._event_key: Optional[tuple[float, int]] = None
 
     # ------------------------------------------------------------ schedule
     def schedule(self, time: float, fn: Callable[[], None]) -> Event:
@@ -247,6 +257,7 @@ class Engine:
             return
         heap = self._heap
         pop = heapq.heappop
+        replace = heapq.heapreplace
         processed = 0
         while heap:
             entry = heap[0]
@@ -260,15 +271,24 @@ class Engine:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            pop(heap)
             self.now = entry[0]
             if ev is not None:
+                pop(heap)
                 ev.fired = True
-                ev.fn()
+                self._event_key = (entry[0], entry[1])
+                try:
+                    ev.fn()
+                finally:
+                    self._event_key = None
             else:
+                # Peek-run-replace, as in _run_fast.
                 res = entry[3](entry[4])
-                if res is not None:
-                    self.schedule_call(res[0], res[1], res[2])
+                if res is None:
+                    pop(heap)
+                else:
+                    seq = self._seq
+                    self._seq = seq + 1
+                    replace(heap, (res[0], seq, None, res[1], res[2]))
             processed += 1
         else:
             if until is not None and until > self.now:
@@ -311,12 +331,28 @@ class Engine:
                 pop(heap)
                 ev.fired = True
                 self.now = time
-                ev.fn()
+                self._event_key = (time, _seq)
+                try:
+                    ev.fn()
+                finally:
+                    self._event_key = None
                 processed += 1
             else:
                 pop(heap)
                 self._cancelled -= 1
         self._events_processed += processed
+
+    def dispatching(self) -> tuple[float, int]:
+        """``(time, seq)`` of the event whose callback is running.
+
+        Only meaningful inside a callback: a ``schedule_call`` entry is
+        still the heap root there, and an :class:`Event`'s key is kept
+        aside while it runs."""
+        key = self._event_key
+        if key is None:
+            entry = self._heap[0]
+            return entry[0], entry[1]
+        return key
 
     @property
     def pending(self) -> int:

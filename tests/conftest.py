@@ -154,3 +154,128 @@ def dram_writes_conserved():
         assert not any(sl.clean() for sl in system.llc_slices)
 
     return check
+
+
+def _server_fields(out: dict, name: str, server) -> None:
+    out[f"{name}.jobs"] = server.jobs
+    out[f"{name}.busy_cycles"] = server.busy_cycles
+    out[f"{name}.busy_until"] = server.busy_until
+
+
+def _topology_fields(out: dict, name: str, part) -> None:
+    """Flatten a topology member: routers, links, wires and servers,
+    nested in lists of any depth."""
+    from repro.noc.router import RouterModel
+    from repro.noc.topology import Wire
+    from repro.sim.server import BandwidthServer, LatencyLink
+
+    if isinstance(part, list):
+        for i, item in enumerate(part):
+            _topology_fields(out, f"{name}[{i}]", item)
+    elif isinstance(part, RouterModel):
+        out[f"{name}.buffer_flits"] = part.buffer_flits
+        out[f"{name}.xbar_flits"] = part.xbar_flits
+        out[f"{name}.packets"] = part.packets
+        _topology_fields(out, f"{name}.out", part.output_ports)
+    elif isinstance(part, LatencyLink):
+        _server_fields(out, name, part.server)
+    elif isinstance(part, BandwidthServer):
+        _server_fields(out, name, part)
+    elif isinstance(part, Wire):
+        out[f"{name}.flits"] = part.flits
+
+
+def state_fields(system) -> dict:
+    """Every counter a run leaves outside its ``RunResult``, by name: SM,
+    L1 and MSHR counters; slice, MC, channel and DRAM-bank counters;
+    every server's ``jobs``/``busy_cycles``/``busy_until``; router and
+    wire flits."""
+    out: dict = {}
+    for sm in system.sms:
+        p = f"sm{sm.sm_id}"
+        for field in ("issued_reads", "issued_writes",
+                      "retired_instructions", "live_accesses",
+                      "write_credits", "next_issue_time",
+                      "wake_scheduled", "mshr_blocked_at"):
+            out[f"{p}.{field}"] = getattr(sm, field)
+        for field in ("read_hits", "read_misses", "writes"):
+            out[f"{p}.l1.{field}"] = getattr(sm.l1, field)
+        for field in ("hits", "misses", "evictions", "writebacks"):
+            out[f"{p}.l1.store.{field}"] = getattr(sm.l1._store, field)
+        for field in ("allocations", "merges", "stalls", "outstanding"):
+            out[f"{p}.mshr.{field}"] = getattr(sm.mshr, field)
+    for sl in system.llc_slices:
+        p = f"llc{sl.slice_id}"
+        for field in ("read_hits", "read_misses", "write_hits",
+                      "write_misses", "response_flits", "dram_writes",
+                      "window_accesses"):
+            out[f"{p}.{field}"] = getattr(sl, field)
+        for field in ("hits", "misses", "evictions", "writebacks"):
+            out[f"{p}.store.{field}"] = getattr(sl.store, field)
+        _server_fields(out, f"{p}.tag", sl.tag_port)
+        _server_fields(out, f"{p}.data", sl.data_port)
+    for mc in system.mcs:
+        p = f"mc{mc.mc_id}"
+        out[f"{p}.read_requests"] = mc.read_requests
+        out[f"{p}.write_requests"] = mc.write_requests
+        out[f"{p}.channel.reads"] = mc.channel.reads
+        out[f"{p}.channel.writes"] = mc.channel.writes
+        _server_fields(out, f"{p}.bus", mc.channel.bus)
+        for b, bank in enumerate(mc.channel.banks):
+            for field in ("row_hits", "row_misses", "busy_until",
+                          "open_row", "last_activate"):
+                out[f"{p}.bank{b}.{field}"] = getattr(bank, field)
+    for name, part in sorted(vars(system.topology).items()):
+        _topology_fields(out, f"noc.{name}", part)
+    return out
+
+
+@pytest.fixture
+def tier_state():
+    """Compare two finished systems' counters outside ``RunResult``.
+
+    Call as ``tier_state(event_system, batch_system)``.  A wrong replay
+    of a parked wake or a mis-grouped route-leg fold leaves the
+    ``RunResult`` bytes unchanged but shows here.  Returns the number of
+    fields compared.
+    """
+    def check(event, batch):
+        want = state_fields(event)
+        got = state_fields(batch)
+        assert got.keys() == want.keys()
+        diff = {name: (want[name], got[name]) for name in want
+                if got[name] != want[name]}
+        assert not diff, (f"{len(diff)} of {len(want)} state fields "
+                          f"differ: {dict(list(diff.items())[:8])}")
+        return len(want)
+
+    return check
+
+
+@pytest.fixture
+def reads_conserved():
+    """Check a finished, drained system's read-side identities.
+
+    Call as ``reads_conserved(system)``.  Every issued read and write
+    reaches the LLC exactly once, every LLC read miss is one DRAM read,
+    every MSHR drains, and the retired instructions are the traces'.
+    """
+    def check(system):
+        sms, slices = system.sms, system.llc_slices
+        assert (sum(sl.read_hits + sl.read_misses for sl in slices)
+                == sum(sm.issued_reads for sm in sms))
+        assert (sum(sl.write_hits + sl.write_misses for sl in slices)
+                == sum(sm.issued_writes for sm in sms))
+        assert (sum(mc.read_requests for mc in system.mcs)
+                == sum(mc.channel.reads for mc in system.mcs)
+                == sum(sl.read_misses for sl in slices))
+        for sm in sms:
+            assert sm.mshr.outstanding == 0
+            assert sm.live_accesses == 0
+            assert not sm.ready
+        total = sum(prog.workload.total_instructions
+                    for prog in system.programs)
+        assert (sum(sm.retired_instructions for sm in sms)
+                == pytest.approx(total, rel=1e-12))
+
+    return check

@@ -13,9 +13,8 @@ from repro.cli import main
 TINY = 0.02  # smoke preset
 
 
-def _payload(eps: float) -> dict:
-    return {"wall_s": 1.0, "events": int(eps), "events_per_sec": eps,
-            "cycles": 100.0}
+def _payload(kips: float) -> dict:
+    return {"wall_s": 1.0, "events": 1000, "kips": kips, "cycles": 100.0}
 
 
 def _all_keys():
@@ -27,24 +26,28 @@ def test_run_bench_schema_and_positive_throughput():
     data = run_bench(TINY, modes=("shared",))
     for tier in TIERS:
         row = data[scenario_key("shared", tier)]
-        assert set(row) == {"tier", "wall_s", "events", "events_per_sec",
-                            "cycles", "samples"}
+        assert set(row) == {"tier", "wall_s", "events", "instructions",
+                            "kips", "cycles", "digest", "samples"}
         assert row["tier"] == tier
         assert row["events"] > 0
-        assert row["events_per_sec"] > 0
+        assert row["instructions"] > 0
+        assert row["kips"] > 0
         assert row["cycles"] > 0
         assert row["samples"] and all(s > 0 for s in row["samples"])
     assert data["_meta"]["scale"] == TINY
 
 
 def test_run_bench_tiers_agree_on_simulation():
-    # The tier changes how results are computed, never what they are.
+    # The tier changes how results are computed, never what they are.  It
+    # may schedule fewer events for the same simulation (parked wakes),
+    # never more.
     data = run_bench(TINY, modes=("adaptive",))
     for name in ("adaptive", "arrivals"):
         event = data[name]
         batch = data[scenario_key(name, "batch")]
-        assert event["events"] == batch["events"], name
-        assert event["cycles"] == batch["cycles"], name
+        for field in ("cycles", "instructions", "digest"):
+            assert event[field] == batch[field], (name, field)
+        assert batch["events"] <= event["events"], name
 
 
 def test_run_bench_includes_counters_scenario():
@@ -56,7 +59,7 @@ def test_run_bench_includes_counters_scenario():
 def test_bench_scenario_records_median_of_samples():
     row = bench_scenario("VA", "shared", TINY, repeat=3)
     assert len(row["samples"]) == 3
-    assert row["events_per_sec"] == sorted(row["samples"])[1]
+    assert row["kips"] == sorted(row["samples"])[1]
 
 
 def test_tier_speedups_pairs_scenarios():
@@ -97,11 +100,22 @@ def test_compare_bench_flags_scenario_set_drift():
 
 
 def test_compare_bench_reads_pre_tier_records():
-    # Old-schema rows (no tier/samples fields) must still gate cleanly.
+    # Rows with only the fields the gate reads (no tier/samples/digest)
+    # must still gate cleanly.
     base = {"shared": _payload(1000.0)}
     cur = {"shared": bench_scenario("VA", "shared", TINY)}
-    cur["shared"]["events_per_sec"] = 900.0
+    cur["shared"]["kips"] = 900.0
     assert compare_bench(cur, base, max_regress=0.30) == []
+
+
+def test_compare_bench_rejects_events_per_sec_baselines():
+    # An events/sec record does not measure kinstr/s: the gate says so
+    # instead of comparing different units.
+    base = {"shared": {"wall_s": 1.0, "events": 1000,
+                       "events_per_sec": 1000.0, "cycles": 100.0}}
+    failures = compare_bench({"shared": _payload(1000.0)}, base)
+    assert len(failures) == 1
+    assert "re-record" in failures[0]
 
 
 def test_cli_bench_writes_record(tmp_path, capsys):
@@ -111,7 +125,7 @@ def test_cli_bench_writes_record(tmp_path, capsys):
     assert rc == 0
     record = load_bench(out)
     for key in _all_keys():
-        assert record[key]["events_per_sec"] > 0
+        assert record[key]["kips"] > 0
     assert "wrote" in capsys.readouterr().out
 
 

@@ -283,18 +283,22 @@ def test_open_system_run_is_byte_identical_across_repeats():
         "the seed must actually steer admissions"
 
 
-def _tier_twins(tenants, **kwargs):
+def _tier_twins(tenants, checks=(), **kwargs):
     """Run one consolidation spec on both tiers; returns the batch run's
     result and both runs' canonical bytes.  The batch twin must really
-    install, or the comparison would diff the event tier with itself."""
+    install, or the comparison would diff the event tier with itself.
+    Each of ``checks`` is called with both finished systems."""
     out = []
     for tier in ("event", "batch"):
         cfg = experiment_config().replace(tier=tier)
         system = spec_system(consolidation_spec(tenants, cfg, **kwargs))
         assert system.tier == tier
         result = system.run()
-        out.append((result, json.dumps(result.to_dict(), sort_keys=True)))
-    (_, event), (result, batch) = out
+        out.append((system, result,
+                    json.dumps(result.to_dict(), sort_keys=True)))
+    (event_system, _, event), (batch_system, result, batch) = out
+    for check in checks:
+        check(event_system, batch_system)
     return result, event, batch
 
 
@@ -332,10 +336,18 @@ def test_batch_tier_runs_consolidation_byte_identical(case):
             "the MC-routers are gated exactly until the shared admission"
 
 
-def test_seeded_consolidation_fuzz_matches_the_event_tier():
+def test_seeded_consolidation_fuzz_matches_the_event_tier(
+        tier_state, reads_conserved, dram_writes_conserved):
     """Differential fuzz: sampled 2-4 tenant mixes under every registered
     policy, arrival process and placement run byte-identical on both
-    tiers."""
+    tiers, with equal counters outside the result and every conservation
+    identity holding on each tier."""
+
+    def conserved(event, batch):
+        for system in (event, batch):
+            reads_conserved(system)
+            dram_writes_conserved(system)
+
     rng = random.Random(20261017)
     policies = sorted(available_policies())
     rng.shuffle(policies)
@@ -351,7 +363,8 @@ def test_seeded_consolidation_fuzz_matches_the_event_tier():
                       placement=rng.choice(placements),
                       seed=rng.randrange(1 << 16))
         placed.add(kwargs["placement"])
-        _, event, batch = _tier_twins(tenants, **kwargs)
+        _, event, batch = _tier_twins(tenants, (tier_state, conserved),
+                                      **kwargs)
         assert batch == event, (tenants, kwargs)
     assert used == set(policies)
     assert placed == set(placements)

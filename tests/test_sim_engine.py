@@ -344,3 +344,24 @@ def test_continuation_respects_horizon_and_budget():
     assert order == ["first"] and eng.now == 1.5
     eng.run()
     assert order == ["first", "follow"] and eng.now == 2.0
+
+
+@pytest.mark.parametrize("until", [None, 100.0])
+def test_dispatching_names_the_running_event(until):
+    # Both run loops: a schedule_call entry, an Event handle, and a
+    # returned continuation each see their own (time, seq).
+    eng = Engine()
+    seen = []
+
+    def note(_=None):
+        seen.append(eng.dispatching())
+
+    def chain(_):
+        note()
+        return (4.0, note, None)
+
+    eng.schedule_call(1.0, note, None)       # seq 0
+    eng.schedule(2.0, note)                  # seq 1
+    eng.schedule_call(2.0, chain, None)      # seq 2; its continuation: 3
+    eng.run(until=until)
+    assert seen == [(1.0, 0), (2.0, 1), (2.0, 2), (4.0, 3)]

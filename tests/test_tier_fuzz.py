@@ -8,10 +8,13 @@ Each iteration samples a :class:`~repro.config.GPUConfig` that passes
 scheduler axes — plus the run options (every registered LLC policy,
 locality collection, the energy report), runs a small two-kernel trace
 on both tiers, and accepts exactly two outcomes: the batch install
-declined (``system.tier == "event"``), or ``RunResult.to_dict()`` equals
-the event tier's.  Every run, on either tier, must also conserve its DRAM
-writes (write-through stores plus write-backs) and end with no dirty LLC
-line.  Vacuity guards assert every axis value was drawn and
+declined (``system.tier == "event"``), or ``RunResult.to_dict()`` and
+every counter outside it (``tier_state``) equal the event tier's.  Every
+run, on either tier, must also keep its conservation identities: DRAM
+writes are write-through stores plus write-backs with no dirty LLC line
+left, every issued read and write reaches the LLC once, every LLC read
+miss is one DRAM read, the MSHRs drain and the retired instructions are
+the trace's.  Vacuity guards assert every axis value was drawn and
 that the batch tier really installed on a good share of the samples.
 
 ``REPRO_TIER_FUZZ_ITERS`` raises the iteration count (CI runs 200).
@@ -93,9 +96,9 @@ def _sample(rng, policy):
     return cfg, options, drawn
 
 
-def _run(cfg, tier, options, dram_writes_conserved):
-    """Build and run one system, check its write-side identity; returns
-    its live tier and canonical result bytes."""
+def _run(cfg, tier, options, conserved):
+    """Build and run one system and check its conservation identities;
+    returns the system and its canonical result bytes."""
     workload = build(options["benchmark"], total_accesses=ACCESSES,
                      num_ctas=2 * cfg.num_sms, max_kernels=KERNELS)
     system = GPUSystem(cfg.replace(tier=tier), workload,
@@ -104,10 +107,11 @@ def _run(cfg, tier, options, dram_writes_conserved):
                                                           SCALE),
                        collect_locality=options["collect_locality"])
     result = system.run()
-    dram_writes_conserved(system)
+    for check in conserved:
+        check(system)
     if options["with_energy"]:
         result.energy = GPUPowerModel().report(system, result)
-    return system.tier, json.dumps(result.to_dict(), sort_keys=True)
+    return system, json.dumps(result.to_dict(), sort_keys=True)
 
 
 def _all_values():
@@ -122,7 +126,8 @@ def _all_values():
 
 
 def test_sampled_config_shapes_match_the_event_tier_or_decline(
-        dram_writes_conserved):
+        dram_writes_conserved, reads_conserved, tier_state):
+    conserved = (dram_writes_conserved, reads_conserved)
     rng = random.Random(20261017)
     policies = sorted(available_policies())
     rng.shuffle(policies)
@@ -133,13 +138,14 @@ def test_sampled_config_shapes_match_the_event_tier_or_decline(
         cfg, options, drawn = _sample(rng, next(policy_cycle))
         for name, value in drawn.items():
             seen[name].add(value)
-        tier, batch = _run(cfg, "batch", options, dram_writes_conserved)
-        if tier == "event":
+        batch_system, batch = _run(cfg, "batch", options, conserved)
+        if batch_system.tier == "event":
             continue  # declined: the event tier ran, untouched
-        assert tier == "batch"
+        assert batch_system.tier == "batch"
         installed += 1
-        _, event = _run(cfg, "event", options, dram_writes_conserved)
+        event_system, event = _run(cfg, "event", options, conserved)
         assert batch == event, drawn
+        tier_state(event_system, batch_system)
     assert seen == _all_values(), "an axis value was never drawn"
     assert installed * 3 >= ITERATIONS, (
         f"batch installed on only {installed}/{ITERATIONS} samples")

@@ -18,6 +18,10 @@ Three layers of pinning, each applied to every accelerated tier:
   stateful-boundary handling, not just the steady state;
 * an installation guard, so the suite can never pass vacuously because
   the accelerated tier silently declined to install.
+
+The goldens and the mix also compare every counter a run leaves outside
+its ``RunResult`` (the ``tier_state`` fixture): stalls, server and router
+tallies that no result field shows.
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ import os
 
 import pytest
 
-from repro.experiments.campaign import RunSpec, execute_spec
+from repro.experiments.campaign import RunSpec, execute_spec, spec_system
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "golden_runresults.json")
@@ -86,6 +90,23 @@ def test_accel_tier_reproduces_golden_captures(key, tier):
         f"golden capture")
 
 
+@pytest.mark.parametrize("tier", ACCEL_TIERS)
+@pytest.mark.parametrize("key", sorted(GOLDEN),
+                         ids=[GOLDEN[k]["label"] for k in sorted(GOLDEN)])
+def test_accel_tier_state_matches_event_on_goldens(key, tier, tier_state):
+    spec = RunSpec.from_dict(GOLDEN[key]["spec"])
+    event, accel = (_ran(_tier_spec(spec, t)) for t in ("event", tier))
+    assert accel.tier == tier
+    tier_state(event, accel)
+
+
+def _ran(spec: RunSpec):
+    """The finished system of one spec."""
+    system = spec_system(spec)
+    system.run()
+    return system
+
+
 def _hetero_spec(tier: str) -> RunSpec:
     """Two programs, two different interval policies, parameters chosen so
     both actually transition at smoke scale (asserted below)."""
@@ -99,17 +120,21 @@ def _hetero_spec(tier: str) -> RunSpec:
 
 
 @pytest.mark.parametrize("tier", ACCEL_TIERS)
-def test_accel_tier_matches_event_on_transitioning_hetero_mix(tier):
+def test_accel_tier_matches_event_on_transitioning_hetero_mix(tier,
+                                                             tier_state):
     """Mode transitions flush the tier mid-run (per-program private/shared
     routing flips under the accelerated tier's feet); a heterogeneous mix
     where *both* interval controllers fire pins that boundary."""
-    event = execute_spec(_hetero_spec("event"))
-    accel = execute_spec(_hetero_spec(tier))
+    event_system = spec_system(_hetero_spec("event"))
+    accel_system = spec_system(_hetero_spec(tier))
+    event = event_system.run()
+    accel = accel_system.run()
     assert event.transitions >= 2, (
         "parity run went steady-state: pick parameters that transition, "
         "or the flush path is untested")
     assert all(p.transitions >= 1 for p in event.programs)
     assert accel.to_dict() == event.to_dict()
+    tier_state(event_system, accel_system)
 
 
 _NO_NUMPY_PROBE = """

@@ -2,9 +2,8 @@
 
 The engine's zero-allocation scheduling contract
 (:mod:`repro.sim.engine`): a callback passed to ``schedule_call`` /
-``schedule_after_call`` / ``schedule_batch`` may either return ``None``
-(done) or a ``(time, fn, arg)`` triple that the engine heapreplaces into
-the finished slot.  Returning anything else silently corrupts the heap —
+``schedule_batch`` may either return ``None`` (done) or a ``(time, fn,
+arg)`` triple that the engine heapreplaces into the finished slot.  Returning anything else silently corrupts the heap —
 the engine would schedule ``res[1]`` as a callable — and the failure
 surfaces far from the bug, as a golden-capture diff or an exception deep
 inside ``heapq``.
@@ -12,9 +11,10 @@ inside ``heapq``.
 This rule resolves, per module, which local functions are used as engine
 callbacks, then proves what it can about their returns:
 
-* roots: the ``fn`` argument of ``schedule_call(t, fn, arg)`` /
-  ``schedule_after_call(d, fn, arg)``, and the middle element of
-  3-tuples inside ``schedule_batch([...])`` literals/comprehensions;
+* roots: the ``fn`` argument of ``schedule_call(t, fn, arg)``, and the
+  middle element of 3-tuples inside ``schedule_batch([...])``
+  literals/comprehensions.  A root that is a ``lambda`` is checked in
+  place: its body is its return value;
 * closure: the middle element of any returned 3-tuple — a continuation
   names the next callback, so chains are followed to a fixed point
   (seeded from every function so cross-module roots, like the batch-tier
@@ -32,8 +32,6 @@ import ast
 
 from repro.analysis.base import Rule, SourceFile, call_name, register_rule
 from repro.analysis.findings import Finding
-
-_SCHEDULE_CALLS = ("schedule_call", "schedule_after_call")
 
 
 def _callable_name(node: ast.expr) -> str | None:
@@ -88,18 +86,33 @@ def _returned_exprs(node: ast.expr) -> list[ast.expr]:
     return [node]
 
 
+def _continued(expr: ast.expr) -> str | None:
+    """The callback a returned ``(time, fn, arg)`` triple continues
+    with, by terminal name."""
+    if isinstance(expr, ast.Tuple) and len(expr.elts) == 3:
+        return _callable_name(expr.elts[1])
+    return None
+
+
 class _CallbackCollector(ast.NodeVisitor):
     """Finds the names used as engine-callback roots in one module."""
 
     def __init__(self) -> None:
         self.roots: set[str] = set()
+        self.lambdas: list[ast.Lambda] = []
+
+    def _add(self, node: ast.expr) -> None:
+        if isinstance(node, ast.Lambda):
+            self.lambdas.append(node)
+            return
+        cb = _callable_name(node)
+        if cb is not None:
+            self.roots.add(cb)
 
     def visit_Call(self, node: ast.Call) -> None:
         name = call_name(node.func)
-        if name in _SCHEDULE_CALLS and len(node.args) >= 2:
-            cb = _callable_name(node.args[1])
-            if cb is not None:
-                self.roots.add(cb)
+        if name == "schedule_call" and len(node.args) >= 2:
+            self._add(node.args[1])
         elif name == "schedule_batch" and node.args:
             self._collect_batch(node.args[0])
         self.generic_visit(node)
@@ -112,9 +125,7 @@ class _CallbackCollector(ast.NodeVisitor):
             elements = [arg.elt]
         for elt in elements:
             if isinstance(elt, ast.Tuple) and len(elt.elts) == 3:
-                cb = _callable_name(elt.elts[1])
-                if cb is not None:
-                    self.roots.add(cb)
+                self._add(elt.elts[1])
 
 
 @register_rule
@@ -136,6 +147,11 @@ class ContinuationRule(Rule):
         # callback families installed from another module (the batch-tier
         # closures) are still followed once any of them returns a triple.
         callbacks = set(collector.roots)
+        for lam in collector.lambdas:
+            for expr in _returned_exprs(lam.body):
+                cb = _continued(expr)
+                if cb is not None and cb in functions:
+                    callbacks.add(cb)
         pending = list(functions)
         seen: set[str] = set()
         while pending:
@@ -148,35 +164,37 @@ class ContinuationRule(Rule):
                     if ret.value is None:
                         continue
                     for expr in _returned_exprs(ret.value):
-                        if isinstance(expr, ast.Tuple) \
-                                and len(expr.elts) == 3:
-                            cb = _callable_name(expr.elts[1])
-                            if cb is not None and cb in functions:
-                                callbacks.add(cb)
-                                if cb not in seen:
-                                    pending.append(cb)
+                        cb = _continued(expr)
+                        if cb is not None and cb in functions:
+                            callbacks.add(cb)
+                            if cb not in seen:
+                                pending.append(cb)
 
         findings: list[Finding] = []
         for name in sorted(callbacks):
             for fn in functions.get(name, []):
-                findings.extend(self._check_callback(src, fn))
+                for ret in _own_returns(fn):
+                    if ret.value is not None:
+                        findings.extend(self._check_return(
+                            src, ret, ret.value, repr(fn.name)))
+        for lam in collector.lambdas:
+            # A lambda's body is its return value.
+            findings.extend(self._check_return(src, lam, lam.body,
+                                               "lambda"))
         return findings
 
-    def _check_callback(self, src: SourceFile,
-                        fn: ast.FunctionDef | ast.AsyncFunctionDef
-                        ) -> list[Finding]:
+    def _check_return(self, src: SourceFile, node: ast.AST,
+                      value: ast.expr, label: str) -> list[Finding]:
+        """Findings for one returned expression of callback ``label``."""
         findings: list[Finding] = []
-        for ret in _own_returns(fn):
-            if ret.value is None:
-                continue
-            for expr in _returned_exprs(ret.value):
-                bad = self._bad_return(expr)
-                if bad is not None:
-                    findings.append(src.finding(
-                        ret, "continuation",
-                        f"engine callback {fn.name!r} returns {bad}; the "
-                        f"continuation protocol allows only None or a "
-                        f"(time, fn, arg) triple"))
+        for expr in _returned_exprs(value):
+            bad = self._bad_return(expr)
+            if bad is not None:
+                findings.append(src.finding(
+                    node, "continuation",
+                    f"engine callback {label} returns {bad}; the "
+                    f"continuation protocol allows only None or a "
+                    f"(time, fn, arg) triple"))
         return findings
 
     @staticmethod

@@ -62,9 +62,10 @@ class L1Cache:
         regardless of the returned value."""
         if is_write:
             self.writes += 1
-            self._store.access(line_key, is_write=True)
-            # Write-through: the line is never dirty in L1; mark it clean.
-            # (SetAssocCache sets dirty on write hit; scrub it via clean().)
+            # Write-through, no write-allocate: a hit only touches
+            # recency (the line stays clean), a miss allocates nothing.
+            if not self._store.access_if_hit(line_key):
+                self._store.misses += 1
             return False  # writes always go downstream
         res = self._store.access(line_key, is_write=False)
         if res.hit:

@@ -123,6 +123,8 @@ class AdaptiveConfig(_SerializableConfig):
     experiments shrink both proportionally; the ratio is what matters.
     """
 
+    # Must stay True (validate() rejects anything else): the field only
+    # keeps cache keys stable and switches nothing.
     enabled: bool = True
     epoch_cycles: int = 1_000_000
     profile_cycles: int = 50_000
@@ -396,6 +398,7 @@ class GPUConfig(_SerializableConfig):
         divides by must be at least 1 and latencies at least 0; both are
         checked before anything is derived from them.  A concentrated
         crossbar's concentration must divide the SM and slice counts.
+        ``adaptive.enabled`` must stay True, since nothing reads it.
         """
         for name in self._DIVISORS:
             if getattr(self, name) < 1:
@@ -444,3 +447,9 @@ class GPUConfig(_SerializableConfig):
         if self.tier not in ("event", "batch"):
             raise ValueError(f"unknown execution tier {self.tier!r} "
                              "(valid tiers: event, batch)")
+        if self.adaptive.enabled is not True:
+            raise ValueError(
+                f"adaptive.enabled must be True, got "
+                f"{self.adaptive.enabled!r}: nothing reads it, so the "
+                "adaptive controller would run anyway; run a static "
+                "policy instead")

@@ -3,8 +3,9 @@
 :class:`ModeController` is the bookkeeping every dynamic policy's
 per-program controller shares: the current mode, the reconfigurator that
 prices each transition, the mode history and decision record, and the
-engine events the controller owns (cancelled by :meth:`shutdown`, since a
-recurring event would otherwise keep the simulation alive forever).
+sequence numbers of the engine timers the controller queued (cancelled by
+:meth:`shutdown`, since a recurring timer would otherwise keep the
+simulation alive forever).
 Subclasses add only their decision logic.
 
 :class:`AdaptiveController` is the paper's (Section 4.3):
@@ -28,7 +29,12 @@ from repro.core.reconfig import Reconfigurator
 
 if TYPE_CHECKING:
     from repro.core.sampler import ProfilingState
-    from repro.sim.engine import Engine, Event
+    from repro.sim.engine import Engine
+
+
+def _fire(fn: Callable[[], None]) -> None:
+    """Engine callback of a controller timer: run it, continue nothing."""
+    fn()
 
 
 class ModeController:
@@ -55,7 +61,7 @@ class ModeController:
         self.reconfigurator = Reconfigurator(cfg.adaptive)
         self.decisions: list[tuple[float, Decision]] = []
         self.mode_history: list[tuple[float, LLCMode, str]] = []
-        self._events: list[Event] = []
+        self._timers: list[int] = []
         self._started = False
 
     # --------------------------------------------------------------- wiring
@@ -75,13 +81,16 @@ class ModeController:
         self.start(now)
 
     def shutdown(self) -> None:
-        """Cancel the pending events (workload finished)."""
-        for ev in self._events:
-            ev.cancel()
-        self._events.clear()
+        """Cancel the pending timers (workload finished)."""
+        self.engine.cancel(self._timers)
+        self._timers.clear()
 
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        self._events.append(self.engine.schedule_after(delay, fn))
+        """Queue ``fn()`` ``delay`` cycles from now as a cancellable
+        timer."""
+        engine = self.engine
+        self._timers.append(engine.schedule_call(engine.now + delay,
+                                                 _fire, fn))
 
     def _transition(self, now: float, to_mode: LLCMode, reason: str) -> None:
         cost = self.reconfigurator.transition(self.system, now, to_mode)

@@ -55,8 +55,7 @@ keep the event tier's exact schedule but strip its per-event overhead:
   does: this SM's fill, its write retirement and a reconfiguration stall
   (``_stall_all``).  Each settles the park first: an event ordered before
   the parked ``(time, seq)`` pushes the entry unchanged, a later one
-  replays the stall the wake would have recorded.  A run cut at a horizon
-  replays the parks at or before it and queues the rest.  Likewise a
+  replays the stall the wake would have recorded.  Likewise a
   write retirement on an SM stalled on its full MSHR file with no fill
   since records the identical stall without running the drain loop, and
   a fill or retirement that leaves no warp ready skips the drain, which
@@ -173,8 +172,8 @@ def install_batchpath(system: Any) -> bool:
     llc_latency = float(system.cfg.llc_latency_cycles)
 
     # Queue internals: the heap list is only ever mutated in place
-    # (_compact filters with ``_heap[:] = ...``), so capturing it once is
-    # safe; ``_seq`` is read/written through the engine because the
+    # (Engine.cancel filters with ``_heap[:] = ...``), so capturing it once
+    # is safe; ``_seq`` is read/written through the engine because the
     # continuation dispatch draws numbers between callbacks.
     heap = engine._heap
 
@@ -660,7 +659,6 @@ def install_batchpath(system: Any) -> bool:
         l1_store = l1._store
         smid = sm.sm_id
         l1_sets = l1_store._sets
-        l1_dirty = l1_store._dirty
         l1_assoc = l1_store.assoc
         mshr = sm.mshr
         mshr_entries = mshr._entries
@@ -677,7 +675,7 @@ def install_batchpath(system: Any) -> bool:
 
         # Deferred tallies: issued reads/writes, MSHR events, L1 events.
         b_ir = b_iw = b_mg = b_al = b_st = 0
-        b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = b_l1ev = b_l1wb = 0
+        b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = b_l1ev = 0
 
         def wake(_: Any) -> None:
             """The drain loop, specialized: inline route folds, direct heap
@@ -787,14 +785,14 @@ def install_batchpath(system: Any) -> bool:
                         sm.live_accesses = live
                         return None
                     sm.write_credits -= 1
-                    # Inlined L1 write-through, no write-allocate.
+                    # Inlined L1 write-through, no write-allocate: a
+                    # hit only touches recency (the line stays clean).
                     b_l1w += 1
                     tag_keys = l1_sets[key % l1_num_sets]
                     if key in tag_keys:
                         b_l1sh += 1
                         tag_keys.remove(key)
                         tag_keys.append(key)
-                        l1_dirty.add(key)
                     else:
                         b_l1sm += 1
                     cursor += 1
@@ -898,8 +896,7 @@ def install_batchpath(system: Any) -> bool:
                     cnt_routed[slice_global] += 1
                     t = done + pipeline
                     arrive = t + SHORT
-                heappush(heap, (arrive, seq, None,
-                                stage_by_sg[slice_global], req))
+                heappush(heap, (arrive, seq, stage_by_sg[slice_global], req))
                 seq += 1
 
                 if is_write:
@@ -929,7 +926,7 @@ def install_batchpath(system: Any) -> bool:
             return None
 
         def fill(req: Any) -> None:
-            nonlocal b_l1ev, b_l1wb
+            nonlocal b_l1ev
             if sm.parked_wake is not None:
                 settle(sm, engine.now, heap[0][1])
             key = req.key
@@ -946,11 +943,8 @@ def install_batchpath(system: Any) -> bool:
                 if key in keys:
                     keys.remove(key)
                 elif len(keys) >= l1_assoc:
-                    victim = keys.pop(0)
+                    keys.pop(0)
                     b_l1ev += 1
-                    if victim in l1_dirty:
-                        l1_dirty.remove(victim)
-                        b_l1wb += 1
                 keys.append(key)
             ready_append = sm.ready.append
             for warp in waiters:
@@ -1001,7 +995,7 @@ def install_batchpath(system: Any) -> bool:
         def fold() -> None:
             """Fold the deferred SM-side tallies (idempotent: resets)."""
             nonlocal b_ir, b_iw, b_mg, b_al, b_st
-            nonlocal b_l1rh, b_l1rm, b_l1w, b_l1sh, b_l1sm, b_l1ev, b_l1wb
+            nonlocal b_l1rh, b_l1rm, b_l1w, b_l1sh, b_l1sm, b_l1ev
             sm.issued_reads += b_ir
             sm.issued_writes += b_iw
             mshr.merges += b_mg
@@ -1013,7 +1007,6 @@ def install_batchpath(system: Any) -> bool:
             l1_store.hits += b_l1sh
             l1_store.misses += b_l1sm
             l1_store.evictions += b_l1ev
-            l1_store.writebacks += b_l1wb
             issued = b_ir + b_iw
             sm_srv.jobs += issued
             sm_srv.busy_cycles += b_ir * req_r_f + b_iw * req_w_f
@@ -1022,8 +1015,7 @@ def install_batchpath(system: Any) -> bool:
             req_smr.buffer_flits += flits
             req_smr.xbar_flits += flits
             b_ir = b_iw = b_mg = b_al = b_st = 0
-            b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = 0
-            b_l1ev = b_l1wb = 0
+            b_l1rh = b_l1rm = b_l1w = b_l1sh = b_l1sm = b_l1ev = 0
 
         fold_fns.append(fold)
         return wake, fill, retired
@@ -1040,7 +1032,7 @@ def install_batchpath(system: Any) -> bool:
         if now < park_at or (now == park_at and seq < park_seq):
             if keep_later:
                 return
-            heappush(heap, (park_at, park_seq, None, sm._bp_wake, sm))
+            heappush(heap, (park_at, park_seq, sm._bp_wake, sm))
         else:
             sm.mshr.stalls += 1
             sm.mshr_blocked_at = park_at
@@ -1070,24 +1062,18 @@ def install_batchpath(system: Any) -> bool:
         """A reconfiguration stall moves every SM's next issue slot, so it
         settles every parked wake first (against the running event)."""
         if until > system.global_stall_until:
-            parked = [sm for sm in system.sms if sm.parked_wake is not None]
-            if parked:
-                now, seq = engine.dispatching()
-                for sm in parked:
-                    settle(sm, now, seq)
+            for sm in system.sms:
+                if sm.parked_wake is not None:
+                    settle(sm, engine.now, heap[0][1])
         original_stall_all(until)
 
     original_collect = system._collect
 
     # repro: cold
     def collect() -> Any:
-        """Settle the parks a horizon left (``run(max_cycles=...)``): the
-        event tier fired every wake at or before it and queued the rest.
-        Then fold the deferred tallies."""
-        for sm in system.sms:
-            if sm.parked_wake is not None:
-                # The horizon orders after every sequence number drawn.
-                settle(sm, engine.now, engine._seq)
+        """Fold the deferred tallies.  A drained queue leaves no parked
+        wake: a park waits on this SM's outstanding fills, whose events
+        settle it."""
         for fold in fold_fns:
             fold()
         return original_collect()

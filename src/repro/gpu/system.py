@@ -7,10 +7,12 @@ through the :mod:`repro.policy` registry (a registered name such as
 ``"static-shared"``/``"paper-adaptive"``/``"hysteresis"``, a
 :class:`~repro.config.PolicyConfig`, or an
 :class:`~repro.policy.LLCPolicy` instance).  The historical surface —
-``GPUSystem(cfg, workload, policy=...)`` with one global policy — remains
-as a thin adapter that builds a one-policy scenario internally, so legacy
-runs stay byte-identical; the string triad
-``"shared"``/``"private"``/``"adaptive"`` keeps working as aliases.
+``GPUSystem(cfg, workload, policy=...)`` — binds one policy instance over
+every program at once, which is not the same as a scenario giving each
+program its own instance: a global oracle probes the whole mix, and a
+global ``static-private`` also flips every slice's default write policy
+to write-through.  The string triad ``"shared"``/``"private"``/
+``"adaptive"`` keeps working as aliases.
 
 Request life cycle (all times computed by threading through bandwidth
 servers, one engine event per L1 miss):
@@ -370,8 +372,8 @@ class GPUSystem:
             sm.mshr_blocked_at = -1.0
 
     # ----------------------------------------------------------------- run
-    def run(self, max_cycles: Optional[float] = None) -> RunResult:
-        """Execute the workload to completion (or ``max_cycles``).
+    def run(self) -> RunResult:
+        """Execute the workload to completion.
 
         Tenants with a later admission time enter through an admission
         event (:meth:`_admit_program`); everyone else launches at time
@@ -386,8 +388,8 @@ class GPUSystem:
             else:
                 self.engine.schedule_call(prog.admitted_at,
                                           self._admit_program, prog)
-        self.engine.run(until=max_cycles)
-        if not all(p.done for p in self.programs) and max_cycles is None:
+        self.engine.run()
+        if not all(p.done for p in self.programs):
             raise RuntimeError("simulation deadlocked: event queue drained "
                                "with unfinished programs")
         for prog in self.programs:
@@ -647,7 +649,7 @@ class GPUSystem:
     #
     # Each hop schedules the next stage's *bound method* with the pooled
     # :class:`Request` as its argument (``Engine.schedule_call``), so a full
-    # read round trip allocates no closures and no Event objects.
+    # read round trip allocates nothing beyond its heap entries.
 
     def _acquire_request(self, sm: StreamingMultiprocessor,
                          key: int) -> Request:

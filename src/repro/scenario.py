@@ -14,10 +14,14 @@ declaration instead:
   consolidation runs attach a placement spec, per-tenant admission times
   and request-latency tracking (see :mod:`repro.consolidate`).
 
-``GPUSystem`` accepts a :class:`Scenario` wherever it accepted a workload;
-the old ``policy=``/``policy_params=`` kwargs remain as thin adapters that
-build a one-policy scenario internally, so legacy runs (and their golden
-captures) stay byte-identical.
+``GPUSystem`` accepts a :class:`Scenario` wherever it accepted a workload.
+The old ``policy=``/``policy_params=`` kwargs still work, and build no
+scenario: they bind one policy instance over every program at once.  That
+differs from a scenario that gives each program its own instance, where
+each binding sees only its program.  A global oracle probes the whole mix
+rather than each program alone, and a global ``static-private`` also
+flips every slice's default write policy to write-through, which it does
+only when it covers every program.
 
 The CLI mix grammar lives here too::
 

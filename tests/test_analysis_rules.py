@@ -350,9 +350,29 @@ def test_continuation_ignores_uninvolved_functions():
         def helper(x):
             return x + 1
 
-        engine.schedule(1.0, event)
+        engine.cancel([helper(seq)])
     """, "continuation")
     assert findings == []
+
+
+def test_continuation_checks_lambda_callbacks():
+    # A lambda's body is its return value, so a lambda callback whose body
+    # is a wrong-shaped tuple or a constant is flagged; calls are trusted,
+    # and a triple it returns continues into a named callback.
+    findings = findings_for("""
+        def follow(arg):
+            return [1]
+
+        engine.schedule_call(0.0, lambda arg: (1.0, arg), None)
+        engine.schedule_batch([(1.0, lambda arg: 42, None)])
+        engine.schedule_call(0.0, lambda arg: log.append(arg), None)
+        engine.schedule_call(0.0, lambda arg: arg or (2.0, follow, arg), None)
+    """, "continuation")
+    messages = sorted(f.message for f in findings)
+    assert len(messages) == 3, messages
+    assert "engine callback 'follow' returns a list" in messages[0]
+    assert "engine callback lambda returns a 2-tuple" in messages[1]
+    assert "engine callback lambda returns the constant 42" in messages[2]
 
 
 # ----------------------------------------------------------- serialization

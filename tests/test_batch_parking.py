@@ -3,11 +3,12 @@
 The batch tier keeps a wake that can only stall on the full MSHR file out
 of the event queue (``StreamingMultiprocessor.parked_wake``) until an
 event that could change its outcome settles it: this SM's fill, its
-write retirement, a reconfiguration stall (``_stall_all``), or the
-horizon of a cut run.  Each test below runs a shape where the edge case
-really happens (a spy counts it, so no test passes vacuously) and
-requires the batch run to match the event tier in ``RunResult`` bytes,
-in every counter outside it, and in the events left queued.
+write retirement, or a reconfiguration stall (``_stall_all``).  Each
+test below runs a shape where the edge case really happens (a spy counts
+it, so no test passes vacuously) and requires the batch run to match the
+event tier in ``RunResult`` bytes and in every counter outside it, and
+to end with no park left: a park waits on its SM's outstanding fills, so
+a drained queue has settled it.
 """
 
 import collections
@@ -46,7 +47,7 @@ def _spy(system, seen):
         def spy(arg):
             park = sm.parked_wake
             if park is not None:
-                seq = engine.dispatching()[1]
+                seq = engine._heap[0][1]  # the running event
                 if engine.now != park[0]:
                     order = "earlier" if engine.now < park[0] else "later"
                 else:
@@ -68,20 +69,9 @@ def _spy(system, seen):
         stall_all(until)
 
     system._stall_all = stall_spy
-    collect = system._collect
-
-    def collect_spy():
-        for sm in system.sms:
-            if sm.parked_wake is not None:
-                late = sm.parked_wake[0] > engine.now
-                seen["horizon.queued" if late else "horizon.replayed"] += 1
-        return collect()
-
-    system._collect = collect_spy
 
 
-def _twins(cfg, workload, policy, tier_state, max_cycles=None,
-           seen=None):
+def _twins(cfg, workload, policy, tier_state, seen=None):
     """Run one shape on both tiers and require them to agree."""
     systems = {}
     for tier in ("event", "batch"):
@@ -89,14 +79,15 @@ def _twins(cfg, workload, policy, tier_state, max_cycles=None,
         assert system.tier == tier
         if tier == "batch":
             _spy(system, seen)
-        result = system.run(max_cycles=max_cycles)
+        result = system.run()
         systems[tier] = (system, json.dumps(result.to_dict(),
                                             sort_keys=True))
     (event, event_bytes), (batch, batch_bytes) = (systems["event"],
                                                   systems["batch"])
     assert batch_bytes == event_bytes
     tier_state(event, batch)
-    assert batch.engine.pending == event.engine.pending
+    assert batch.engine.drained() and event.engine.drained()
+    assert all(sm.parked_wake is None for sm in batch.sms)
     assert batch.engine.events_processed <= event.engine.events_processed
     return event, batch
 
@@ -124,15 +115,3 @@ def test_reconfiguration_stall_while_parked(tier_state):
     assert seen["stall_all"] >= 1, dict(seen)
     assert event.global_stall_until > 0.0
 
-
-def test_horizon_replays_earlier_parks_and_queues_later_ones(tier_state):
-    """``run(max_cycles=...)`` cut with parked wakes on both sides of the
-    horizon: the event tier fired the earlier ones (stalls) and left the
-    later ones queued, so ``engine.pending`` must match."""
-    seen = collections.Counter()
-    cfg = experiment_config().replace(max_outstanding_misses=8)
-    for horizon in (300.0, 500.0):
-        _twins(cfg, _va(), "shared", tier_state, max_cycles=horizon,
-               seen=seen)
-    assert seen["horizon.replayed"] >= 1, dict(seen)
-    assert seen["horizon.queued"] >= 1, dict(seen)

@@ -269,6 +269,16 @@ def test_cli_sweep_rejects_impossible_geometry(capsys):
         assert f"error: {name} must be" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_disabled_adaptive_knob(capsys):
+    # Nothing reads adaptive.enabled: a False value would key a new cache
+    # entry and still run the adaptive controller.
+    assert main(["sweep", "--benchmarks", "VA", "--modes", "adaptive",
+                 "--scale", str(TINY),
+                 "--set", "adaptive.enabled=false"]) == 2
+    assert "error: adaptive.enabled must be True, got False" \
+        in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_unknown_benchmark(capsys):
     assert main(["sweep", "--benchmarks", "NOPE"]) == 2
     assert "unknown benchmarks" in capsys.readouterr().err

@@ -141,6 +141,20 @@ def test_profiler_hardware_budget():
 
 
 # ------------------------------------------------------------- controller
+def probe_mode(arg):
+    """Engine callback: note the controller's mode at this instant."""
+    ctrl, modes = arg
+    modes.append(ctrl.mode)
+
+
+def run_until(eng, ctrl, stop):
+    """Run until ``stop``, where an event shuts the controller down (its
+    recurring epoch timer would keep the queue alive forever)."""
+    eng.schedule_call(stop, lambda _: ctrl.shutdown(), None)
+    eng.run()
+    assert eng.drained() and eng.now == stop
+
+
 def make_controller(engine, system, cfg=None, **kw):
     cfg = cfg or cfg_small()
     return AdaptiveController(cfg, engine, system, **kw)
@@ -165,22 +179,21 @@ def test_controller_rule1_transition_and_epoch_revert():
     # Feed equal-ish miss-rate evidence: lots of same-line cluster-0 hits.
     for i in range(40):
         ctrl.profiler.observe_request(5, 0, 0, 0, hit=(i > 0))
-    eng.run(until=600.0)   # profile phase ends at 500
-    assert ctrl.mode is LLCMode.PRIVATE
+    modes = []
+    eng.schedule_call(600.0, probe_mode, (ctrl, modes))  # profile ends at 500
+    run_until(eng, ctrl, 10_500.0)
+    assert modes == [LLCMode.PRIVATE]
     assert events and events[0][1] is LLCMode.PRIVATE
     # At the next epoch boundary the LLC reverts to shared (Rule #3).
-    eng.run(until=10_500.0)
     assert any(m is LLCMode.SHARED for _, m in events[1:])
-    ctrl.shutdown()
 
 
 def test_controller_unusable_profile_stays_shared():
     eng = Engine()
     ctrl = make_controller(eng, FakeSystem(cfg_small()))
     ctrl.start(0.0)
-    eng.run(until=600.0)   # no observations at all
+    run_until(eng, ctrl, 600.0)   # no observations at all
     assert ctrl.mode is LLCMode.SHARED
-    ctrl.shutdown()
 
 
 def test_controller_force_shared_for_atomics():
@@ -189,9 +202,8 @@ def test_controller_force_shared_for_atomics():
     ctrl.start(0.0)
     for i in range(40):
         ctrl.profiler.observe_request(5, 0, 0, 0, hit=(i > 0))
-    eng.run(until=600.0)
+    run_until(eng, ctrl, 600.0)
     assert ctrl.mode is LLCMode.SHARED
-    ctrl.shutdown()
 
 
 def test_controller_kernel_launch_reverts_and_reprofiles():
@@ -200,20 +212,44 @@ def test_controller_kernel_launch_reverts_and_reprofiles():
     ctrl = make_controller(eng, FakeSystem(cfg), cfg)
     ctrl.start(0.0)
     ctrl.mode = LLCMode.PRIVATE  # pretend a transition happened
-    eng.run(until=100.0)
-    ctrl.on_kernel_launch(100.0)
-    assert ctrl.mode is LLCMode.SHARED
-    assert ctrl.profiler.active
-    ctrl.shutdown()
+    seen = []
+
+    def launch(_):
+        ctrl.on_kernel_launch(eng.now)
+        seen.append((ctrl.mode, ctrl.profiler.active))
+
+    eng.schedule_call(100.0, launch, None)
+    run_until(eng, ctrl, 100.0)
+    assert seen == [(LLCMode.SHARED, True)]
+
+
+def test_controller_timers_fire_a_delay_after_now():
+    # A timer is queued `delay` cycles after the engine's current time:
+    # a kernel launch at t=100 re-profiles until 100 + profile_cycles.
+    cfg = cfg_small()
+    eng = Engine()
+    ctrl = make_controller(eng, FakeSystem(cfg), cfg)
+    ctrl.start(0.0)
+    queued = []
+
+    def launch(_):
+        ctrl.on_kernel_launch(eng.now)
+        queued.extend(sorted(e[0] for e in eng._heap[1:]))
+
+    eng.schedule_call(100.0, launch, None)
+    run_until(eng, ctrl, 200.0)
+    assert queued == [200.0, 500.0, 600.0, 10_000.0]
 
 
 def test_controller_shutdown_cancels_events():
     eng = Engine()
     ctrl = make_controller(eng, FakeSystem(cfg_small()))
     ctrl.start(0.0)
+    assert eng.pending == 2  # the epoch boundary and the profile window
     ctrl.shutdown()
-    eng.run()
     assert eng.drained()
+    eng.run()
+    assert eng.events_processed == 0
 
 
 def test_time_in_private_accounting():

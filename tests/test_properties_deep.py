@@ -24,7 +24,7 @@ def test_engine_fires_all_events_in_order(times):
     eng = Engine()
     fired = []
     for t in times:
-        eng.schedule(t, lambda t=t: fired.append(t))
+        eng.schedule_call(t, fired.append, t)
     eng.run()
     assert fired == sorted(times)
     assert eng.events_processed == len(times)

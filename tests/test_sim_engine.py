@@ -5,12 +5,16 @@ import pytest
 from repro.sim.engine import Engine
 
 
+def _noop(_):
+    return None
+
+
 def test_events_fire_in_time_order():
     eng = Engine()
     fired = []
-    eng.schedule(5.0, lambda: fired.append(5))
-    eng.schedule(1.0, lambda: fired.append(1))
-    eng.schedule(3.0, lambda: fired.append(3))
+    eng.schedule_call(5.0, fired.append, 5)
+    eng.schedule_call(1.0, fired.append, 1)
+    eng.schedule_call(3.0, fired.append, 3)
     eng.run()
     assert fired == [1, 3, 5]
     assert eng.now == 5.0
@@ -20,62 +24,78 @@ def test_same_time_events_fire_fifo():
     eng = Engine()
     fired = []
     for i in range(10):
-        eng.schedule(2.0, lambda i=i: fired.append(i))
+        eng.schedule_call(2.0, fired.append, i)
     eng.run()
     assert fired == list(range(10))
 
 
+def test_cannot_schedule_in_past():
+    eng = Engine()
+    eng.schedule_call(10.0, _noop, None)
+    eng.run()
+    with pytest.raises(ValueError):
+        eng.schedule_call(5.0, _noop, None)
+
+
 def test_schedule_after_uses_relative_delay():
+    # A relative delay is `now + delay`, taken inside the running callback.
     eng = Engine()
     times = []
-    eng.schedule(10.0, lambda: eng.schedule_after(5.0, lambda: times.append(eng.now)))
+
+    def later(_):
+        eng.schedule_call(eng.now + 5.0, lambda _: times.append(eng.now),
+                          None)
+
+    eng.schedule_call(10.0, later, None)
     eng.run()
     assert times == [15.0]
 
 
-def test_cannot_schedule_in_past():
+def test_schedule_after_call_uses_relative_delay():
+    # The same delay handed back as a continuation fires at the same time.
     eng = Engine()
-    eng.schedule(10.0, lambda: None)
+    times = []
+
+    def later(_):
+        return (eng.now + 5.0, times.append, "follow")
+
+    eng.schedule_call(10.0, later, None)
     eng.run()
-    with pytest.raises(ValueError):
-        eng.schedule(5.0, lambda: None)
+    assert times == ["follow"]
+    assert eng.now == 15.0
 
 
 def test_negative_delay_rejected():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        eng.schedule_after(-1.0, lambda: None)
-
-
-def test_until_horizon_stops_and_advances_clock():
+    # Mid-run, `now + delay` with a negative delay is refused and leaves
+    # the queue as it was; a zero delay fires at the current instant.
     eng = Engine()
     fired = []
-    eng.schedule(1.0, lambda: fired.append(1))
-    eng.schedule(100.0, lambda: fired.append(100))
-    eng.run(until=50.0)
-    assert fired == [1]
-    assert eng.now == 50.0
-    assert eng.pending == 1
+
+    def try_delays(_):
+        with pytest.raises(ValueError):
+            eng.schedule_call(eng.now + -1.0, fired.append, "early")
+        assert eng.pending == 1  # only the running entry
+        eng.schedule_call(eng.now + 0.0, fired.append, "now")
+
+    eng.schedule_call(10.0, try_delays, None)
     eng.run()
-    assert fired == [1, 100]
-
-
-def test_until_beyond_last_event_advances_clock():
-    eng = Engine()
-    eng.schedule(1.0, lambda: None)
-    eng.run(until=500.0)
-    assert eng.now == 500.0
+    assert fired == ["now"]
+    assert eng.now == 10.0
+    assert eng.events_processed == 2
 
 
 def test_cancelled_events_are_skipped():
     eng = Engine()
     fired = []
-    ev = eng.schedule(1.0, lambda: fired.append("a"))
-    eng.schedule(2.0, lambda: fired.append("b"))
-    ev.cancel()
+    seq = eng.schedule_call(1.0, fired.append, "a")
+    eng.schedule_call(2.0, fired.append, "b")
+    eng.cancel([seq])
     eng.run()
     assert fired == ["b"]
     assert eng.drained()
+    assert eng.events_processed == 1
+    # A cancelled entry never moves the clock.
+    assert eng.now == 2.0
 
 
 def test_events_scheduled_during_run_fire():
@@ -85,109 +105,101 @@ def test_events_scheduled_during_run_fire():
     def chain(depth):
         fired.append(depth)
         if depth < 3:
-            eng.schedule_after(1.0, lambda: chain(depth + 1))
+            eng.schedule_call(eng.now + 1.0, chain, depth + 1)
 
-    eng.schedule(0.0, lambda: chain(0))
+    eng.schedule_call(0.0, chain, 0)
     eng.run()
     assert fired == [0, 1, 2, 3]
     assert eng.now == 3.0
 
 
-def test_max_events_limits_processing():
-    eng = Engine()
-    fired = []
-    for i in range(10):
-        eng.schedule(float(i), lambda i=i: fired.append(i))
-    eng.run(max_events=4)
-    assert fired == [0, 1, 2, 3]
-    assert eng.pending == 6
-
-
 def test_events_processed_counter():
     eng = Engine()
     for i in range(7):
-        eng.schedule(float(i), lambda: None)
+        eng.schedule_call(float(i), _noop, None)
     eng.run()
     assert eng.events_processed == 7
 
 
 def test_pending_tracks_cancellations_without_scanning():
+    # pending is the queue length: cancel removes entries at once, so
+    # nothing dead is ever left in the heap to count around.
     eng = Engine()
-    events = [eng.schedule(float(i + 1), lambda: None) for i in range(10)]
+    seqs = [eng.schedule_call(float(i + 1), _noop, None) for i in range(10)]
     assert eng.pending == 10
-    for ev in events[:4]:
-        ev.cancel()
+    eng.cancel(seqs[:4])
     assert eng.pending == 6
-    events[0].cancel()  # double-cancel must not double-count
+    eng.cancel(seqs[:1])  # double-cancel must not double-count
     assert eng.pending == 6
 
 
 def test_cancelling_a_fired_event_is_a_noop():
     eng = Engine()
-    ev = eng.schedule(1.0, lambda: None)
-    keeper = eng.schedule(2.0, lambda: None)
-    eng.run(until=1.5)
-    ev.cancel()  # already fired: accounting must not change
-    assert eng.pending == 1
-    keeper.cancel()
-    assert eng.pending == 0
+    fired = []
+    first = eng.schedule_call(1.0, fired.append, "first")
+
+    def late(_):
+        eng.cancel([first])  # already fired: nothing to withdraw
+        fired.append(eng.pending)
+
+    eng.schedule_call(2.0, late, None)
+    eng.schedule_call(3.0, fired.append, "keeper")
+    eng.run()
+    assert fired == ["first", 2, "keeper"]  # 2: itself and the keeper
     assert eng.drained()
 
 
 def test_heap_compacts_when_cancelled_events_dominate():
+    # Cancellation rebuilds the heap without the dead entries, in place.
     eng = Engine()
-    threshold = Engine.COMPACT_MIN_CANCELLED
-    events = [eng.schedule(float(i + 1), lambda: None)
-              for i in range(2 * threshold)]
-    for ev in events[: threshold + 1]:
-        ev.cancel()
-    # dead events now dominate: the heap must have been rebuilt without them
-    assert len(eng._heap) == threshold - 1
-    assert eng.pending == threshold - 1
+    heap = eng._heap
+    seqs = [eng.schedule_call(float(i + 1), _noop, None) for i in range(128)]
+    eng.cancel(seqs[:65])
+    assert eng._heap is heap
+    assert len(heap) == 63
+    assert sorted(entry[1] for entry in heap) == seqs[65:]
     eng.run()
-    assert eng.events_processed == threshold - 1
+    assert eng.events_processed == 63
     assert eng.drained()
 
 
 def test_cancellation_during_run_keeps_order_and_counts():
     eng = Engine()
     fired = []
-    later = [eng.schedule(float(10 + i), lambda i=i: fired.append(i))
+    later = [eng.schedule_call(float(10 + i), fired.append, i)
              for i in range(6)]
-
-    def cancel_some():
-        for ev in later[::2]:
-            ev.cancel()
-
-    eng.schedule(1.0, cancel_some)
+    eng.schedule_call(1.0, lambda _: eng.cancel(later[::2]), None)
     eng.run()
     assert fired == [1, 3, 5]
+    assert eng.events_processed == 4
     assert eng.drained()
 
 
 def test_bulk_cancel_during_run_compacts_and_pending_stays_nonnegative():
-    # A callback cancels enough future events to trigger heap compaction
-    # while run() is mid-flight holding its reference to the heap list; the
-    # live-event accounting must never go negative and must end drained.
+    # A callback cancels most future entries while run() is mid-flight,
+    # holding its reference to the heap list: the running entry stays the
+    # root, the survivors fire in order, and the count ends at zero.
     eng = Engine()
     fired = []
-    n = 4 * Engine.COMPACT_MIN_CANCELLED
-    later = [eng.schedule(float(10 + i), lambda i=i: fired.append(i))
+    n = 256
+    later = [eng.schedule_call(float(10 + i), fired.append, i)
              for i in range(n)]
     pending_samples = []
+    roots = []
 
-    def cancel_most():
-        for ev in later[: 3 * Engine.COMPACT_MIN_CANCELLED]:
-            ev.cancel()
+    def cancel_most(_):
+        eng.cancel(later[:192])
+        roots.append(eng._heap[0][2])
         pending_samples.append(eng.pending)
 
-    eng.schedule(1.0, cancel_most)
-    eng.schedule(5.0, lambda: pending_samples.append(eng.pending))
+    eng.schedule_call(1.0, cancel_most, None)
+    eng.schedule_call(5.0, lambda _: pending_samples.append(eng.pending),
+                      None)
     eng.run()
-    survivors = n - 3 * Engine.COMPACT_MIN_CANCELLED
-    assert fired == list(range(n - survivors, n))
-    assert all(p >= 0 for p in pending_samples)
-    assert pending_samples[0] == survivors + 1  # +1: the t=5 sampler event
+    assert roots == [cancel_most]
+    assert fired == list(range(192, n))
+    # +1: the running canceller, +1: the t=5 sampler event.
+    assert pending_samples == [n - 192 + 2, n - 192 + 1]
     assert eng.pending == 0
     assert eng.drained()
 
@@ -201,50 +213,25 @@ def test_schedule_call_fires_with_argument():
     assert eng.events_processed == 1
 
 
-def test_schedule_call_and_schedule_share_fifo_order():
-    # Both scheduling flavours draw from one sequence counter, so
-    # same-instant events fire in exact submission order.
+def test_schedule_call_returns_fifo_seqs():
+    # schedule_call hands back the seq it drew; schedule_batch and
+    # continuations draw from the same counter.
     eng = Engine()
-    fired = []
-    eng.schedule_call(3.0, fired.append, "a")
-    eng.schedule(3.0, lambda: fired.append("b"))
-    eng.schedule_call(3.0, fired.append, "c")
-    eng.schedule(3.0, lambda: fired.append("d"))
-    eng.run()
-    assert fired == ["a", "b", "c", "d"]
-
-
-def test_schedule_call_respects_horizon_and_budget():
-    eng = Engine()
-    fired = []
-    for i in range(6):
-        eng.schedule_call(float(i), fired.append, i)
-    eng.run(max_events=2)
-    assert fired == [0, 1]
-    eng.run(until=3.5)
-    assert fired == [0, 1, 2, 3]
-    assert eng.now == 3.5
-    assert eng.pending == 2
+    assert eng.schedule_call(3.0, _noop, None) == 0
+    eng.schedule_batch([(3.0, _noop, None), (3.0, _noop, None)])
+    assert eng.schedule_call(1.0, _noop, None) == 3
+    assert [entry[1] for entry in sorted(eng._heap)] == [3, 0, 1, 2]
 
 
 def test_schedule_call_rejects_past_and_negative_delay():
     eng = Engine()
-    eng.schedule(10.0, lambda: None)
+    eng.schedule_call(10.0, _noop, None)
     eng.run()
     with pytest.raises(ValueError):
         eng.schedule_call(5.0, print, None)
-    with pytest.raises(ValueError):
-        eng.schedule_after_call(-1.0, print, None)
-
-
-def test_schedule_after_call_uses_relative_delay():
-    eng = Engine()
-    times = []
-    eng.schedule_call(
-        10.0, lambda _: eng.schedule_after_call(
-            5.0, lambda _: times.append(eng.now), None), None)
-    eng.run()
-    assert times == [15.0]
+    with pytest.raises(ValueError):  # a delay turned into `now + delay`
+        eng.schedule_call(eng.now + -1.0, print, None)
+    assert eng.drained()
 
 
 # ------------------------------------------------------- schedule_batch
@@ -263,11 +250,11 @@ def test_schedule_batch_preserves_fifo_with_schedule_call():
 
 def test_schedule_batch_rejects_past_times_keeping_valid_prefix():
     eng = Engine()
-    eng.schedule_call(1.0, lambda _: None, None)
+    eng.schedule_call(1.0, _noop, None)
     eng.run()  # now == 1.0
     with pytest.raises(ValueError):
-        eng.schedule_batch([(2.0, lambda _: None, None),
-                            (0.5, lambda _: None, None)])
+        eng.schedule_batch([(2.0, _noop, None),
+                            (0.5, _noop, None)])
     # Documented: items before the offender are already queued, and the
     # sequence counter was rolled back so FIFO stays consistent.
     assert eng.pending == 1
@@ -324,44 +311,34 @@ def test_continuation_is_fifo_interchangeable_with_schedule_call():
             == ["a", "b", "a-follow", "b-follow"])
 
 
-def test_continuation_respects_horizon_and_budget():
-    def build():
-        eng = Engine()
-        order = []
-        eng.schedule_call(
-            1.0, lambda _: order.append("first") or
-            (2.0, order.append, "follow"), None)
-        return eng, order
-
-    eng, order = build()
-    eng.run(max_events=1)
-    assert order == ["first"] and eng.pending == 1
-    eng.run()
-    assert order == ["first", "follow"]
-
-    eng, order = build()
-    eng.run(until=1.5)
-    assert order == ["first"] and eng.now == 1.5
-    eng.run()
-    assert order == ["first", "follow"] and eng.now == 2.0
-
-
-@pytest.mark.parametrize("until", [None, 100.0])
-def test_dispatching_names_the_running_event(until):
-    # Both run loops: a schedule_call entry, an Event handle, and a
-    # returned continuation each see their own (time, seq).
+@pytest.mark.parametrize("doomed_at", [None, 100.0])
+def test_dispatching_names_the_running_event(doomed_at):
+    # A plain entry, one that cancels another and a returned continuation
+    # each see their own (time, seq) at the heap root while they run; the
+    # batch tier orders its parked wakes against it.  A cancelled entry,
+    # even one later than everything else, never runs nor moves the clock.
     eng = Engine()
     seen = []
 
     def note(_=None):
-        seen.append(eng.dispatching())
+        seen.append(eng._heap[0][:2])
+
+    def cancel_then_note(_):
+        eng.cancel(doomed)
+        note()
 
     def chain(_):
         note()
         return (4.0, note, None)
 
-    eng.schedule_call(1.0, note, None)       # seq 0
-    eng.schedule(2.0, note)                  # seq 1
-    eng.schedule_call(2.0, chain, None)      # seq 2; its continuation: 3
-    eng.run(until=until)
-    assert seen == [(1.0, 0), (2.0, 1), (2.0, 2), (4.0, 3)]
+    eng.schedule_call(1.0, cancel_then_note, None)  # seq 0
+    eng.schedule_call(2.0, note, None)              # seq 1
+    eng.schedule_call(2.0, chain, None)             # seq 2
+    doomed = ([] if doomed_at is None
+              else [eng.schedule_call(doomed_at, note, None)])  # seq 3
+    eng.run()
+    # The continuation draws the next seq when chain returns.
+    follow = 3 + len(doomed)
+    assert seen == [(1.0, 0), (2.0, 1), (2.0, 2), (4.0, follow)]
+    assert eng.now == 4.0
+    assert eng.drained()

@@ -179,12 +179,15 @@ class SetAssocCache:
         callers can write the dirty lines back (see :meth:`clean`)."""
         valid = 0
         for keys in self._sets:
-            valid += len(keys)
-            keys.clear()
+            if keys:
+                valid += len(keys)
+                keys.clear()
         return valid, self.clean()
 
     def clean(self) -> list[int]:
         """Mark all lines clean, keep them; returns the sorted dirty keys."""
+        if not self._dirty:
+            return []
         dirty = sorted(self._dirty)
         self._dirty.clear()
         self.writebacks += len(dirty)

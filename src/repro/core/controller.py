@@ -81,9 +81,11 @@ class ModeController:
         self.start(now)
 
     def shutdown(self) -> None:
-        """Cancel the pending timers (workload finished)."""
+        """Cancel the pending timers and let go of the system (workload
+        finished), so a finished run holds no reference cycle."""
         self.engine.cancel(self._timers)
         self._timers.clear()
+        self.system = self.on_transition = None
 
     def _schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Queue ``fn()`` ``delay`` cycles from now as a cancellable

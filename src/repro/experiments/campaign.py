@@ -573,26 +573,24 @@ def execute_spec(spec: RunSpec,
     The system comes from :func:`spec_system` (``probes`` as there);
     ``spec.with_energy`` attaches the power model's report.
 
-    The cyclic garbage collector is paused while the spec runs, and one
-    generation-0 pass in the ``finally`` frees the finished system (a
-    reference cycle only the collector can free).  Nothing is collected
-    during the spec, so every object it allocated is still in the
-    youngest generation and that pass never walks the caller's
-    long-lived heap.  The caller's collector state is restored.
+    The cyclic garbage collector is paused while the spec runs: a build
+    allocates tens of thousands of tracked objects, and the passes they
+    would trigger find nothing to free.  A finished system holds no
+    reference cycle, so it is freed when the spec returns.  The caller's
+    collector state is restored.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         return _simulate_spec(spec, probes)
     finally:
-        gc.collect(0)
         if was_enabled:
             gc.enable()
 
 
 def _simulate_spec(spec: RunSpec, probes: Optional[dict]) -> RunResult:
-    """:func:`execute_spec`'s body, in its own frame so the finished
-    system is unreachable by the time the collector runs."""
+    """:func:`execute_spec`'s body: build, run and (``spec.with_energy``)
+    price one system."""
     system = spec_system(spec, probes)
     result = system.run()
     if spec.with_energy:

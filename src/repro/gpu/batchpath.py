@@ -91,6 +91,15 @@ way.  Consolidation runs install: per-request latency is stamped at issue
 and recorded at fill with the event tier's float expression, and a
 mid-run admission reaches the tier through ``update_bypass`` (mode flags)
 before any of its wakes fire.
+
+Lifetime
+--------
+The tier lives for one run.  Its ``_collect`` folds the deferred tallies
+and then detaches: every SM's handler triple is cleared, the system's
+instance overrides are removed and ``_tier_flush`` is reset, so no
+closure keeps the finished system alive and dropping it frees it by
+reference counting.  (The closures read SM state on every event, so
+weak references are no option while the run lasts.)
 """
 
 # repro: hot-path
@@ -714,7 +723,7 @@ def install_batchpath(system: Any) -> bool:
                 # CTA barrier (__syncthreads): park until siblings arrive.
                 if nb is not None and cursor >= nb and cursor < len(keys):
                     group = warp.group
-                    warp.next_barrier = nb + group.interval
+                    warp.next_barrier = nb + group.interval * warp.stride
                     group.arrived += 1
                     popleft()
                     if group.arrived >= group.live:
@@ -745,7 +754,7 @@ def install_batchpath(system: Any) -> bool:
                         tag_keys.append(key)
                         b_l1rh += 1
                         # L1 hit: purely SM-local, consume eagerly.
-                        cursor += 1
+                        cursor += warp.stride
                         warp.cursor = cursor
                         next_issue = issue_at + gap
                         ri += instrs
@@ -775,7 +784,9 @@ def install_batchpath(system: Any) -> bool:
                         engine._seq = seq + 1
                         return None
                     engine._seq = seq
-                    return (issue_at, wake, sm)
+                    # Through the SM, not this closure's own cell, which
+                    # would make the wake a reference cycle by itself.
+                    return (issue_at, sm._bp_wake, sm)
 
                 if is_write:
                     if sm.write_credits <= 0:
@@ -795,7 +806,7 @@ def install_batchpath(system: Any) -> bool:
                         tag_keys.append(key)
                     else:
                         b_l1sm += 1
-                    cursor += 1
+                    cursor += warp.stride
                     warp.cursor = cursor
                     next_issue = issue_at + gap
                     ri += instrs
@@ -815,7 +826,7 @@ def install_batchpath(system: Any) -> bool:
                         if not bypass:
                             b_l1rm += 1
                         warp.waiting_on = key
-                        cursor += 1
+                        cursor += warp.stride
                         warp.cursor = cursor
                         next_issue = issue_at + gap
                         ri += instrs
@@ -909,7 +920,7 @@ def install_batchpath(system: Any) -> bool:
                     if not bypass:
                         b_l1rm += 1
                     warp.waiting_on = key
-                    cursor += 1
+                    cursor += warp.stride
                     warp.cursor = cursor
                     next_issue = issue_at + gap
                     ri += instrs
@@ -1071,11 +1082,16 @@ def install_batchpath(system: Any) -> bool:
 
     # repro: cold
     def collect() -> Any:
-        """Fold the deferred tallies.  A drained queue leaves no parked
-        wake: a park waits on this SM's outstanding fills, whose events
-        settle it."""
+        """Fold the deferred tallies, then detach (module docstring,
+        Lifetime).  A drained queue leaves no parked wake: a park waits on
+        this SM's outstanding fills, whose events settle it."""
         for fold in fold_fns:
             fold()
+        for sm in system.sms:
+            sm._bp_wake = sm._bp_fill = sm._bp_retired = None
+        del system._sm_wake, system.update_bypass, system._stall_all
+        del system._collect
+        system._tier_flush = None
         return original_collect()
 
     tier_flush()

@@ -55,21 +55,27 @@ class CTAGroup:
 
 
 class WarpContext:
-    """One warp's in-order stream position: its access stream (``keys``
-    with parallel ``writes`` flags), the ``cursor`` into it, the line it
-    blocks on, and its CTA's barrier group."""
+    """One warp's in-order stream position and the line it blocks on.
 
-    __slots__ = ("keys", "writes", "cursor", "waiting_on", "group",
-                 "next_barrier")
+    A warp reads its CTA's trace in place: ``keys`` with parallel
+    ``writes`` flags are the CTA's own lists, and the warp's accesses are
+    positions ``start, start + stride, ...`` of them, so ``cursor`` steps
+    by ``stride``.  Its barriers fall every ``group.interval`` accesses,
+    at positions ``start + k * group.interval * stride``."""
+
+    __slots__ = ("keys", "writes", "cursor", "stride", "waiting_on",
+                 "group", "next_barrier")
 
     def __init__(self, keys: list[int], writes: list[bool],
-                 group: CTAGroup | None = None):
+                 group: CTAGroup | None = None, start: int = 0,
+                 stride: int = 1):
         self.keys = keys
         self.writes = writes
-        self.cursor = 0
+        self.cursor = start
+        self.stride = stride
         self.waiting_on: int | None = None
         self.group = group
-        self.next_barrier = (group.interval
+        self.next_barrier = (start + group.interval * stride
                              if group is not None and group.interval else None)
 
     @property
@@ -131,15 +137,15 @@ class StreamingMultiprocessor:
             raise ValueError("warps_per_cta must be positive")
         self.l1.flush()
         self.mshr.clear()
-        # Warp w of a CTA takes accesses w, w + warps_per_cta, ...; a CTA
-        # shorter than warps_per_cta gets one warp per access.
+        # Warp w of a CTA takes accesses w, w + warps_per_cta, ... of the
+        # CTA's own lists (no copy); a CTA shorter than warps_per_cta gets
+        # one warp per access.
         self.warps = warps = []
         live = 0
         for keys, writes in cta_streams:
             n = min(warps_per_cta, len(keys))
             group = CTAGroup(barrier_interval, n)
-            warps.extend([WarpContext(keys[w::warps_per_cta],
-                                      writes[w::warps_per_cta], group)
+            warps.extend([WarpContext(keys, writes, group, w, warps_per_cta)
                           for w in range(n)])
             live += len(keys)
         self.ready = deque(self.warps)

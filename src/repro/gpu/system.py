@@ -300,6 +300,7 @@ class GPUSystem:
         # takes.
         self.tier = "event"
         self._tier_flush = None
+        self._ran = False
         if cfg.tier == "batch":
             from repro.gpu.batchpath import install_batchpath
             if install_batchpath(self):
@@ -378,7 +379,16 @@ class GPUSystem:
         Tenants with a later admission time enter through an admission
         event (:meth:`_admit_program`); everyone else launches at time
         zero exactly as the legacy closed-system path always did.
+
+        A system runs once.  By the time the result is collected, the
+        policies, their controllers and the batch tier have let go of the
+        system, so the finished system holds no reference cycle and
+        dropping it frees it at once; its components and counters stay
+        readable.
         """
+        if self._ran:
+            raise RuntimeError("a GPUSystem runs once; build a new one")
+        self._ran = True
         if self._occupancy is not None:
             self._occupancy.append(
                 [0.0, sum(1 for p in self.programs if p.admitted)])
@@ -398,7 +408,10 @@ class GPUSystem:
         # Drain the dirty residue: DRAM traffic, not ``cycles`` (the
         # memory-side LLC is the point of coherence; see ARCHITECTURE).
         write_back(self, self.engine.now)
-        return self._collect()
+        result = self._collect()
+        for pol, _scope in self._policy_bindings:
+            pol.system = None
+        return result
 
     # --------------------------------------------------------- kernel flow
     def _launch_kernel(self, prog: _ProgramContext, now: float) -> None:
@@ -510,7 +523,7 @@ class GPUSystem:
             # CTA barrier (__syncthreads): park until siblings arrive.
             if nb is not None and cursor >= nb and cursor < len(keys):
                 group = warp.group
-                warp.next_barrier = nb + group.interval
+                warp.next_barrier = nb + group.interval * warp.stride
                 group.arrived += 1
                 popleft()
                 if group.arrived >= group.live:
@@ -535,7 +548,7 @@ class GPUSystem:
 
             if not is_write and not bypass and l1_lookup(key):
                 # L1 hit: purely SM-local, consume eagerly at its own time.
-                cursor += 1
+                cursor += warp.stride
                 warp.cursor = cursor
                 sm.next_issue_time = issue_at + gap
                 sm.retired_instructions += instrs
@@ -562,7 +575,7 @@ class GPUSystem:
                     return
                 sm.write_credits -= 1
                 l1.access(key, True)
-                cursor += 1
+                cursor += warp.stride
                 warp.cursor = cursor
                 sm.next_issue_time = issue_at + gap
                 sm.retired_instructions += instrs
@@ -600,7 +613,7 @@ class GPUSystem:
             if not bypass:
                 l1.record_read_miss()
             warp.waiting_on = key
-            warp.cursor = cursor + 1
+            warp.cursor = cursor + warp.stride
             sm.next_issue_time = issue_at + gap
             sm.retired_instructions += instrs
             sm.live_accesses -= 1

@@ -28,28 +28,20 @@ class MemoryController:
         )
         self.read_requests = 0
         self.write_requests = 0
-        # bank_of is a pure hash of the line key; misses to hot lines repeat
-        # constantly, so memoize it per controller.
-        self._bank_of: dict[int, int] = {}
-
-    def _bank(self, line_key: int) -> int:
-        bank = self._bank_of.get(line_key)
-        if bank is None:
-            bank = self.mapping.bank_of(line_key)
-            self._bank_of[line_key] = bank
-        return bank
 
     def read(self, now: float, line_key: int) -> float:
         """Fetch a line; returns data-ready time at the LLC slice."""
         self.read_requests += 1
-        return self.channel.access(now, line_key, self._bank(line_key),
+        return self.channel.access(now, line_key,
+                                   self.mapping.bank_of(line_key),
                                    is_write=False)
 
     def write(self, now: float, line_key: int) -> float:
         """Retire a writeback/write-through line (fire-and-forget for the
         requester, but it still occupies bank and bus)."""
         self.write_requests += 1
-        return self.channel.access(now, line_key, self._bank(line_key),
+        return self.channel.access(now, line_key,
+                                   self.mapping.bank_of(line_key),
                                    is_write=True)
 
     # -------------------------------------------------------------- stats

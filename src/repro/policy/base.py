@@ -82,7 +82,9 @@ class LLCPolicy(Component):
 
         ``programs`` scopes the policy to a subset of the system's
         programs (the Scenario API's per-program policies); ``None`` — the
-        legacy shape — means the policy governs every program.
+        legacy shape — means the policy governs every program.  The
+        system resets ``system`` to ``None`` once its run has collected,
+        so a finished system holds no reference cycle.
         """
         self.system = system
         self._scope = list(programs) if programs is not None else None

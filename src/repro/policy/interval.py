@@ -28,6 +28,7 @@ controllers chased each other's miss rates).
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.analysis.registry import Param
@@ -59,11 +60,17 @@ class IntervalModeController(ModeController):
     def __init__(self, cfg, engine, system, prog, interval_cycles: int,
                  min_samples: int, **kwargs):
         super().__init__(cfg, engine, system, **kwargs)
-        self.prog = prog
+        # The program holds its controller, so the way back is weak.
+        self._prog = weakref.ref(prog)
         self.interval_cycles = interval_cycles
         self.min_samples = min_samples
         self._seen_accesses = 0
         self._seen_hits = 0
+
+    @property
+    def prog(self):
+        """The governed program context (alive as long as its system)."""
+        return self._prog()
 
     # --------------------------------------------------------------- ticks
     def _begin(self, now: float) -> None:

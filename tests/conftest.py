@@ -1,6 +1,6 @@
 """Shared test fixtures: an in-process campaign job server harness, a
-fault injected into spec execution, part of a figure's rows, and the
-write-side DRAM conservation check.
+fault injected into spec execution, part of a figure's rows, the
+conservation checks and the no-reference-cycle check.
 
 The service tests need a real :class:`~repro.service.server.JobServer`
 listening on a real socket while the test thread drives it through the
@@ -14,8 +14,10 @@ connections of the clients it handed out.
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import threading
+import weakref
 
 import pytest
 
@@ -279,3 +281,26 @@ def reads_conserved():
                 == pytest.approx(total, rel=1e-12))
 
     return check
+
+
+@pytest.fixture
+def cycle_free():
+    """Check that finished systems hold no reference cycle.
+
+    Call as ``cycle_free(system)``.  The cyclic collector is paused for
+    the whole test, so it builds and runs with the collector off.  Once
+    the test has dropped its systems, each must already be freed by
+    reference counting alone, and a collection must find nothing.
+    """
+    refs = []
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield lambda system: refs.append(weakref.ref(system))
+        alive = sum(ref() is not None for ref in refs)
+        assert gc.collect() == 0
+        assert not alive, f"{alive} of {len(refs)} systems outlived the test"
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -377,11 +377,11 @@ def test_execute_spec_restores_the_callers_gc_state(enabled, raises,
 
 
 def test_execute_spec_frees_its_system_on_return():
-    """A finished system is a reference cycle; `execute_spec`'s own
-    generation-0 pass frees it before returning, so no system outlives
-    the spec waiting for a full collection (this test never collects).
-    Systems already awaiting collection from earlier tests are skipped
-    by identity."""
+    """A finished system holds no reference cycle, so it is freed when
+    `execute_spec` returns, with the collector paused and no pass run:
+    no system outlives the spec waiting for a collection (this test
+    never collects).  Systems already awaiting collection from earlier
+    tests are skipped by identity."""
     from repro.experiments.campaign import execute_spec
     from repro.gpu.system import GPUSystem
 

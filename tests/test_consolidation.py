@@ -337,16 +337,17 @@ def test_batch_tier_runs_consolidation_byte_identical(case):
 
 
 def test_seeded_consolidation_fuzz_matches_the_event_tier(
-        tier_state, reads_conserved, dram_writes_conserved):
+        tier_state, reads_conserved, dram_writes_conserved, cycle_free):
     """Differential fuzz: sampled 2-4 tenant mixes under every registered
     policy, arrival process and placement run byte-identical on both
-    tiers, with equal counters outside the result and every conservation
-    identity holding on each tier."""
+    tiers, with equal counters outside the result, every conservation
+    identity holding on each tier and no reference cycle left behind."""
 
     def conserved(event, batch):
         for system in (event, batch):
             reads_conserved(system)
             dram_writes_conserved(system)
+            cycle_free(system)
 
     rng = random.Random(20261017)
     policies = sorted(available_policies())

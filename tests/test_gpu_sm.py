@@ -10,15 +10,38 @@ def make_sm():
     return StreamingMultiprocessor(0, GPUConfig.baseline())
 
 
+def accesses(warp):
+    """The (key, is_write) pairs a warp issues, in order, from its cursor."""
+    return list(zip(warp.keys[warp.cursor::warp.stride],
+                    warp.writes[warp.cursor::warp.stride]))
+
+
 def test_load_kernel_splits_ctas_into_warps():
     sm = make_sm()
     keys = list(range(16))
-    sm.load_kernel([(keys, [False] * 16)], warps_per_cta=4,
+    writes = [k % 3 == 0 for k in keys]
+    sm.load_kernel([(keys, writes)], warps_per_cta=4,
                    instrs_per_access=4.0, now=0.0)
     assert len(sm.warps) == 4
-    assert sm.warps[0].keys == [0, 4, 8, 12]
-    assert sm.warps[3].keys == [3, 7, 11, 15]
+    assert accesses(sm.warps[0]) == [(0, True), (4, False), (8, False),
+                                     (12, True)]
+    assert accesses(sm.warps[3]) == [(3, True), (7, False), (11, False),
+                                     (15, True)]
+    # Warps read the CTA's own lists in place.
+    assert all(w.keys is keys and w.writes is writes for w in sm.warps)
     assert sm.live_accesses == 16
+
+
+def test_warp_barriers_fall_every_interval_accesses():
+    sm = make_sm()
+    sm.load_kernel([(list(range(12)), [False] * 12)], warps_per_cta=3,
+                   instrs_per_access=4.0, now=0.0, barrier_interval=2)
+    w1 = sm.warps[1]
+    # Warp 1 issues positions 1, 4, 7, 10: its barrier falls after two.
+    assert w1.next_barrier == 7
+    w1.cursor += 2 * w1.stride
+    assert w1.at_barrier
+    assert accesses(w1) == [(7, False), (10, False)]
 
 
 def test_load_kernel_flushes_l1():
@@ -79,7 +102,9 @@ def test_requeue_exhausted_updates_group():
     w0, w1 = sm.warps
     group = w0.group
     assert group.live == 2
-    w0.cursor = 1  # exhausted
+    assert accesses(w0) == [(1, False)]
+    w0.cursor += w0.stride  # past its one access: exhausted
+    assert w0.exhausted
     sm.ready.clear()
     sm.requeue(w0)
     assert group.live == 1

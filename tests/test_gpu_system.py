@@ -198,6 +198,20 @@ def test_mshr_stalls_are_counted_at_the_stall_site():
 
 
 @pytest.mark.parametrize("tier", ["event", "batch"])
+def test_system_runs_once(tier):
+    """A second `run()` is refused: the run consumed the traces' kernels
+    and the batch tier detached from the system when it collected."""
+    w = build("LUD", total_accesses=3000, num_ctas=160, max_kernels=2)
+    s = GPUSystem(small_cfg(tier=tier), w, policy="shared")
+    assert s.tier == tier
+    first = s.run()
+    with pytest.raises(RuntimeError, match="runs once; build a new one"):
+        s.run()
+    # The finished system stays readable.
+    assert sum(sm.retired_instructions for sm in s.sms) == first.instructions
+
+
+@pytest.mark.parametrize("tier", ["event", "batch"])
 def test_request_pool_is_recycled(tier, monkeypatch):
     """The pool starts empty and grows only when it runs dry, so after the
     run it holds exactly the requests ever built: one leaked (never

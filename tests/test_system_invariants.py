@@ -159,22 +159,67 @@ def _system(tier, policy):
 @pytest.mark.parametrize("tier", ["event", "batch"])
 @pytest.mark.parametrize("policy", ["adaptive", "bandit", "oracle-static",
                                     "poisson-mix"])
-def test_run_creates_no_cyclic_garbage(policy, tier):
+def test_run_creates_no_cyclic_garbage(policy, tier, cycle_free):
     """`run()` leaves nothing for the cyclic collector while the system
-    is alive.  Campaign specs run with the collector paused (see
-    `execute_spec`), so a reference cycle created per event would grow
-    a spec's memory without bound; only the finished system itself may
-    be a cycle."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        system = _system(tier, policy)
-        gc.collect()
-        result = system.run()
-        assert gc.collect() == 0
-        assert system.tier == tier
-        if policy == "adaptive":
-            assert result.transitions >= 1
-    finally:
-        if was_enabled:
-            gc.enable()
+    is alive: a reference cycle created per event would grow a run's
+    memory until the next full collection."""
+    system = _system(tier, policy)
+    cycle_free(system)
+    result = system.run()
+    assert gc.collect() == 0
+    assert system.tier == tier
+    if policy == "adaptive":
+        assert result.transitions >= 1
+
+
+SMOKE = 0.02
+#: Oracle probe measurements injected the way the campaign serves them.
+PROBES = {"shared": {"ipc": 1.0, "cycles": 2.0, "llc_miss_rate": 0.5},
+          "private": {"ipc": 2.0, "cycles": 1.0, "llc_miss_rate": 0.4}}
+
+
+def _cycle_scenarios() -> dict:
+    """Name -> (spec, injected oracle probes): every policy family, both
+    tiers, a heterogeneous pair, the consolidation mix and a Hynix run."""
+    from repro.experiments.campaign import RunSpec, spec_from_mix
+
+    cfg = experiment_config()
+    event = cfg.replace(tier="event")
+
+    def single(abbr, policy, c=cfg):
+        return RunSpec.single(abbr, policy, c, scale=SMOKE)
+
+    return {
+        "static-shared": (single("GEMM", "static-shared"), None),
+        "static-private": (single("GEMM", "static-private"), None),
+        "paper-adaptive/batch": (single("SN", "paper-adaptive"), None),
+        "paper-adaptive/event": (single("SN", "paper-adaptive", event),
+                                 None),
+        "hysteresis": (single("GEMM", "hysteresis"), None),
+        "miss-rate-threshold": (single("GEMM", "miss-rate-threshold"),
+                                None),
+        "bandit": (single("GEMM", "bandit"), None),
+        "oracle-static/probes": (single("SN", "oracle-static"), PROBES),
+        "pair": (RunSpec.pair("LUD", "RN", "static-private", cfg,
+                              scale=SMOKE, mode_b="paper-adaptive"), None),
+        "consolidation": (spec_from_mix(
+            "+".join(f"{abbr}:{mode}" for abbr, mode, _ in MIX_TENANTS),
+            scale=SMOKE, arrivals="poisson:gap=1500", seed=1), None),
+        "hynix/event": (single("VA", "adaptive",
+                               event.replace(address_mapping="hynix")),
+                        None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cycle_scenarios()))
+def test_finished_system_is_freed_without_the_collector(name, cycle_free):
+    """Once `run()` returns, nothing the system built keeps it alive:
+    policies, controllers and the batch tier have let go of it, so
+    dropping it frees it by reference counting alone."""
+    from repro.experiments.campaign import spec_system
+
+    spec, probes = _cycle_scenarios()[name]
+    system = spec_system(spec, probes)
+    cycle_free(system)
+    system.run()
+    assert system.tier == spec.cfg.tier

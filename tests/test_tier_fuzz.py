@@ -14,7 +14,8 @@ run, on either tier, must also keep its conservation identities: DRAM
 writes are write-through stores plus write-backs with no dirty LLC line
 left, every issued read and write reaches the LLC once, every LLC read
 miss is one DRAM read, the MSHRs drain and the retired instructions are
-the trace's.  Vacuity guards assert every axis value was drawn and
+the trace's, and once dropped it must be freed with no reference cycle
+left for the collector.  Vacuity guards assert every axis value was drawn and
 that the batch tier really installed on a good share of the samples.
 
 ``REPRO_TIER_FUZZ_ITERS`` raises the iteration count (CI runs 200).
@@ -126,8 +127,8 @@ def _all_values():
 
 
 def test_sampled_config_shapes_match_the_event_tier_or_decline(
-        dram_writes_conserved, reads_conserved, tier_state):
-    conserved = (dram_writes_conserved, reads_conserved)
+        dram_writes_conserved, reads_conserved, tier_state, cycle_free):
+    conserved = (dram_writes_conserved, reads_conserved, cycle_free)
     rng = random.Random(20261017)
     policies = sorted(available_policies())
     rng.shuffle(policies)
